@@ -9,6 +9,7 @@ diagnostic names the violated invariant).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import entcost, groupform, locc, qcore, wang
-from .errors import QRemoteError
+from .errors import MalformedProblem, QRemoteError
 from .qcore import StateVector
 
 FIDELITY_TOL = 1e-9
@@ -63,28 +64,44 @@ class Problem:
         self.describe = describe          # header string
 
 
+@contextlib.contextmanager
+def _document_shape():
+    """Reads of the problem document only: a missing key or a wrong JSON type
+    becomes MalformedProblem. Library calls stay outside, keeping their names."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MalformedProblem(f"problem file has no {exc} key") from exc
+    except (TypeError, ValueError) as exc:
+        raise MalformedProblem(f"problem value has the wrong JSON type or form: {exc}") from exc
+
+
 def _input_state(doc: dict, dim: int, override: str | None) -> StateVector:
-    if override is not None:
-        return StateVector(vector_from_json(json.loads(override)), (dim,))
-    if "input" in doc:
-        return StateVector(vector_from_json(doc["input"]), (dim,))
-    return qcore.ket(0, dim)
+    with _document_shape():
+        if override is not None:
+            amps = vector_from_json(json.loads(override))
+        elif "input" in doc:
+            amps = vector_from_json(doc["input"])
+        else:
+            return qcore.ket(0, dim)
+    return StateVector(amps, (dim,))
 
 
 def load_problem(path: str, input_override: str | None = None) -> Problem:
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise MalformedProblem(f"a problem file holds a JSON object, not {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "wang":
-        dim = int(doc["dim"])
-        blocks = [matrix_from_json(b) for b in doc["blocks"]]
+        with _document_shape():
+            dim = int(doc["dim"])
+            blocks = [matrix_from_json(b) for b in doc["blocks"]]
+            values = vector_from_json(doc["phases"]) if "phases" in doc else None
         partition = wang.validate_partition(blocks)
         if partition.dim != dim:
             raise ValueError(f"declared dim {dim} does not match blocks ({partition.dim})")
-        if "phases" in doc:
-            phases = wang.Phases(vector_from_json(doc["phases"]))
-        else:
-            phases = wang.Phases(np.ones(partition.n))
+        phases = wang.Phases(np.ones(partition.n) if values is None else values)
         state = _input_state(doc, dim, input_override)
         expected = wang.assemble(partition, phases) @ state.amplitudes
         return Problem(
@@ -96,21 +113,23 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
             describe=f"kind: wang  dim={dim}  blocks={partition.n}",
         )
     if kind == "group":
-        order = int(doc["order"])
-        group = groupform.finite_group(doc["cayley"], names=doc.get("names"))
+        with _document_shape():
+            order = int(doc["order"])
+            cayley = np.asarray(doc["cayley"], dtype=int)
+            names = list(doc["names"]) if "names" in doc else None
+            matrices = [matrix_from_json(m) for m in doc["matrices"]]
+            mu = matrix_from_json(doc["mu"]) if "mu" in doc else None
+            coefficients = vector_from_json(doc["coefficients"])
+            blocks = [int(d) for d in doc["blocks"]] if "blocks" in doc else None
+        group = groupform.finite_group(cayley, names=names)
         if group.order != order:
             raise ValueError(f"declared order {order} does not match the Cayley table")
-        matrices = [matrix_from_json(m) for m in doc["matrices"]]
-        mu = matrix_from_json(doc["mu"]) if "mu" in doc else None
         rep = groupform.projective_rep(group, matrices, mu=mu)
-        coefficients = vector_from_json(doc["coefficients"])
         state = _input_state(doc, rep.dim, input_override)
         expected = groupform.assemble(rep, coefficients) @ state.amplitudes
         meta = {"rep": rep, "coefficients": coefficients, "input": state}
-        if "blocks" in doc:
-            meta["decomposition"] = groupform.block_decomposition(
-                rep, [int(d) for d in doc["blocks"]]
-            )
+        if blocks is not None:
+            meta["decomposition"] = groupform.block_decomposition(rep, blocks)
         return Problem(
             kind="group",
             runner=lambda: groupform.run_group_protocol(rep, coefficients, state),
@@ -120,8 +139,9 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
             describe=f"kind: group  |G|={order}  dim={rep.dim}",
         )
     if kind == "bqst":
-        dim = int(doc["dim"])
-        unitary = matrix_from_json(doc["unitary"])
+        with _document_shape():
+            dim = int(doc["dim"])
+            unitary = matrix_from_json(doc["unitary"])
         if unitary.shape != (dim, dim):
             raise ValueError(f"unitary shape {unitary.shape} does not match dim {dim}")
         state = _input_state(doc, dim, input_override)
@@ -137,25 +157,17 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
     raise ValueError(f"unknown problem kind {kind!r}; expected wang, group, or bqst")
 
 
-def _branch_outcomes(kind: str, branch) -> list[tuple[str, int]]:
-    if kind == "wang":
-        return [("l", branch.l), ("m", branch.m)]
-    if kind == "group":
-        return [("g", branch.g), ("h", branch.h)]
-    return list(zip(("p", "q", "r", "s"), branch.outcomes))
-
-
 # --- run ----------------------------------------------------------------------
 
 def cmd_run(args) -> int:
     problem = load_problem(args.file, args.input)
     threshold = 1.0 - args.tol
     branches = problem.run()
-    rows = []
-    for branch in branches:
-        fid = qcore.factor_overlap(branch.state, problem.expected, problem.output_factor)
-        rows.append((_branch_outcomes(problem.kind, branch), branch.probability, fid))
-    min_fid = min(fid for _, _, fid in rows)
+    fids = [
+        qcore.factor_overlap(b.state, problem.expected, problem.output_factor)
+        for b in branches
+    ]
+    min_fid = min(fids)
     ok = min_fid >= threshold
     first_transcript = locc.transcript_lines(branches[0].transcript)
 
@@ -164,11 +176,11 @@ def cmd_run(args) -> int:
             "kind": problem.kind,
             "branches": [
                 {
-                    "outcomes": dict(outs),
-                    "probability": prob,
+                    "outcomes": b.outcomes,
+                    "probability": b.probability,
                     "fidelity": fid,
                 }
-                for outs, prob, fid in rows
+                for b, fid in zip(branches, fids)
             ],
             "min_fidelity": min_fid,
             "threshold": threshold,
@@ -178,10 +190,10 @@ def cmd_run(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(problem.describe)
-        print(f"branches: {len(rows)}")
-        for outs, prob, fid in rows:
-            label = " ".join(f"{k}={v}" for k, v in outs)
-            print(f"branch {label}  p={prob:.10f}  fidelity={fid:.12f}")
+        print(f"branches: {len(branches)}")
+        for b, fid in zip(branches, fids):
+            label = " ".join(f"{k}={v}" for k, v in b.outcomes.items())
+            print(f"branch {label}  p={b.probability:.10f}  fidelity={fid:.12f}")
         print(f"min fidelity: {min_fid:.12f}  (threshold {threshold:.10f})")
         print("transcript of first branch:")
         for line in first_transcript:
@@ -237,8 +249,6 @@ def cmd_trace(args) -> int:
         l, m = (int(x) for x in args.branch.split(","))
     except Exception as exc:
         raise ValueError(f"--branch must be 'l,m', got {args.branch!r}") from exc
-    if not (0 <= l < n and 0 <= m < n):
-        raise ValueError(f"branch ({l},{m}) out of range for {n} outcomes")
 
     stages = wang.trace_branch(partition, phases, state, l, m)
     projs = wang.projectors(partition)
@@ -316,17 +326,14 @@ def cmd_trace(args) -> int:
 
     print(f"\nstep 5: Alice applies the recovery R_{m}")
     final = stages[5].state.amplitudes.reshape(partition.dim, n, n)[:, l, m]
-    expected5 = wang.assemble(partition, phases) @ state.amplitudes
+    expected5 = problem.expected
     print(f"  A register: {_cell_label(final, expected5, 'U|psi> = sum_i c_i A_i |psi>')}")
     print(f"  numeric: {_vec_text(final)}")
     fid = float(abs(np.vdot(expected5, final)))
     print(f"  fidelity vs direct application: {fid:.12f}")
 
-    branch = next(
-        b for b in wang.run_wang(partition, phases, state) if (b.l, b.m) == (l, m)
-    )
     print("\ntranscript:")
-    for line in locc.transcript_lines(branch.transcript):
+    for line in locc.transcript_lines(stages[-1].transcript):
         print(f"  {line}")
     return 0
 
@@ -450,7 +457,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QRemoteError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (QRemoteError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import locc, qcore
+from . import locc, qcore, wang
 from .errors import DimensionMismatch, NonUnitary
-from .locc import ALICE, BOB, ConditionalStep, LocalStep, MeasureStep, Program
+from .locc import ALICE, BOB, Branch, ConditionalStep, LocalStep, MeasureStep, Program
 from .qcore import StateVector
 
 ASSUMED_SHAPE = (
@@ -190,36 +190,14 @@ def _clock(dim: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
 
 
-def _controlled_shift(dim: int) -> np.ndarray:
-    """sum_i |i><i| (x) X^i: subtracts the control from the target register."""
-    shift = qcore.shift_matrix(dim)
-    power = np.eye(dim, dtype=complex)
-    total = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        sel = np.zeros((dim, dim), dtype=complex)
-        sel[i, i] = 1.0
-        total += np.kron(sel, power)
-        power = shift @ power
-    return total
-
-
-@dataclass(frozen=True)
-class TeleportBranch:
-    outcomes: tuple[int, int, int, int]    # (p, q, r, s)
-    probability: float
-    transcript: locc.Transcript
-    state: StateVector
-    output: StateVector                    # register that ends up holding U|psi>
-
-
-def bqst_teleport(unitary: np.ndarray, input_state: StateVector) -> tuple[list[TeleportBranch], CostReport]:
+def bqst_teleport(unitary: np.ndarray, input_state: StateVector) -> tuple[list[Branch], CostReport]:
     """Teleport to Bob, apply the unitary, teleport back.
 
     Registers: (A, a1, b1, b2, a2) with Alice holding A, a1, a2. Each
     teleportation is a generalized Bell measurement (inverse controlled
     shift, inverse Fourier, two computational measurements) followed by
     shift/clock corrections on the far half. All D^4 outcome branches are
-    enumerated; the final state lands in a2.
+    enumerated; the final state lands in a2, the output of every branch.
     """
     u = np.asarray(unitary, dtype=complex)
     if not qcore.is_unitary(u):
@@ -232,7 +210,7 @@ def bqst_teleport(unitary: np.ndarray, input_state: StateVector) -> tuple[list[T
     pair = locc.maximally_entangled(dim).to_state()
     initial = qcore.tensor(qcore.tensor(input_state, pair), pair)
 
-    csub = _controlled_shift(dim)
+    csub = wang.controlled_shift(wang.diagonal_partition(dim))
     f_inv = qcore.fourier_matrix(dim).conj().T
     shift = qcore.shift_matrix(dim)
     clock = _clock(dim)
@@ -257,18 +235,10 @@ def bqst_teleport(unitary: np.ndarray, input_state: StateVector) -> tuple[list[T
             ConditionalStep(ALICE, "Z^r", lambda r: np.linalg.matrix_power(clock, r), (4,), "r"),
         ),
     )
-    branches = []
-    for b in locc.run_protocol(program, initial):
-        t = b.transcript
-        branches.append(
-            TeleportBranch(
-                outcomes=(t.outcome("p"), t.outcome("q"), t.outcome("r"), t.outcome("s")),
-                probability=t.probability,
-                transcript=t,
-                state=b.state,
-                output=qcore.factor_state(b.state, 4),
-            )
-        )
+    branches = [
+        Branch(b.transcript, b.state, qcore.factor_state(b.state, 4))
+        for b in locc.run_protocol(program, initial)
+    ]
     report = CostReport(
         protocol="bqst",
         schmidt_rank=dim * dim,

@@ -56,3 +56,11 @@ class NotBlockDiagonal(QRemoteError):
 
 class MultiplicityNotOne(QRemoteError):
     """Block dimensions are inconsistent with a multiplicity-free layout."""
+
+
+class NonFinite(QRemoteError):
+    """A state amplitude or coefficient is NaN or infinite."""
+
+
+class MalformedProblem(QRemoteError):
+    """A problem document lacks a key or holds a value of the wrong JSON type."""

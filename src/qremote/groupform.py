@@ -31,7 +31,7 @@ from .errors import (
     NotARepresentation,
     NotBlockDiagonal,
 )
-from .locc import ALICE, BOB, ConditionalStep, LocalStep, MeasureStep, Program
+from .locc import ALICE, BOB, Branch, ConditionalStep, LocalStep, MeasureStep, Program
 from .qcore import StateVector
 
 
@@ -250,18 +250,8 @@ def dihedral3_rep() -> ProjectiveRep:
 
 # --- protocol operators -------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupStepSet:
-    """Branch operators for outcomes (g, h); all unitary."""
-
-    entangler: np.ndarray          # P = sum_f U(f) (x) |f><f| on (A, a)
-    fourier: np.ndarray            # F on a
-    z_gate: np.ndarray             # Z(g) on b
-    mixer: np.ndarray              # M = sum_f c(f) R(f) on b
-    recovery: np.ndarray           # U(h^{-1}) on A
-
-
 def entangler(rep: ProjectiveRep) -> np.ndarray:
+    """P = sum_f U(f) (x) |f><f| on (A, a)."""
     n = rep.group.order
     total = np.zeros((rep.dim * n, rep.dim * n), dtype=complex)
     for f, m in enumerate(rep.matrices):
@@ -328,32 +318,6 @@ def _coefficient_vector(rep: ProjectiveRep, coefficients) -> np.ndarray:
     return c
 
 
-def build_group_steps(
-    rep: ProjectiveRep, coefficients, g: int, h: int,
-    transform: np.ndarray | None = None,
-) -> GroupStepSet:
-    """All five branch operators for outcomes (g, h)."""
-    assemble(rep, coefficients)   # rejects non-unitary targets up front
-    n = rep.group.order
-    steps = GroupStepSet(
-        entangler=entangler(rep),
-        fourier=qcore.fourier_matrix(n) if transform is None else np.asarray(transform, dtype=complex),
-        z_gate=z_gate(g, n, transform),
-        mixer=mixer(rep, coefficients),
-        recovery=rep.matrices[rep.group.inv(h)],
-    )
-    for name, op in (
-        ("P", steps.entangler),
-        ("F", steps.fourier),
-        (f"Z({g})", steps.z_gate),
-        ("M", steps.mixer),
-        (f"U({h}^-1)", steps.recovery),
-    ):
-        if not qcore.is_unitary(op):
-            raise NonUnitary(f"step operator {name} failed the unitarity check")
-    return steps
-
-
 def group_program(rep: ProjectiveRep, coefficients, transform: np.ndarray | None = None) -> Program:
     """Five-step program on registers (A, a, b) = (Alice, Alice, Bob)."""
     assemble(rep, coefficients)
@@ -376,20 +340,10 @@ def group_program(rep: ProjectiveRep, coefficients, transform: np.ndarray | None
     )
 
 
-@dataclass(frozen=True)
-class GroupBranch:
-    g: int
-    h: int
-    probability: float
-    transcript: locc.Transcript
-    state: StateVector
-    output: StateVector
-
-
 def run_group_protocol(
     rep: ProjectiveRep, coefficients, input_state: StateVector,
     transform: np.ndarray | None = None,
-) -> list[GroupBranch]:
+) -> list[Branch]:
     """Execute all |G|^2 branches; every branch leaves sum_f c(f) U(f) applied
     to the A register up to a global phase."""
     if input_state.dim != rep.dim:
@@ -398,17 +352,9 @@ def run_group_protocol(
         )
     n = rep.group.order
     initial = qcore.tensor(input_state, locc.maximally_entangled(n).to_state())
-    branches = locc.run_protocol(group_program(rep, coefficients, transform), initial)
     return [
-        GroupBranch(
-            g=b.transcript.outcome("g"),
-            h=b.transcript.outcome("h"),
-            probability=b.transcript.probability,
-            transcript=b.transcript,
-            state=b.state,
-            output=qcore.factor_state(b.state, 0),
-        )
-        for b in branches
+        Branch(b.transcript, b.state, qcore.factor_state(b.state, 0))
+        for b in locc.run_protocol(group_program(rep, coefficients, transform), initial)
     ]
 
 

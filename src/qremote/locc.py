@@ -6,6 +6,8 @@ branch tree, never one sampled run: correctness claims for these protocols
 are quantified over all outcomes. Each branch yields an immutable transcript
 recording local operations, measurement outcomes, and the classical messages
 that carried outcomes between the parties.
+Every protocol runner returns Branch values. A step-by-step trace
+(wang.trace_branch) is the program cut after each traced step, run as is.
 """
 
 from __future__ import annotations
@@ -118,8 +120,25 @@ class Transcript:
 
 @dataclass(frozen=True)
 class Branch:
+    """One measurement branch: its transcript, the full register state and,
+    when a protocol runner has factored it out, the output register."""
+
     transcript: Transcript
     state: StateVector
+    output: StateVector | None = None
+
+    @property
+    def probability(self) -> float:
+        return self.transcript.probability
+
+    @property
+    def outcomes(self) -> dict[str, int]:
+        """Message tag -> payload, in the order the messages were sent."""
+        return {
+            e.tag: e.payload
+            for e in self.transcript.events
+            if isinstance(e, ClassicalMessageEvent)
+        }
 
 
 # --- resource states -------------------------------------------------------
@@ -248,6 +267,7 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
                 )
 
     execute(0, initial, 1.0, [], {ALICE: {}, BOB: {}})
+    del execute   # a self-referencing closure would hold every state until gc runs
     return branches
 
 

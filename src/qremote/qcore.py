@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitary
+from .errors import DimensionMismatch, NonFinite, NonUnitary
 
 # Double precision leaves >= 6 orders of margin at these dimensions.
 NORM_TOL = 1e-9     # unitarity and state-normalization checks
@@ -44,6 +44,8 @@ class StateVector:
                 f"{amps.size} amplitudes do not fill factors {dims}"
             )
         norm = np.linalg.norm(amps)
+        if not math.isfinite(norm):
+            raise NonFinite(f"state norm {norm} is not finite")
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _freeze(amps))

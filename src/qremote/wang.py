@@ -11,6 +11,9 @@ Each block factors as A_i = sum_j |v_j^(i)><u_j^(i)| over two full
 orthonormal systems {u}, {v}; the per-block singular vectors drive both P
 (projectors onto the u-spans) and R_m (u -> v exchange with outcome-dependent
 phases).
+
+wang_program is the one description of the protocol: run_wang executes it,
+and trace_branch is that program cut after each traced step.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from . import locc, qcore
 from .errors import (
     DimensionMismatch,
     IncompleteBlocks,
+    NonFinite,
     NonUnitary,
     OverlappingBlocks,
 )
@@ -53,6 +57,8 @@ class Phases:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex).reshape(-1)
+        if not np.isfinite(vals).all():
+            raise NonFinite("coefficients must be finite")
         if np.abs(np.abs(vals) - 1.0).max() > qcore.NORM_TOL:
             raise ValueError("coefficients must have modulus 1")
         vals.setflags(write=False)
@@ -60,17 +66,6 @@ class Phases:
 
     def __len__(self) -> int:
         return self.values.size
-
-
-@dataclass(frozen=True)
-class WangStepSet:
-    """The five branch operators for outcomes (l, m); all unitary."""
-
-    controlled_shift: np.ndarray   # P on (A, a)
-    shift_correction: np.ndarray   # X^l on b
-    phase_gate: np.ndarray         # C on b
-    fourier: np.ndarray            # F on b
-    recovery: np.ndarray           # R_m on A
 
 
 def validate_partition(blocks) -> BlockPartition:
@@ -206,29 +201,6 @@ def recovery(p: BlockPartition, m: int) -> np.ndarray:
     return total
 
 
-def build_steps(p: BlockPartition, phases: Phases, l: int, m: int) -> WangStepSet:
-    """All five branch operators for measurement outcomes (l, m)."""
-    if len(phases) != p.n:
-        raise DimensionMismatch(f"{len(phases)} coefficients for {p.n} blocks")
-    steps = WangStepSet(
-        controlled_shift=controlled_shift(p),
-        shift_correction=np.linalg.matrix_power(qcore.shift_matrix(p.n), l),
-        phase_gate=phase_gate(phases),
-        fourier=qcore.fourier_matrix(p.n),
-        recovery=recovery(p, m),
-    )
-    for name, op in (
-        ("P", steps.controlled_shift),
-        ("X^l", steps.shift_correction),
-        ("C", steps.phase_gate),
-        ("F", steps.fourier),
-        ("R_m", steps.recovery),
-    ):
-        if not qcore.is_unitary(op):
-            raise NonUnitary(f"step operator {name} failed the unitarity check")
-    return steps
-
-
 def wang_program(p: BlockPartition, phases: Phases) -> Program:
     """The five-step program on registers (A, a, b) = (Alice, Alice, Bob)."""
     if len(phases) != p.n:
@@ -250,28 +222,7 @@ def wang_program(p: BlockPartition, phases: Phases) -> Program:
     )
 
 
-@dataclass(frozen=True)
-class WangBranch:
-    l: int
-    m: int
-    probability: float
-    transcript: locc.Transcript
-    state: StateVector             # full (A, a, b) register state
-    output: StateVector            # the A register, disentangled
-
-
-def _wrap_branch(branch: Branch) -> WangBranch:
-    return WangBranch(
-        l=branch.transcript.outcome("l"),
-        m=branch.transcript.outcome("m"),
-        probability=branch.transcript.probability,
-        transcript=branch.transcript,
-        state=branch.state,
-        output=qcore.factor_state(branch.state, 0),
-    )
-
-
-def run_wang(p: BlockPartition, phases: Phases, input_state: StateVector) -> list[WangBranch]:
+def run_wang(p: BlockPartition, phases: Phases, input_state: StateVector) -> list[Branch]:
     """Execute the protocol over every (l, m) branch.
 
     Each branch ends with the A register holding sum_i c_i A_i applied to the
@@ -282,53 +233,34 @@ def run_wang(p: BlockPartition, phases: Phases, input_state: StateVector) -> lis
             f"input dimension {input_state.dim} does not match blocks ({p.dim})"
         )
     initial = qcore.tensor(input_state, locc.maximally_entangled(p.n).to_state())
-    branches = locc.run_protocol(wang_program(p, phases), initial)
-    return [_wrap_branch(b) for b in branches]
-
-
-@dataclass(frozen=True)
-class TraceStage:
-    name: str
-    state: StateVector
+    return [
+        Branch(b.transcript, b.state, qcore.factor_state(b.state, 0))
+        for b in locc.run_protocol(wang_program(p, phases), initial)
+    ]
 
 
 def trace_branch(
     p: BlockPartition, phases: Phases, input_state: StateVector, l: int, m: int
-) -> list[TraceStage]:
-    """States after each protocol step, conditioned on outcomes (l, m).
+) -> list[Branch]:
+    """Branches of wang_program cut after each traced step, on outcomes (l, m).
 
     Stage order: initial, controlled shift, measurement of a plus Bob's X^l,
     phase gate, Fourier plus measurement of b, recovery. Measured stages are
-    renormalized, so stage states match the branch states of run_wang.
+    renormalized, and the last stage is the run_wang branch (l, m). Every
+    in-range (l, m) has probability 1/n^2 whatever the input.
     """
-    steps = build_steps(p, phases, l, m)
-    state = qcore.tensor(input_state, locc.maximally_entangled(p.n).to_state())
-    stages = [TraceStage("initial", state)]
-
-    state = qcore.apply_local(steps.controlled_shift, state, (0, 1))
-    stages.append(TraceStage("controlled shift", state))
-
-    state = _pick_outcome(state, 1, l)
-    state = qcore.apply_local(steps.shift_correction, state, (2,))
-    stages.append(TraceStage(f"measure a={l}, correct X^{l}", state))
-
-    state = qcore.apply_local(steps.phase_gate, state, (2,))
-    stages.append(TraceStage("phase gate", state))
-
-    state = qcore.apply_local(steps.fourier, state, (2,))
-    state = _pick_outcome(state, 2, m)
-    stages.append(TraceStage(f"fourier, measure b={m}", state))
-
-    state = qcore.apply_local(steps.recovery, state, (0,))
-    stages.append(TraceStage("recovery", state))
+    if not (0 <= l < p.n and 0 <= m < p.n):
+        raise ValueError(f"branch ({l},{m}) out of range for {p.n} outcomes")
+    program = wang_program(p, phases)
+    initial = qcore.tensor(input_state, locc.maximally_entangled(p.n).to_state())
+    wanted = {"l": l, "m": m}.items()
+    stages = []
+    for k in (0, 1, 3, 4, 6, 7):
+        prefix = Program(program.owners, program.steps[:k])
+        stages.append(next(
+            b for b in locc.run_protocol(prefix, initial) if b.outcomes.items() <= wanted
+        ))
     return stages
-
-
-def _pick_outcome(state: StateVector, target: int, outcome: int) -> StateVector:
-    for branch in qcore.measure_computational(state, target):
-        if branch.outcome == outcome:
-            return branch.post_state
-    raise ValueError(f"outcome {outcome} on factor {target} has vanishing probability")
 
 
 # --- remote implementation of arbitrary unitaries --------------------------
@@ -385,22 +317,16 @@ def svd_remote(unitary: np.ndarray, p_diag: BlockPartition | None = None) -> Rem
     )
 
 
-@dataclass(frozen=True)
-class SvdRemoteBranch:
-    l: int
-    m: int
-    probability: float
-    transcript: locc.Transcript
-    output: StateVector
+def run_svd_remote(program: RemoteSvdProgram, input_state: StateVector) -> list[Branch]:
+    """local pre, remote diagonal, local post; one branch per (l, m).
 
-
-def run_svd_remote(program: RemoteSvdProgram, input_state: StateVector) -> list[SvdRemoteBranch]:
-    """local pre, remote diagonal, local post; one result per (l, m) branch."""
+    The post operation is applied to both the full state and the output."""
     mid = qcore.apply_local(program.pre, input_state, (0,))
-    results = []
-    for branch in run_wang(program.partition, program.phases, mid):
-        out = qcore.apply_local(program.post, branch.output, (0,))
-        results.append(
-            SvdRemoteBranch(branch.l, branch.m, branch.probability, branch.transcript, out)
+    return [
+        Branch(
+            b.transcript,
+            qcore.apply_local(program.post, b.state, (0,)),
+            qcore.apply_local(program.post, b.output, (0,)),
         )
-    return results
+        for b in run_wang(program.partition, program.phases, mid)
+    ]

@@ -126,14 +126,15 @@ def test_criterion_5_cross_protocol_consistency():
         psi = random_state(n, rng)
         partition = wang.diagonal_partition(n)
         wang_branches = {
-            (b.l, b.m): b
+            (b.outcomes["l"], b.outcomes["m"]): b
             for b in wang.run_wang(partition, wang.Phases(diag), psi)
         }
         rep = groupform.cyclic_character_rep(n)
         decomp = groupform.block_decomposition(rep, (1,) * n)
         c = groupform.coefficients_from_unitary(np.diag(diag), decomp)
         group_branches = {
-            (b.g, b.h): b for b in groupform.run_group_protocol(rep, c, psi)
+            (b.outcomes["g"], b.outcomes["h"]): b
+            for b in groupform.run_group_protocol(rep, c, psi)
         }
         assert wang_branches.keys() == group_branches.keys()
         for key, wb in wang_branches.items():

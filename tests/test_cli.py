@@ -2,8 +2,10 @@
 and deterministic generation."""
 
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qremote import groupform, qcore, wang
 from qremote.cli import main, matrix_to_json, vector_to_json
@@ -61,6 +63,33 @@ def test_invalid_partition_diagnostic_names_invariant(tmp_path, capsys):
     path = write_problem(tmp_path, "bad.json", doc)
     assert main(["run", path]) == 2
     assert "OverlappingBlocks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("input", [["NaN", 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    ("phases", [[1.0, 0.0], ["NaN", 0.0], [1.0, 0.0]]),
+    ("input", [["Infinity", 0.0], [0.0, 0.0], [0.0, 0.0]]),
+])
+def test_non_finite_values_exit_2_as_nonfinite(tmp_path, capsys, field, value):
+    doc = diagonal_wang_doc(3, np.ones(3))
+    doc[field] = value
+    path = tmp_path / "nan.json"
+    # NaN and Infinity are the non-standard literals Python's json module reads
+    path.write_text(json.dumps(doc).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity"))
+    assert main(["run", str(path)]) == 2
+    assert "NonFinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("dim"),
+    lambda doc: doc.update(blocks=5),
+])
+def test_schema_errors_exit_2_as_malformed_problem(tmp_path, capsys, edit):
+    doc = diagonal_wang_doc(2, np.ones(2))
+    edit(doc)
+    path = write_problem(tmp_path, "bad.json", doc)
+    assert main(["run", path]) == 2
+    assert "MalformedProblem" in capsys.readouterr().err
 
 
 def test_forced_trivial_factors_rejected(tmp_path, capsys):
@@ -261,3 +290,51 @@ def test_unreachable_threshold_exits_1(tmp_path, capsys):
     path = write_problem(tmp_path, "w.json", diagonal_wang_doc(2, phases))
     assert main(["run", path, "--tol", "-1"]) == 1
     assert "result: FIDELITY FAILURE" in capsys.readouterr().out
+
+
+# --- golden snapshots ---------------------------------------------------------------
+# Exact stdout of run, trace and cost on fixed problems, stored under
+# tests/golden/. They pin the reports byte for byte, so a refactor of the
+# protocol code cannot change what the CLI prints.
+
+GOLDEN = Path(__file__).parent / "golden"
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def golden_problems(tmp_path):
+    wang_path = write_problem(tmp_path, "wang.json", diagonal_wang_doc(
+        3, np.array([1.0, np.exp(1j * np.pi / 3), np.exp(1j * np.pi / 7)])))
+    rep = groupform.pauli_rep()
+    c = np.zeros(4, dtype=complex)
+    c[1] = c[2] = 1 / np.sqrt(2)
+    group_path = write_problem(tmp_path, "group.json", {
+        "kind": "group",
+        "order": 4,
+        "cayley": rep.group.cayley.tolist(),
+        "matrices": [matrix_to_json(m) for m in rep.matrices],
+        "mu": matrix_to_json(rep.mu),
+        "coefficients": vector_to_json(c),
+    })
+    bqst_path = write_problem(tmp_path, "bqst.json", {
+        "kind": "bqst", "dim": 2, "unitary": matrix_to_json(HADAMARD),
+    })
+    trace_input = json.dumps(vector_to_json(np.ones(3) / np.sqrt(3)))
+    return {
+        "run_wang.txt": ["run", wang_path],
+        "run_wang_json.txt": ["run", wang_path, "--json"],
+        "run_group.txt": ["run", group_path],
+        "run_bqst.txt": ["run", bqst_path],
+        "trace_wang.txt": ["trace", wang_path, "--branch", "1,2", "--input", trace_input],
+        "cost_wang.txt": ["cost", wang_path],
+        "cost_wang_json.txt": ["cost", wang_path, "--json"],
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "run_wang.txt", "run_wang_json.txt", "run_group.txt", "run_bqst.txt",
+    "trace_wang.txt", "cost_wang.txt", "cost_wang_json.txt",
+])
+def test_report_matches_golden_snapshot(name, tmp_path, capsys):
+    argv = golden_problems(tmp_path)[name]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")

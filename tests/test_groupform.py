@@ -15,7 +15,7 @@ from qremote.errors import (
     NotBlockDiagonal,
 )
 
-from util import random_diag_phases, random_state
+from util import random_diag_phases, random_state, step_operators
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -148,9 +148,29 @@ def test_hadamard_expansion_builds_unitary_steps():
     rep = groupform.pauli_rep()
     c = np.zeros(4, dtype=complex)
     c[1] = c[2] = 1 / np.sqrt(2)   # H = (X + Z)/sqrt(2)
-    steps = groupform.build_group_steps(rep, c, g=1, h=2)
-    for op in (steps.entangler, steps.fourier, steps.z_gate, steps.mixer, steps.recovery):
+    ops = step_operators(groupform.group_program(rep, c), {"g": 1, "h": 2})
+    assert set(ops) == {"P", "F", "Z(g)", "M", "U(h^-1)"}
+    for op in ops.values():
         assert np.abs(op.conj().T @ op - np.eye(op.shape[0])).max() <= 1e-9
+
+
+def test_alice_side_group_operators_ignore_the_coefficients():
+    # the "partially unknown" property: Alice's P, F and every U(h^-1) are
+    # built from the representation alone, never from Bob's c(f)
+    rng = np.random.default_rng(5)
+    rep = groupform.dihedral3_rep()
+    decomp = groupform.block_decomposition(rep, (1, 1, 2))
+    one, two = (
+        groupform.group_program(rep, groupform.coefficients_from_unitary(
+            groupform.random_block_diagonal_unitary(decomp, rng), decomp))
+        for _ in range(2)
+    )
+    for h in range(rep.group.order):
+        ops_one = step_operators(one, {"g": 0, "h": h})
+        ops_two = step_operators(two, {"g": 0, "h": h})
+        assert not np.array_equal(ops_one["M"], ops_two["M"])   # Bob's side differs
+        for label in ("P", "F", "U(h^-1)"):
+            np.testing.assert_array_equal(ops_one[label], ops_two[label])
 
 
 def test_nonunitary_target_rejected():
@@ -224,9 +244,9 @@ def test_cyclic_protocol_agrees_with_wang_diagonal():
         psi = random_state(n, rng)
 
         partition = wang.diagonal_partition(n)
-        wang_branches = {(b.l, b.m): b for b in
+        wang_branches = {(b.outcomes["l"], b.outcomes["m"]): b for b in
                          wang.run_wang(partition, wang.Phases(target_phases), psi)}
-        group_branches = {(b.g, b.h): b for b in
+        group_branches = {(b.outcomes["g"], b.outcomes["h"]): b for b in
                           groupform.run_group_protocol(rep, c, psi)}
         assert wang_branches.keys() == group_branches.keys()
         for key in wang_branches:

@@ -1,6 +1,9 @@
 """Protocol orchestration: resources, branch enumeration, transcripts,
 locality and classical-dependency enforcement."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -93,7 +96,7 @@ def test_wang_program_has_full_branch_tree():
     phases = wang.random_phases(3, rng)
     branches = wang.run_wang(p, phases, random_state(3, rng))
     assert len(branches) == 9
-    assert {(b.l, b.m) for b in branches} == {(l, m) for l in range(3) for m in range(3)}
+    assert {(b.outcomes["l"], b.outcomes["m"]) for b in branches} == {(l, m) for l in range(3) for m in range(3)}
     total = sum(b.probability for b in branches)
     assert abs(total - 1.0) <= 1e-10
 
@@ -115,13 +118,26 @@ def test_transcripts_validate_and_serialize():
     for branch in wang.run_wang(p, phases, random_state(2, rng)):
         locc.validate_transcript(branch.transcript, locc.PROTOCOL_OWNERS)
         assert len(branch.transcript.measurements()) == 2
-        assert branch.transcript.outcome("l") == branch.l
+        assert branch.transcript.outcome("l") == branch.outcomes["l"]
         lines = locc.transcript_lines(branch.transcript)
         assert lines[0] == "LOCALOP|alice|P|0,1"
         assert any(line.startswith("MSG|alice|l|to=bob") for line in lines)
         assert any(line.startswith("MEASURE|bob|2") for line in lines)
         # the recovery is conditioned on m and must come after its message
         assert lines[-1] == "LOCALOP|alice|R_m|0;uses=m"
+
+
+def test_branch_states_are_freed_without_the_cycle_collector():
+    rng = np.random.default_rng(4)
+    p = wang.diagonal_partition(3)
+    gc.disable()
+    try:
+        branches = wang.run_wang(p, wang.random_phases(3, rng), random_state(3, rng))
+        state = weakref.ref(branches[0].state)
+        del branches
+        assert state() is None
+    finally:
+        gc.enable()
 
 
 def test_validator_rejects_out_of_order_use():

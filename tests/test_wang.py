@@ -7,7 +7,7 @@ import pytest
 from qremote import locc, qcore, wang
 from qremote.errors import IncompleteBlocks, NonUnitary, OverlappingBlocks
 
-from util import random_state
+from util import random_state, step_operators
 
 
 def _random_setup(dim, n, rng):
@@ -46,11 +46,9 @@ def test_partition_from_split_bases():
 
 
 def test_controlled_shift_is_cnot_for_diagonal_qubit_case():
-    steps = wang.build_steps(
-        wang.diagonal_partition(2), wang.Phases(np.ones(2)), 0, 0
-    )
+    program = wang.wang_program(wang.diagonal_partition(2), wang.Phases(np.ones(2)))
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    np.testing.assert_allclose(steps.controlled_shift, cnot, atol=0)
+    np.testing.assert_allclose(program.steps[0].matrix, cnot, atol=0)
 
 
 def test_recovery_for_diagonal_qubit_case():
@@ -89,24 +87,20 @@ def test_step_operators_are_unitary():
         n = int(rng.integers(2, dim + 1))
         p, phases, _ = _random_setup(dim, n, rng)
         l, m = int(rng.integers(n)), int(rng.integers(n))
-        steps = wang.build_steps(p, phases, l, m)
-        for op in (
-            steps.controlled_shift,
-            steps.shift_correction,
-            steps.phase_gate,
-            steps.fourier,
-            steps.recovery,
-        ):
+        ops = step_operators(wang.wang_program(p, phases), {"l": l, "m": m})
+        assert set(ops) == {"P", "X^l", "C", "F", "R_m"}
+        for op in ops.values():
             assert np.abs(op.conj().T @ op - np.eye(op.shape[0])).max() <= 1e-9
 
 
 def test_alice_side_operators_ignore_the_phases():
     rng = np.random.default_rng(4)
     p = wang.random_partition(4, 3, rng)
-    one = wang.build_steps(p, wang.random_phases(3, rng), 1, 2)
-    two = wang.build_steps(p, wang.random_phases(3, rng), 1, 2)
-    np.testing.assert_array_equal(one.controlled_shift, two.controlled_shift)
-    np.testing.assert_array_equal(one.recovery, two.recovery)
+    outcomes = {"l": 1, "m": 2}
+    one = step_operators(wang.wang_program(p, wang.random_phases(3, rng)), outcomes)
+    two = step_operators(wang.wang_program(p, wang.random_phases(3, rng)), outcomes)
+    np.testing.assert_array_equal(one["P"], two["P"])
+    np.testing.assert_array_equal(one["R_m"], two["R_m"])
 
 
 def test_branch_product_identity():
@@ -160,13 +154,13 @@ def test_resource_rank_and_final_disentanglement():
         assert qcore.schmidt(branch.state, [1]).rank == 1
         assert qcore.schmidt(branch.state, [2]).rank == 1
         a_state = qcore.factor_state(branch.state, 1)
-        assert abs(a_state.amplitudes[branch.l]) == pytest.approx(1.0, abs=1e-9)
+        assert abs(a_state.amplitudes[branch.outcomes["l"]]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_trace_branch_agrees_with_protocol_run():
     rng = np.random.default_rng(9)
     p, phases, psi = _random_setup(4, 3, rng)
-    branches = {(b.l, b.m): b for b in wang.run_wang(p, phases, psi)}
+    branches = {(b.outcomes["l"], b.outcomes["m"]): b for b in wang.run_wang(p, phases, psi)}
     for (l, m), branch in branches.items():
         stages = wang.trace_branch(p, phases, psi, l, m)
         assert qcore.fidelity(stages[-1].state, branch.state) >= 1 - 1e-12

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qremote import qcore
+from qremote import locc, qcore
 
 
 def random_state(dim, rng):
@@ -12,6 +12,18 @@ def random_state(dim, rng):
 
 def random_diag_phases(n, rng):
     return np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+def step_operators(program, outcomes):
+    """Label -> matrix of every unitary step, conditioned ones built from the
+    outcome their message carries."""
+    ops = {}
+    for step in program.steps:
+        if isinstance(step, locc.LocalStep):
+            ops[step.label] = step.matrix
+        elif isinstance(step, locc.ConditionalStep):
+            ops[step.label] = step.build(outcomes[step.message])
+    return ops
 
 
 def stacked_rank(blocks, tol=1e-9):
