@@ -76,6 +76,13 @@ def _document_shape():
         raise MalformedProblem(f"problem value has the wrong JSON type or form: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A JSON integer; int() would truncate 2.7 and accept "2" or true."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedProblem(f"expected an integer, got {value!r}")
+    return value
+
+
 def _input_state(doc: dict, dim: int, override: str | None) -> StateVector:
     with _document_shape():
         if override is not None:
@@ -95,7 +102,7 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
     kind = doc.get("kind")
     if kind == "wang":
         with _document_shape():
-            dim = int(doc["dim"])
+            dim = _integer(doc["dim"])
             blocks = [matrix_from_json(b) for b in doc["blocks"]]
             values = vector_from_json(doc["phases"]) if "phases" in doc else None
         partition = wang.validate_partition(blocks)
@@ -114,13 +121,13 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
         )
     if kind == "group":
         with _document_shape():
-            order = int(doc["order"])
+            order = _integer(doc["order"])
             cayley = np.asarray(doc["cayley"], dtype=int)
             names = list(doc["names"]) if "names" in doc else None
             matrices = [matrix_from_json(m) for m in doc["matrices"]]
             mu = matrix_from_json(doc["mu"]) if "mu" in doc else None
             coefficients = vector_from_json(doc["coefficients"])
-            blocks = [int(d) for d in doc["blocks"]] if "blocks" in doc else None
+            blocks = [_integer(d) for d in doc["blocks"]] if "blocks" in doc else None
         group = groupform.finite_group(cayley, names=names)
         if group.order != order:
             raise ValueError(f"declared order {order} does not match the Cayley table")
@@ -140,7 +147,7 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
         )
     if kind == "bqst":
         with _document_shape():
-            dim = int(doc["dim"])
+            dim = _integer(doc["dim"])
             unitary = matrix_from_json(doc["unitary"])
         if unitary.shape != (dim, dim):
             raise ValueError(f"unitary shape {unitary.shape} does not match dim {dim}")
@@ -361,10 +368,8 @@ def cmd_cost(args) -> int:
 
     comparison = entcost.compare_costs(blocks, dim, protocol=protocol)
     n = len(blocks)
-    verdicts = [
-        entcost.feasibility_test(entcost.FeasibilityInstance(tuple(blocks), d))
-        for d in range(1, n + 1)
-    ]
+    rank = entcost.operator_rank(blocks)
+    verdicts = [entcost.rank_verdict(rank, d) for d in range(1, n + 1)]
     if args.json:
         doc = {
             "rows": [r.to_dict() for r in comparison.rows],

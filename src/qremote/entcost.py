@@ -75,12 +75,16 @@ def feasibility_test(instance: FeasibilityInstance) -> FeasibilityVerdict:
     a maximally entangled resource of that rank. Partial entanglement only
     enters through the count of nonzero Schmidt coefficients.
     """
-    n = operator_rank(instance.blocks)
     if instance.schmidt_coefficients is not None:
         h = np.asarray(instance.schmidt_coefficients, dtype=float)
         d = int(np.count_nonzero(h > qcore.RANK_TOL))
     else:
         d = instance.candidate_rank
+    return rank_verdict(operator_rank(instance.blocks), d)
+
+
+def rank_verdict(n: int, d: int) -> FeasibilityVerdict:
+    """Verdict for blocks of operator rank n against a resource of Schmidt rank d."""
     if d < n:
         certificate = (
             f"operator_rank(blocks) = {n} > d = {d}: within {ASSUMED_SHAPE}, "
@@ -190,31 +194,21 @@ def _clock(dim: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
 
 
-def bqst_teleport(unitary: np.ndarray, input_state: StateVector) -> tuple[list[Branch], CostReport]:
+def bqst_program(unitary: np.ndarray) -> Program:
     """Teleport to Bob, apply the unitary, teleport back.
 
     Registers: (A, a1, b1, b2, a2) with Alice holding A, a1, a2. Each
     teleportation is a generalized Bell measurement (inverse controlled
     shift, inverse Fourier, two computational measurements) followed by
-    shift/clock corrections on the far half. All D^4 outcome branches are
-    enumerated; the final state lands in a2, the output of every branch.
+    shift/clock corrections on the far half. The final state lands in a2.
     """
     u = np.asarray(unitary, dtype=complex)
-    if not qcore.is_unitary(u):
-        raise NonUnitary("bqst_teleport needs a unitary operation")
     dim = u.shape[0]
-    if input_state.dim != dim:
-        raise DimensionMismatch(
-            f"input dimension {input_state.dim} does not match the unitary ({dim})"
-        )
-    pair = locc.maximally_entangled(dim).to_state()
-    initial = qcore.tensor(qcore.tensor(input_state, pair), pair)
-
     csub = wang.controlled_shift(wang.diagonal_partition(dim))
     f_inv = qcore.fourier_matrix(dim).conj().T
     shift = qcore.shift_matrix(dim)
     clock = _clock(dim)
-    program = Program(
+    return Program(
         owners=(ALICE, ALICE, BOB, BOB, ALICE),
         steps=(
             # Alice -> Bob
@@ -235,10 +229,23 @@ def bqst_teleport(unitary: np.ndarray, input_state: StateVector) -> tuple[list[B
             ConditionalStep(ALICE, "Z^r", lambda r: np.linalg.matrix_power(clock, r), (4,), "r"),
         ),
     )
-    branches = [
-        Branch(b.transcript, b.state, qcore.factor_state(b.state, 4))
-        for b in locc.run_protocol(program, initial)
-    ]
+
+
+def bqst_teleport(unitary: np.ndarray, input_state: StateVector) -> tuple[list[Branch], CostReport]:
+    """Run bqst_program over all D^4 outcome branches; a2 is the output of
+    every branch."""
+    u = np.asarray(unitary, dtype=complex)
+    if not qcore.is_unitary(u):
+        raise NonUnitary("bqst_teleport needs a unitary operation")
+    dim = u.shape[0]
+    if input_state.dim != dim:
+        raise DimensionMismatch(
+            f"input dimension {input_state.dim} does not match the unitary ({dim})"
+        )
+    pair = locc.maximally_entangled(dim).to_state()
+    initial = qcore.tensor(qcore.tensor(input_state, pair), pair)
+    program = bqst_program(u)
+    branches = locc.with_output(program, locc.run_protocol(program, initial), 4)
     report = CostReport(
         protocol="bqst",
         schmidt_rank=dim * dim,

@@ -64,3 +64,15 @@ class NonFinite(QRemoteError):
 
 class MalformedProblem(QRemoteError):
     """A problem document lacks a key or holds a value of the wrong JSON type."""
+
+
+class NotNormalized(QRemoteError, ValueError):
+    """A state vector's norm deviates from 1 beyond the tolerance."""
+
+
+class NonUnimodularCoefficient(QRemoteError, ValueError):
+    """A block-protocol coefficient does not have modulus one."""
+
+
+class EntangledFactor(QRemoteError, ValueError):
+    """A factor asked for on its own is entangled with the rest of the state."""

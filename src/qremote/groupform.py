@@ -352,10 +352,8 @@ def run_group_protocol(
         )
     n = rep.group.order
     initial = qcore.tensor(input_state, locc.maximally_entangled(n).to_state())
-    return [
-        Branch(b.transcript, b.state, qcore.factor_state(b.state, 0))
-        for b in locc.run_protocol(group_program(rep, coefficients, transform), initial)
-    ]
+    program = group_program(rep, coefficients, transform)
+    return locc.with_output(program, locc.run_protocol(program, initial), 0)
 
 
 # --- coefficient reconstruction ----------------------------------------------

@@ -6,6 +6,17 @@ branch tree, never one sampled run: correctness claims for these protocols
 are quantified over all outcomes. Each branch yields an immutable transcript
 recording local operations, measurement outcomes, and the classical messages
 that carried outcomes between the parties.
+
+run_protocol advances all branches together. Their states are the rows of
+one array over the factors not yet measured. A measurement splits each row
+into one row per outcome above PROB_FLOOR and drops the measured axis; the
+outcome goes into a column, and a later step on that factor puts it back
+as a one-hot axis. A local step is one matrix product over all rows. A
+conditioned step builds and checks its operator once per distinct outcome
+value and gathers it per row. A transcript is a function of the program
+and its row's outcomes, and each branch's full state is built once, at the
+end. When one factor is left unmeasured, its row is the branch's output.
+
 Every protocol runner returns Branch values. A step-by-step trace
 (wang.trace_branch) is the program cut after each traced step, run as is.
 """
@@ -206,69 +217,138 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
 
     Returns one Branch per surviving outcome combination, in deterministic
     (lexicographic outcome) order. Branch probabilities multiply along the
-    measurement path and are recorded on the transcript.
+    measurement path and are recorded on the transcript. When the program
+    leaves exactly one factor unmeasured, each branch's output is that
+    factor's state. The module docstring says how the branches are run.
     """
-    if len(program.owners) != len(initial.factor_dims):
+    owners, dims = program.owners, initial.factor_dims
+    if len(owners) != len(dims):
         raise DimensionMismatch(
-            f"{len(program.owners)} owners declared for "
-            f"{len(initial.factor_dims)} factors"
+            f"{len(owners)} owners declared for {len(dims)} factors"
         )
+    batch = initial.tensor_form()[None]   # (branch, *dims of the live factors)
+    live = list(range(len(dims)))         # factor on each axis after the first
+    prob = np.ones(1)
+    outcomes = np.zeros((1, 0), dtype=int)   # one column per measurement
+    column: dict[int, int] = {}           # measured factor -> its outcome column
+    inbox: dict[Party, dict[str, int]] = {ALICE: {}, BOB: {}}   # tag -> column
 
-    branches: list[Branch] = []
+    def revive(batch, factors):
+        """Re-insert measured factors as one-hot axes holding their outcome."""
+        for f in factors:
+            if f in live:
+                continue
+            axis = 1 + sum(g < f for g in live)
+            grown = np.zeros(batch.shape[:axis] + (dims[f],) + batch.shape[axis:], complex)
+            rows = np.arange(len(batch))
+            np.moveaxis(grown, axis, 1)[rows, outcomes[rows, column.pop(f)]] = batch
+            batch = grown
+            live.insert(axis - 1, f)
+        return batch
 
-    def execute(i, state, prob, events, inbox):
-        # inbox: messages available per party, tag -> payload
-        if i == len(program.steps):
-            branches.append(Branch(Transcript(tuple(events), prob), state))
-            return
-        step = program.steps[i]
+    for step in program.steps:
+        if isinstance(step, MeasureStep):
+            _check_locality(owners, step.party, (step.target,))
+            batch = revive(batch, (step.target,))
+            axis = 1 + live.index(step.target)
+            moved = np.moveaxis(batch, axis, 1)
+            slabs = moved.reshape(moved.shape[:2] + (-1,))
+            p = np.einsum("bkr,bkr->bk", slabs.conj(), slabs).real
+            rows, ks = np.nonzero(p > qcore.PROB_FLOOR)
+            kept = p[rows, ks]
+            batch = moved[rows, ks] / np.sqrt(kept).reshape((-1,) + (1,) * (moved.ndim - 2))
+            prob = prob[rows] * kept
+            outcomes = np.column_stack((outcomes[rows], ks))
+            live.remove(step.target)
+            column[step.target] = outcomes.shape[1] - 1
+            # the measuring party always learns its own outcome
+            inbox[step.party][step.message] = column[step.target]
+            if step.send_to is not None:
+                inbox[step.send_to][step.message] = column[step.target]
+            continue
+        _check_locality(owners, step.party, step.targets)
         if isinstance(step, LocalStep):
-            _check_locality(program.owners, step.party, step.targets)
-            nxt = qcore.apply_local(step.matrix, state, step.targets)
-            execute(
-                i + 1, nxt, prob,
-                events + [LocalOpEvent(step.party, step.label, step.targets)],
-                inbox,
-            )
-        elif isinstance(step, ConditionalStep):
-            _check_locality(program.owners, step.party, step.targets)
-            if step.message not in inbox.get(step.party, {}):
+            ops = qcore.local_unitary(step.matrix, dims, step.targets)
+        else:
+            if step.message not in inbox[step.party]:
                 raise MissingClassicalDependency(
                     f"{step.party.value} step {step.label!r} needs message "
                     f"{step.message!r} before it runs"
                 )
-            outcome = inbox[step.party][step.message]
-            nxt = qcore.apply_local(step.build(outcome), state, step.targets)
-            execute(
-                i + 1, nxt, prob,
-                events
-                + [LocalOpEvent(step.party, step.label, step.targets, step.message)],
-                inbox,
+            # one operator per distinct outcome value, gathered per branch
+            values, index = np.unique(
+                outcomes[:, inbox[step.party][step.message]], return_inverse=True
             )
-        else:
-            _check_locality(program.owners, step.party, (step.target,))
-            for out in qcore.measure_computational(state, step.target):
-                new_events = events + [
-                    MeasurementEvent(step.party, step.target, out.outcome)
-                ]
-                new_inbox = {p: dict(m) for p, m in inbox.items()}
-                # the measuring party always learns its own outcome
-                new_inbox.setdefault(step.party, {})[step.message] = out.outcome
-                if step.send_to is not None:
-                    new_events.append(
-                        ClassicalMessageEvent(
-                            step.party, step.send_to, step.message, out.outcome
-                        )
-                    )
-                    new_inbox.setdefault(step.send_to, {})[step.message] = out.outcome
-                execute(
-                    i + 1, out.post_state, prob * out.probability,
-                    new_events, new_inbox,
-                )
+            ops = np.stack([
+                qcore.local_unitary(step.build(int(v)), dims, step.targets) for v in values
+            ])[index]
+        batch = revive(batch, step.targets)
+        axes = [1 + live.index(t) for t in step.targets]
+        front = range(1, len(axes) + 1)
+        moved = np.moveaxis(batch, axes, front)
+        out = ops @ moved.reshape(len(moved), ops.shape[-1], -1)
+        batch = np.moveaxis(out.reshape(moved.shape), front, axes)
 
-    execute(0, initial, 1.0, [], {ALICE: {}, BOB: {}})
-    del execute   # a self-referencing closure would hold every state until gc runs
+    events = _transcript_events(program)
+    branches = []
+    for amps, row, p in zip(batch, outcomes.tolist(), prob.tolist()):
+        full = np.zeros(math.prod(dims), dtype=complex)
+        full.reshape(dims)[
+            tuple(slice(None) if f in live else row[column[f]] for f in range(len(dims)))
+        ] = amps
+        full.setflags(write=False)   # frozen here, so StateVector need not copy it
+        output = StateVector(amps, (dims[live[0]],)) if len(live) == 1 else None
+        branches.append(Branch(Transcript(events(row), p), StateVector(full, dims), output))
     return branches
+
+
+def _transcript_events(program: Program) -> Callable[[list[int]], tuple[Event, ...]]:
+    """A branch's events as a function of its outcomes, one per measurement.
+    Each distinct event is built once and shared by the branches."""
+    built: dict[tuple[int, int | None], tuple[Event, ...]] = {}
+
+    def events(row: list[int]) -> tuple[Event, ...]:
+        out: list[Event] = []
+        outcomes = iter(row)
+        for i, step in enumerate(program.steps):
+            key = (i, next(outcomes) if isinstance(step, MeasureStep) else None)
+            if key not in built:
+                built[key] = _step_events(step, key[1])
+            out.extend(built[key])
+        return tuple(out)
+
+    return events
+
+
+def _step_events(step: Step, outcome: int | None) -> tuple[Event, ...]:
+    if isinstance(step, MeasureStep):
+        measured = (MeasurementEvent(step.party, step.target, outcome),)
+        if step.send_to is None:
+            return measured
+        return measured + (ClassicalMessageEvent(step.party, step.send_to, step.message, outcome),)
+    consumed = step.message if isinstance(step, ConditionalStep) else None
+    return (LocalOpEvent(step.party, step.label, step.targets, consumed),)
+
+
+def with_output(program: Program, branches: list[Branch], factor: int) -> list[Branch]:
+    """The program's branches with output set to the state of `factor`.
+
+    run_protocol has sliced it out already when every other factor ends
+    measured; otherwise qcore.factor_state extracts it, which also checks
+    that it is disentangled from the rest.
+    """
+    unmeasured = set(range(len(program.owners)))
+    for step in program.steps:
+        if isinstance(step, MeasureStep):
+            unmeasured.discard(step.target)
+        else:
+            unmeasured.update(step.targets)
+    if unmeasured == {factor}:
+        return branches
+    return [
+        Branch(b.transcript, b.state, qcore.factor_state(b.state, factor))
+        for b in branches
+    ]
 
 
 def validate_transcript(transcript: Transcript, owners) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, NonUnitary
+from .errors import DimensionMismatch, EntangledFactor, NonFinite, NonUnitary, NotNormalized
 
 # Double precision leaves >= 6 orders of margin at these dimensions.
 NORM_TOL = 1e-9     # unitarity and state-normalization checks
@@ -22,6 +22,13 @@ PROB_FLOOR = 1e-12  # measurement branches below this probability are dropped
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Read-only complex copy. An array that is already read-only and owns
+    its memory is kept as is: whoever froze it has given up writing to it."""
+    if (
+        isinstance(arr, np.ndarray) and arr.dtype == complex
+        and arr.flags.owndata and not arr.flags.writeable
+    ):
+        return arr
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out
@@ -35,7 +42,7 @@ class StateVector:
     factor_dims: tuple[int, ...]
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = _freeze(self.amplitudes).reshape(-1)
         dims = tuple(int(d) for d in self.factor_dims)
         if any(d < 1 for d in dims):
             raise DimensionMismatch(f"factor dims must be positive, got {dims}")
@@ -47,8 +54,8 @@ class StateVector:
         if not math.isfinite(norm):
             raise NonFinite(f"state norm {norm} is not finite")
         if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+            raise NotNormalized(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "factor_dims", dims)
 
     @property
@@ -118,33 +125,40 @@ def is_unitary(m: np.ndarray, tol: float = NORM_TOL) -> bool:
     )
 
 
-def _check_targets(state: StateVector, targets) -> tuple[int, ...]:
+def _check_targets(dims: tuple[int, ...], targets) -> tuple[int, ...]:
     targets = tuple(int(t) for t in targets)
     if len(set(targets)) != len(targets):
         raise DimensionMismatch(f"repeated target factors {targets}")
     for t in targets:
-        if not 0 <= t < len(state.factor_dims):
+        if not 0 <= t < len(dims):
             raise DimensionMismatch(
-                f"target {t} out of range for {len(state.factor_dims)} factors"
+                f"target {t} out of range for {len(dims)} factors"
             )
     return targets
 
 
-def apply_local(op: np.ndarray, state: StateVector, targets) -> StateVector:
-    """Apply a unitary to the designated factors, leaving the others untouched."""
-    targets = _check_targets(state, targets)
+def local_unitary(op: np.ndarray, dims: tuple[int, ...], targets) -> np.ndarray:
+    """op as a complex matrix, checked to be a unitary on the target factors."""
+    targets = _check_targets(dims, targets)
     op = np.asarray(op, dtype=complex)
-    d_op = math.prod(state.factor_dims[t] for t in targets)
+    d_op = math.prod(dims[t] for t in targets)
     if op.shape != (d_op, d_op):
         raise DimensionMismatch(
             f"operator shape {op.shape} does not match target dims product {d_op}"
         )
     if not is_unitary(op):
         raise NonUnitary(f"operator on factors {targets} is not unitary")
+    return op
+
+
+def apply_local(op: np.ndarray, state: StateVector, targets) -> StateVector:
+    """Apply a unitary to the designated factors, leaving the others untouched."""
+    op = local_unitary(op, state.factor_dims, targets)
+    targets = _check_targets(state.factor_dims, targets)
     k = len(targets)
     moved = np.moveaxis(state.tensor_form(), targets, range(k))
     rest_shape = moved.shape[k:]
-    out = op @ moved.reshape(d_op, -1)
+    out = op @ moved.reshape(op.shape[0], -1)
     out = out.reshape(tuple(state.factor_dims[t] for t in targets) + rest_shape)
     out = np.moveaxis(out, range(k), targets)
     return StateVector(out.reshape(-1), state.factor_dims)
@@ -157,7 +171,7 @@ def measure_computational(state: StateVector, target: int) -> list[MeasurementOu
     renormalized post-measurement state. Deterministic enumeration, never
     sampling, so callers can verify every branch.
     """
-    (target,) = _check_targets(state, [target])
+    (target,) = _check_targets(state.factor_dims, [target])
     moved = np.moveaxis(state.tensor_form(), target, 0)
     outcomes = []
     for k in range(state.factor_dims[target]):
@@ -176,7 +190,7 @@ def measure_computational(state: StateVector, target: int) -> list[MeasurementOu
 
 def schmidt(state: StateVector, cut) -> SchmidtForm:
     """Schmidt decomposition across the bipartition (cut | remaining factors)."""
-    cut = _check_targets(state, cut)
+    cut = _check_targets(state.factor_dims, cut)
     rest = tuple(i for i in range(len(state.factor_dims)) if i not in cut)
     if not cut or not rest:
         raise DimensionMismatch("cut must leave factors on both sides")
@@ -236,7 +250,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:
     """Weight of |vec> on one factor: 1 iff that factor holds vec exactly,
     disentangled from the rest and up to global phase."""
-    (factor,) = _check_targets(state, [factor])
+    (factor,) = _check_targets(state.factor_dims, [factor])
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     if vec.size != state.factor_dims[factor]:
         raise DimensionMismatch(
@@ -249,12 +263,12 @@ def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:
 
 def factor_state(state: StateVector, factor: int) -> StateVector:
     """Extract one factor's state, requiring it to be unentangled from the rest."""
-    (factor,) = _check_targets(state, [factor])
+    (factor,) = _check_targets(state.factor_dims, [factor])
     if len(state.factor_dims) == 1:
         return state
     form = schmidt(state, [factor])
     if form.rank != 1:
-        raise ValueError(
+        raise EntangledFactor(
             f"factor {factor} is entangled with the rest (Schmidt rank {form.rank})"
         )
     return StateVector(form.left_basis[:, 0], (state.factor_dims[factor],))

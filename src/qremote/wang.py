@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     IncompleteBlocks,
     NonFinite,
+    NonUnimodularCoefficient,
     NonUnitary,
     OverlappingBlocks,
 )
@@ -60,7 +61,7 @@ class Phases:
         if not np.isfinite(vals).all():
             raise NonFinite("coefficients must be finite")
         if np.abs(np.abs(vals) - 1.0).max() > qcore.NORM_TOL:
-            raise ValueError("coefficients must have modulus 1")
+            raise NonUnimodularCoefficient("coefficients must have modulus 1")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -177,14 +178,14 @@ def assemble(p: BlockPartition, phases: Phases) -> np.ndarray:
 
 
 def controlled_shift(p: BlockPartition) -> np.ndarray:
-    """P = sum_i P_i (x) X^i on (A, a): shifts the ancilla by the block index."""
-    shift = qcore.shift_matrix(p.n)
-    power = np.eye(p.n, dtype=complex)
-    total = np.zeros((p.dim * p.n, p.dim * p.n), dtype=complex)
-    for proj in projectors(p):
-        total += np.kron(proj, power)
-        power = shift @ power
-    return total
+    """P = sum_i P_i (x) X^i on (A, a): shifts the ancilla by the block index.
+
+    X^i moves |d> to |d - i>, so entry ((a, c), (b, d)) is P_{(d - c) mod n}[a, b]:
+    each (c, d) block of the ancilla picks one projector."""
+    n = p.n
+    ancilla = np.arange(n)
+    blocks = np.stack(projectors(p))[(ancilla[None, :] - ancilla[:, None]) % n]
+    return blocks.transpose(2, 0, 3, 1).reshape(p.dim * n, p.dim * n)
 
 
 def phase_gate(phases: Phases) -> np.ndarray:
@@ -233,10 +234,8 @@ def run_wang(p: BlockPartition, phases: Phases, input_state: StateVector) -> lis
             f"input dimension {input_state.dim} does not match blocks ({p.dim})"
         )
     initial = qcore.tensor(input_state, locc.maximally_entangled(p.n).to_state())
-    return [
-        Branch(b.transcript, b.state, qcore.factor_state(b.state, 0))
-        for b in locc.run_protocol(wang_program(p, phases), initial)
-    ]
+    program = wang_program(p, phases)
+    return locc.with_output(program, locc.run_protocol(program, initial), 0)
 
 
 def trace_branch(

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qremote import groupform, qcore, wang
+from qremote import entcost, groupform, qcore, wang
 from qremote.cli import main, matrix_to_json, vector_to_json
 
 
@@ -90,6 +90,38 @@ def test_schema_errors_exit_2_as_malformed_problem(tmp_path, capsys, edit):
     path = write_problem(tmp_path, "bad.json", doc)
     assert main(["run", path]) == 2
     assert "MalformedProblem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["dim", "order"])
+@pytest.mark.parametrize("value", [2.7, "2", True])
+def test_non_integer_dimensions_exit_2_as_malformed_problem(tmp_path, capsys, key, value):
+    if key == "dim":
+        doc = diagonal_wang_doc(2, np.ones(2))
+    else:
+        rep = groupform.pauli_rep()
+        doc = {
+            "kind": "group",
+            "order": 4,
+            "cayley": rep.group.cayley.tolist(),
+            "matrices": [matrix_to_json(m) for m in rep.matrices],
+            "coefficients": vector_to_json(np.array([1.0, 0, 0, 0])),
+        }
+    doc[key] = value
+    path = write_problem(tmp_path, "bad.json", doc)
+    assert main(["run", path]) == 2
+    assert "MalformedProblem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("input", [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]], "NotNormalized"),
+    ("phases", [[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]], "NonUnimodularCoefficient"),
+])
+def test_executor_validation_errors_are_named(tmp_path, capsys, field, value, name):
+    doc = diagonal_wang_doc(3, np.ones(3))
+    doc[field] = value
+    path = write_problem(tmp_path, "bad.json", doc)
+    assert main(["run", path]) == 2
+    assert f"error: {name}:" in capsys.readouterr().err
 
 
 def test_forced_trivial_factors_rejected(tmp_path, capsys):
@@ -246,6 +278,16 @@ def test_cost_group_problem_counts_group_order(tmp_path, capsys):
     assert report["wang_saves"] is False
     flags = {row["d"]: row["feasible"] for row in report["feasibility"]}
     assert flags == {1: False, 2: False, 3: False, 4: True}
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_cost_computes_the_operator_rank_once(tmp_path, capsys, monkeypatch, flags):
+    calls = []
+    rank = entcost.operator_rank
+    monkeypatch.setattr(entcost, "operator_rank", lambda blocks: calls.append(1) or rank(blocks))
+    path = write_problem(tmp_path, "w.json", diagonal_wang_doc(5, np.ones(5)))
+    assert main(["cost", path, *flags]) == 0
+    assert len(calls) == 1
 
 
 def test_cost_rejects_bqst_problems(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qremote import qcore
-from qremote.errors import DimensionMismatch, NonUnitary
+from qremote.errors import DimensionMismatch, EntangledFactor, NonUnitary, NotNormalized
 from qremote.qcore import StateVector
 
 from util import random_state
@@ -227,3 +227,24 @@ def test_state_vector_invariants():
         StateVector(np.array([1.0, 1.0]), (2,))
     with pytest.raises(DimensionMismatch):
         StateVector(np.array([1.0, 0.0]), (3,))
+
+
+def test_state_vector_copies_writable_arrays_and_keeps_frozen_ones():
+    amps = np.array([1.0, 0.0], dtype=complex)
+    state = StateVector(amps, (2,))
+    amps[0] = 0.0
+    assert state.amplitudes[0] == 1.0
+    assert not state.amplitudes.flags.writeable
+    amps[0] = 1.0
+    amps.setflags(write=False)
+    assert np.shares_memory(StateVector(amps, (2,)).amplitudes, amps)
+
+
+
+def test_executor_invariants_raise_named_value_errors():
+    with pytest.raises(NotNormalized):
+        StateVector(np.array([1.0, 1.0]), (2,))
+    bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
+    with pytest.raises(EntangledFactor):
+        qcore.factor_state(bell, 0)
+    assert issubclass(NotNormalized, ValueError) and issubclass(EntangledFactor, ValueError)

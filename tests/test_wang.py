@@ -71,6 +71,20 @@ def test_controlled_shift_block_circulant_pattern():
                 )
 
 
+def test_controlled_shift_equals_the_kron_sum():
+    # P = sum_i P_i (x) X^i, built term by term as an independent oracle
+    rng = np.random.default_rng(3)
+    partitions = [wang.diagonal_partition(1), wang.diagonal_partition(4)]
+    partitions += [wang.random_partition(d, n, rng) for d, n in ((2, 2), (5, 3), (6, 6), (7, 2))]
+    for p in partitions:
+        shift = qcore.shift_matrix(p.n)
+        oracle = sum(
+            np.kron(proj, np.linalg.matrix_power(shift, i))
+            for i, proj in enumerate(wang.projectors(p))
+        )
+        np.testing.assert_array_equal(wang.controlled_shift(p), oracle)
+
+
 def test_recovery_with_no_outcome_maps_u_to_v():
     rng = np.random.default_rng(2)
     p = wang.random_partition(5, 3, rng)
