@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import entcost, groupform, locc, qcore, wang
-from .errors import MalformedProblem, QRemoteError
+from .errors import DimensionMismatch, MalformedProblem, QRemoteError
 from .qcore import StateVector
 
 FIDELITY_TOL = 1e-9
@@ -27,9 +27,14 @@ FIDELITY_TOL = 1e-9
 # --- JSON wire format --------------------------------------------------------
 
 def pair_to_complex(pair) -> complex:
+    """A [re, im] pair of JSON numbers; float() would accept "1" and true."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"complex numbers are [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+        raise MalformedProblem(f"complex numbers are [re, im] pairs, got {pair!r}")
+    re, im = pair
+    # exact types, so bool (a subclass of int) is rejected
+    if type(re) not in (int, float) or type(im) not in (int, float):
+        raise MalformedProblem(f"[re, im] entries must be JSON numbers, got {pair!r}")
+    return complex(re, im)
 
 
 def vector_from_json(obj) -> np.ndarray:
@@ -107,7 +112,7 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
             values = vector_from_json(doc["phases"]) if "phases" in doc else None
         partition = wang.validate_partition(blocks)
         if partition.dim != dim:
-            raise ValueError(f"declared dim {dim} does not match blocks ({partition.dim})")
+            raise DimensionMismatch(f"declared dim {dim} does not match blocks ({partition.dim})")
         phases = wang.Phases(np.ones(partition.n) if values is None else values)
         state = _input_state(doc, dim, input_override)
         expected = wang.assemble(partition, phases) @ state.amplitudes
@@ -122,7 +127,7 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
     if kind == "group":
         with _document_shape():
             order = _integer(doc["order"])
-            cayley = np.asarray(doc["cayley"], dtype=int)
+            cayley = np.array([[_integer(x) for x in row] for row in doc["cayley"]], dtype=int)
             names = list(doc["names"]) if "names" in doc else None
             matrices = [matrix_from_json(m) for m in doc["matrices"]]
             mu = matrix_from_json(doc["mu"]) if "mu" in doc else None
@@ -130,7 +135,7 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
             blocks = [_integer(d) for d in doc["blocks"]] if "blocks" in doc else None
         group = groupform.finite_group(cayley, names=names)
         if group.order != order:
-            raise ValueError(f"declared order {order} does not match the Cayley table")
+            raise DimensionMismatch(f"declared order {order} does not match the Cayley table")
         rep = groupform.projective_rep(group, matrices, mu=mu)
         state = _input_state(doc, rep.dim, input_override)
         expected = groupform.assemble(rep, coefficients) @ state.amplitudes
@@ -150,7 +155,7 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
             dim = _integer(doc["dim"])
             unitary = matrix_from_json(doc["unitary"])
         if unitary.shape != (dim, dim):
-            raise ValueError(f"unitary shape {unitary.shape} does not match dim {dim}")
+            raise DimensionMismatch(f"unitary shape {unitary.shape} does not match dim {dim}")
         state = _input_state(doc, dim, input_override)
         expected = np.asarray(unitary, dtype=complex) @ state.amplitudes
         return Problem(
@@ -161,7 +166,7 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
             meta={"unitary": unitary, "input": state, "dim": dim},
             describe=f"kind: bqst  dim={dim}",
         )
-    raise ValueError(f"unknown problem kind {kind!r}; expected wang, group, or bqst")
+    raise MalformedProblem(f"unknown problem kind {kind!r}; expected wang, group, or bqst")
 
 
 # --- run ----------------------------------------------------------------------
@@ -258,64 +263,31 @@ def cmd_trace(args) -> int:
         raise ValueError(f"--branch must be 'l,m', got {args.branch!r}") from exc
 
     stages = wang.trace_branch(partition, phases, state, l, m)
-    projs = wang.projectors(partition)
-    proj_psi = [p @ state.amplitudes for p in projs]
+    proj_psi = [p @ state.amplitudes for p in wang.projectors(partition)]
     c = phases.values
     root = f"sqrt({n})"
 
     print(f"trace: wang  dim={partition.dim}  blocks={n}  branch l={l}, m={m}")
     print(f"input |psi> = {_vec_text(state.amplitudes)}")
 
-    # initial: resource diagonal over (a, b)
-    print(f"\nstep 0: initial state |psi> (x) sum_k |k>|k>/{root}")
-    grid0 = stages[0].state.amplitudes.reshape(partition.dim, n, n)
-    cells = [
-        [
-            _cell_label(
-                grid0[:, r, col],
-                (state.amplitudes / math.sqrt(n)) if r == col else np.zeros(partition.dim),
-                f"|psi>/{root}",
-            )
-            for col in range(n)
-        ]
-        for r in range(n)
-    ]
-    _print_table(range(n), n, cells)
-
-    print(f"\nstep 1: Alice applies the controlled shift P = sum_i P_i (x) X^i")
-    grid1 = stages[1].state.amplitudes.reshape(partition.dim, n, n)
-    cells = [
-        [
-            _cell_label(
-                grid1[:, r, col],
-                proj_psi[(col - r) % n] / math.sqrt(n),
-                f"P{(col - r) % n}|psi>/{root}",
-            )
-            for col in range(n)
-        ]
-        for r in range(n)
-    ]
-    _print_table(range(n), n, cells)
-
-    print(f"\nstep 2: Alice measures a -> {l}; Bob applies X^{l}")
-    grid2 = stages[2].state.amplitudes.reshape(partition.dim, n, n)
-    cells = [
-        [
-            _cell_label(grid2[:, l, col], proj_psi[col], f"P{col}|psi>")
-            for col in range(n)
-        ]
-    ]
-    _print_table([l], n, cells)
-
-    print("\nstep 3: Bob applies the phase gate C = diag(c_i)")
-    grid3 = stages[3].state.amplitudes.reshape(partition.dim, n, n)
-    cells = [
-        [
-            _cell_label(grid3[:, l, col], c[col] * proj_psi[col], f"c{col}*P{col}|psi>")
-            for col in range(n)
-        ]
-    ]
-    _print_table([l], n, cells)
+    # (title, rows a shown, expected(a, b) -> (vector, label)) per table
+    tables = (
+        (f"step 0: initial state |psi> (x) sum_k |k>|k>/{root}", range(n),
+         lambda r, col: (state.amplitudes / math.sqrt(n) if r == col else np.zeros(partition.dim),
+                         f"|psi>/{root}")),
+        ("step 1: Alice applies the controlled shift P = sum_i P_i (x) X^i", range(n),
+         lambda r, col: (proj_psi[(col - r) % n] / math.sqrt(n), f"P{(col - r) % n}|psi>/{root}")),
+        (f"step 2: Alice measures a -> {l}; Bob applies X^{l}", [l],
+         lambda r, col: (proj_psi[col], f"P{col}|psi>")),
+        ("step 3: Bob applies the phase gate C = diag(c_i)", [l],
+         lambda r, col: (c[col] * proj_psi[col], f"c{col}*P{col}|psi>")),
+    )
+    for stage, (title, rows, expected) in zip(stages, tables):
+        print(f"\n{title}")
+        grid = stage.state.amplitudes.reshape(partition.dim, n, n)
+        _print_table(rows, n, [
+            [_cell_label(grid[:, r, col], *expected(r, col)) for col in range(n)] for r in rows
+        ])
 
     print(f"\nstep 4: Bob applies F and measures b -> {m}")
     expected4 = sum(

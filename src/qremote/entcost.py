@@ -242,10 +242,9 @@ def bqst_teleport(unitary: np.ndarray, input_state: StateVector) -> tuple[list[B
         raise DimensionMismatch(
             f"input dimension {input_state.dim} does not match the unitary ({dim})"
         )
-    pair = locc.maximally_entangled(dim).to_state()
+    pair = locc.maximally_entangled(dim)
     initial = qcore.tensor(qcore.tensor(input_state, pair), pair)
-    program = bqst_program(u)
-    branches = locc.with_output(program, locc.run_protocol(program, initial), 4)
+    branches = locc.run_protocol(bqst_program(u), initial)
     report = CostReport(
         protocol="bqst",
         schmidt_rank=dim * dim,

@@ -34,6 +34,10 @@ class MissingClassicalDependency(QRemoteError):
     """A conditioned step runs before its classical message was delivered."""
 
 
+class NotAGroup(QRemoteError, ValueError):
+    """A Cayley table fails a group axiom: closure, associativity, identity or inverses."""
+
+
 class NotARepresentation(QRemoteError):
     """Matrices do not close under the group law with the given factors."""
 

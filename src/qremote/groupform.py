@@ -28,6 +28,7 @@ from .errors import (
     NonUnitary,
     NonUnitaryM,
     NonUnitaryTarget,
+    NotAGroup,
     NotARepresentation,
     NotBlockDiagonal,
 )
@@ -62,26 +63,26 @@ def finite_group(cayley, names=None) -> FiniteGroup:
     unique identity, inverses."""
     table = np.asarray(cayley, dtype=int)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise ValueError(f"Cayley table must be square, got shape {table.shape}")
+        raise NotAGroup(f"Cayley table must be square, got shape {table.shape}")
     n = table.shape[0]
     if table.min() < 0 or table.max() >= n:
-        raise ValueError("Cayley table entries must be element indices")
+        raise NotAGroup("Cayley table entries must be element indices")
     full = frozenset(range(n))
     for i in range(n):
         if frozenset(table[i]) != full or frozenset(table[:, i]) != full:
-            raise ValueError(
+            raise NotAGroup(
                 f"row/column {i} of the Cayley table is not a permutation"
             )
     left = table[table, :]          # left[i,j,k] = (ij)k
     right = table[:, table]         # right[i,j,k] = i(jk)
     if not np.array_equal(left, right):
-        raise ValueError("Cayley table is not associative")
+        raise NotAGroup("Cayley table is not associative")
     identities = [
         e for e in range(n)
         if np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n))
     ]
     if len(identities) != 1:
-        raise ValueError(f"expected one identity element, found {len(identities)}")
+        raise NotAGroup(f"expected one identity element, found {len(identities)}")
     e = identities[0]
     inverses = np.full(n, -1, dtype=int)
     for i in range(n):
@@ -90,13 +91,13 @@ def finite_group(cayley, names=None) -> FiniteGroup:
                 inverses[i] = j
                 break
         if inverses[i] < 0:
-            raise ValueError(f"element {i} has no inverse")
+            raise NotAGroup(f"element {i} has no inverse")
     if names is None:
         names = tuple(str(i) for i in range(n))
     else:
         names = tuple(str(x) for x in names)
         if len(names) != n:
-            raise ValueError(f"need {n} names, got {len(names)}")
+            raise DimensionMismatch(f"need {n} names, got {len(names)}")
     table = table.copy()
     table.setflags(write=False)
     inverses.setflags(write=False)
@@ -261,23 +262,14 @@ def entangler(rep: ProjectiveRep) -> np.ndarray:
     return total
 
 
-def z_gate(g: int, order: int, transform: np.ndarray | None = None) -> np.ndarray:
-    """Z(g)|f> = (1/sqrt|G|) <g|T|f>^{-1} |f> for the label transform T.
+def z_gate(g: int, order: int) -> np.ndarray:
+    """Z(g)|f> = (1/sqrt|G|) <g|F|f>^{-1} |f> for the Fourier matrix F.
 
-    The default transform is the Fourier matrix, whose entries all have
-    modulus 1/sqrt|G|, making Z(g) diagonal unimodular. A caller-supplied
-    transform with a vanishing row entry leaves Z(g) undefined and is
-    rejected rather than patched.
+    Every entry of F has modulus 1/sqrt|G|, so Z(g) is diagonal unimodular.
     """
-    t = qcore.fourier_matrix(order) if transform is None else np.asarray(transform, dtype=complex)
-    row = t[g, :]
-    if np.abs(row).min() <= qcore.RANK_TOL:
-        raise ValueError(
-            f"transform row {g} contains a vanishing entry; Z({g}) is undefined"
-        )
-    gate = np.diag(1.0 / (math.sqrt(order) * row))
+    gate = np.diag(1.0 / (math.sqrt(order) * qcore.fourier_matrix(order)[g, :]))
     if not qcore.is_unitary(gate):
-        raise NonUnitary(f"Z({g}) built from the supplied transform is not unitary")
+        raise NonUnitary(f"Z({g}) is not unitary")
     return gate
 
 
@@ -318,11 +310,10 @@ def _coefficient_vector(rep: ProjectiveRep, coefficients) -> np.ndarray:
     return c
 
 
-def group_program(rep: ProjectiveRep, coefficients, transform: np.ndarray | None = None) -> Program:
+def group_program(rep: ProjectiveRep, coefficients) -> Program:
     """Five-step program on registers (A, a, b) = (Alice, Alice, Bob)."""
     assemble(rep, coefficients)
     n = rep.group.order
-    fourier = qcore.fourier_matrix(n) if transform is None else np.asarray(transform, dtype=complex)
     mix = mixer(rep, coefficients)
     inverses = rep.group.inverses
     mats = rep.matrices
@@ -330,9 +321,9 @@ def group_program(rep: ProjectiveRep, coefficients, transform: np.ndarray | None
         owners=locc.PROTOCOL_OWNERS,
         steps=(
             LocalStep(ALICE, "P", entangler(rep), (0, 1)),
-            LocalStep(ALICE, "F", fourier, (1,)),
+            LocalStep(ALICE, "F", qcore.fourier_matrix(n), (1,)),
             MeasureStep(ALICE, 1, "g", send_to=BOB),
-            ConditionalStep(BOB, "Z(g)", lambda g: z_gate(g, n, transform), (2,), "g"),
+            ConditionalStep(BOB, "Z(g)", lambda g: z_gate(g, n), (2,), "g"),
             LocalStep(BOB, "M", mix, (2,)),
             MeasureStep(BOB, 2, "h", send_to=ALICE),
             ConditionalStep(ALICE, "U(h^-1)", lambda h: mats[inverses[h]], (0,), "h"),
@@ -340,20 +331,15 @@ def group_program(rep: ProjectiveRep, coefficients, transform: np.ndarray | None
     )
 
 
-def run_group_protocol(
-    rep: ProjectiveRep, coefficients, input_state: StateVector,
-    transform: np.ndarray | None = None,
-) -> list[Branch]:
+def run_group_protocol(rep: ProjectiveRep, coefficients, input_state: StateVector) -> list[Branch]:
     """Execute all |G|^2 branches; every branch leaves sum_f c(f) U(f) applied
     to the A register up to a global phase."""
     if input_state.dim != rep.dim:
         raise DimensionMismatch(
             f"input dimension {input_state.dim} does not match the rep ({rep.dim})"
         )
-    n = rep.group.order
-    initial = qcore.tensor(input_state, locc.maximally_entangled(n).to_state())
-    program = group_program(rep, coefficients, transform)
-    return locc.with_output(program, locc.run_protocol(program, initial), 0)
+    initial = qcore.tensor(input_state, locc.maximally_entangled(rep.group.order))
+    return locc.run_protocol(group_program(rep, coefficients), initial)
 
 
 # --- coefficient reconstruction ----------------------------------------------

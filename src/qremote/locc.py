@@ -17,8 +17,10 @@ value and gathers it per row. A transcript is a function of the program
 and its row's outcomes, and each branch's full state is built once, at the
 end. When one factor is left unmeasured, its row is the branch's output.
 
-Every protocol runner returns Branch values. A step-by-step trace
-(wang.trace_branch) is the program cut after each traced step, run as is.
+Every protocol runner returns run_protocol's Branch values, and each
+runner's program leaves exactly its output register unmeasured, so every
+branch carries its output. A step-by-step trace (wang.trace_branch) is the
+program cut after each traced step, run as is.
 """
 
 from __future__ import annotations
@@ -118,21 +120,12 @@ class Transcript:
     events: tuple[Event, ...]
     probability: float
 
-    def outcome(self, tag: str) -> int:
-        """Outcome carried by the classical message with the given tag."""
-        for event in self.events:
-            if isinstance(event, ClassicalMessageEvent) and event.tag == tag:
-                return event.payload
-        raise KeyError(f"no message tagged {tag!r}")
-
-    def measurements(self) -> tuple[MeasurementEvent, ...]:
-        return tuple(e for e in self.events if isinstance(e, MeasurementEvent))
-
 
 @dataclass(frozen=True)
 class Branch:
-    """One measurement branch: its transcript, the full register state and,
-    when a protocol runner has factored it out, the output register."""
+    """One measurement branch: its transcript, the full register state and
+    the output, the one register the program leaves unmeasured (None when
+    it leaves more than one)."""
 
     transcript: Transcript
     state: StateVector
@@ -154,44 +147,13 @@ class Branch:
 
 # --- resource states -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResourceState:
-    """Bipartite resource, diagonal in its construction basis."""
-
-    dims: tuple[int, int]
-    coefficients: np.ndarray          # h_i, nonnegative, sum of squares 1
-    basis: str = "computational"
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if np.any(coeffs < 0):
-            raise ValueError("Schmidt coefficients must be nonnegative")
-        if abs(float(np.sum(coeffs**2)) - 1.0) > qcore.NORM_TOL:
-            raise ValueError("Schmidt coefficients must have unit square sum")
-        if coeffs.size > min(self.dims):
-            raise DimensionMismatch("more coefficients than the smaller register")
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def rank(self) -> int:
-        return int(np.count_nonzero(self.coefficients > qcore.RANK_TOL))
-
-    def to_state(self) -> StateVector:
-        """sum_i h_i |i>|i> over the two registers."""
-        d_a, d_b = self.dims
-        amps = np.zeros(d_a * d_b, dtype=complex)
-        for i, h in enumerate(self.coefficients):
-            amps[i * d_b + i] = h
-        return StateVector(amps, (d_a, d_b))
-
-
-def maximally_entangled(n: int) -> ResourceState:
-    """Rank-n resource with all Schmidt coefficients 1/sqrt(n)."""
+def maximally_entangled(n: int) -> StateVector:
+    """sum_k |k>|k> / sqrt(n) over two n-dimensional registers."""
     if n < 1:
         raise DimensionMismatch("resource dimension must be >= 1")
-    return ResourceState((n, n), np.full(n, 1.0 / math.sqrt(n)))
+    amps = np.zeros(n * n, dtype=complex)
+    amps[:: n + 1] = 1.0 / math.sqrt(n)
+    return StateVector(amps, (n, n))
 
 
 # --- program execution -----------------------------------------------------
@@ -328,27 +290,6 @@ def _step_events(step: Step, outcome: int | None) -> tuple[Event, ...]:
         return measured + (ClassicalMessageEvent(step.party, step.send_to, step.message, outcome),)
     consumed = step.message if isinstance(step, ConditionalStep) else None
     return (LocalOpEvent(step.party, step.label, step.targets, consumed),)
-
-
-def with_output(program: Program, branches: list[Branch], factor: int) -> list[Branch]:
-    """The program's branches with output set to the state of `factor`.
-
-    run_protocol has sliced it out already when every other factor ends
-    measured; otherwise qcore.factor_state extracts it, which also checks
-    that it is disentangled from the rest.
-    """
-    unmeasured = set(range(len(program.owners)))
-    for step in program.steps:
-        if isinstance(step, MeasureStep):
-            unmeasured.discard(step.target)
-        else:
-            unmeasured.update(step.targets)
-    if unmeasured == {factor}:
-        return branches
-    return [
-        Branch(b.transcript, b.state, qcore.factor_state(b.state, factor))
-        for b in branches
-    ]
 
 
 def validate_transcript(transcript: Transcript, owners) -> None:

@@ -233,9 +233,8 @@ def run_wang(p: BlockPartition, phases: Phases, input_state: StateVector) -> lis
         raise DimensionMismatch(
             f"input dimension {input_state.dim} does not match blocks ({p.dim})"
         )
-    initial = qcore.tensor(input_state, locc.maximally_entangled(p.n).to_state())
-    program = wang_program(p, phases)
-    return locc.with_output(program, locc.run_protocol(program, initial), 0)
+    initial = qcore.tensor(input_state, locc.maximally_entangled(p.n))
+    return locc.run_protocol(wang_program(p, phases), initial)
 
 
 def trace_branch(
@@ -251,7 +250,7 @@ def trace_branch(
     if not (0 <= l < p.n and 0 <= m < p.n):
         raise ValueError(f"branch ({l},{m}) out of range for {p.n} outcomes")
     program = wang_program(p, phases)
-    initial = qcore.tensor(input_state, locc.maximally_entangled(p.n).to_state())
+    initial = qcore.tensor(input_state, locc.maximally_entangled(p.n))
     wanted = {"l": l, "m": m}.items()
     stages = []
     for k in (0, 1, 3, 4, 6, 7):
@@ -279,7 +278,7 @@ class RemoteSvdProgram:
     phases: Phases
 
 
-def svd_remote(unitary: np.ndarray, p_diag: BlockPartition | None = None) -> RemoteSvdProgram:
+def svd_remote(unitary: np.ndarray) -> RemoteSvdProgram:
     """Split a unitary for remote implementation of its diagonal factor.
 
     Singular values of a unitary are all 1; the singular-vector phase freedom
@@ -306,12 +305,11 @@ def svd_remote(unitary: np.ndarray, p_diag: BlockPartition | None = None) -> Rem
     diag = w_phase * s * vh_phase
     if np.abs(np.abs(diag) - 1.0).max() > qcore.NORM_TOL:
         raise NonUnitary("diagonal factor is not unimodular")
-    partition = p_diag if p_diag is not None else diagonal_partition(dim)
     return RemoteSvdProgram(
         pre=pre,
         post=post,
         diagonal=diag,
-        partition=partition,
+        partition=diagonal_partition(dim),
         phases=Phases(diag),
     )
 

@@ -112,6 +112,42 @@ def test_non_integer_dimensions_exit_2_as_malformed_problem(tmp_path, capsys, ke
     assert "MalformedProblem" in capsys.readouterr().err
 
 
+def z2_group_doc():
+    rep = groupform.cyclic_character_rep(2)
+    return {
+        "kind": "group",
+        "order": 2,
+        "cayley": rep.group.cayley.tolist(),
+        "matrices": [matrix_to_json(m) for m in rep.matrices],
+        "coefficients": vector_to_json(np.array([1.0, 0.0])),
+    }
+
+
+PROBLEM_DOCS = {
+    "wang": lambda: diagonal_wang_doc(2, np.ones(2)),
+    "group": z2_group_doc,
+    "bqst": lambda: {"kind": "bqst", "dim": 2, "unitary": matrix_to_json(np.eye(2))},
+}
+
+
+@pytest.mark.parametrize("kind, key, value, name", [
+    ("group", "cayley", [[0, 1], [1, 0.5]], "MalformedProblem"),
+    ("wang", "input", [["0.6", 0], [0.8, 0]], "MalformedProblem"),
+    ("wang", "phases", [[True, False], [1.0, 0.0]], "MalformedProblem"),
+    ("wang", "kind", "teleport", "MalformedProblem"),
+    ("group", "cayley", [[0, 1], [1, 1]], "NotAGroup"),
+    ("wang", "dim", 3, "DimensionMismatch"),
+    ("group", "order", 3, "DimensionMismatch"),
+    ("bqst", "dim", 3, "DimensionMismatch"),
+])
+def test_document_errors_exit_2_with_the_invariant_named(tmp_path, capsys, kind, key, value, name):
+    doc = PROBLEM_DOCS[kind]()
+    doc[key] = value
+    path = write_problem(tmp_path, "bad.json", doc)
+    assert main(["run", path]) == 2
+    assert f"error: {name}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value, name", [
     ("input", [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]], "NotNormalized"),
     ("phases", [[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]], "NonUnimodularCoefficient"),

@@ -128,7 +128,7 @@ def test_wang_row_matches_consumed_resource_rank():
     rng = np.random.default_rng(5)
     p = wang.random_partition(5, 3, rng)
     comparison = entcost.compare_costs(p.blocks, p.dim)
-    resource = locc.maximally_entangled(p.n).to_state()
+    resource = locc.maximally_entangled(p.n)
     assert comparison.rows[0].schmidt_rank == qcore.schmidt(resource, [0]).rank
 
 

@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qremote import entcost, groupform, locc, qcore, wang
-from qremote.errors import (
-    EntangledFactor,
-    LocalityViolation,
-    MissingClassicalDependency,
-    NonUnitary,
-)
+from qremote.errors import LocalityViolation, MissingClassicalDependency, NonUnitary
 from qremote.locc import ALICE, BOB, ConditionalStep, LocalStep, MeasureStep, Program
 
 from reference_executor import run_reference
@@ -29,19 +24,36 @@ GROUP_REPS = {
 }
 
 
+def unmeasured_factors(program):
+    """Factors no measurement leaves in a basis state at the program's end."""
+    unmeasured = set(range(len(program.owners)))
+    for step in program.steps:
+        if isinstance(step, MeasureStep):
+            unmeasured.discard(step.target)
+        else:
+            unmeasured.update(step.targets)
+    return unmeasured
+
+
 def assert_matches_reference(program, initial):
     got = locc.run_protocol(program, initial)
     want = run_reference(program, initial)
     assert [b.transcript.events for b in got] == [b.transcript.events for b in want]
+    unmeasured = unmeasured_factors(program)
     for g, w in zip(got, want):
         assert abs(g.probability - w.probability) <= 1e-12
         assert g.state.factor_dims == w.state.factor_dims
         np.testing.assert_allclose(g.state.amplitudes, w.state.amplitudes, rtol=0, atol=1e-12)
+        if len(unmeasured) == 1:
+            # the output is the one unmeasured register, factored out
+            (k,) = unmeasured
+            assert g.output is not None
+            assert qcore.fidelity(g.output, qcore.factor_state(w.state, k)) >= 1 - 1e-12
     return got
 
 
 def wang_initial(psi, n):
-    return qcore.tensor(psi, locc.maximally_entangled(n).to_state())
+    return qcore.tensor(psi, locc.maximally_entangled(n))
 
 
 def group_setup(name, rng):
@@ -62,9 +74,6 @@ def test_wang_matches_reference(dim, n):
     program = wang.wang_program(p, wang.random_phases(n, rng))
     branches = assert_matches_reference(program, wang_initial(psi, n))
     assert len(branches) == n * n
-    for b in branches:
-        # the output is the data register, sliced out of the state
-        assert qcore.fidelity(b.output, qcore.factor_state(b.state, 0)) >= 1 - 1e-12
 
 
 @pytest.mark.parametrize("name", ["pauli", "dihedral3"])
@@ -80,7 +89,7 @@ def test_group_matches_reference(name):
 def test_bqst_matches_reference(dim):
     rng = np.random.default_rng(dim)
     u = qcore.random_unitary(dim, rng)
-    pair = locc.maximally_entangled(dim).to_state()
+    pair = locc.maximally_entangled(dim)
     initial = qcore.tensor(qcore.tensor(random_state(dim, rng), pair), pair)
     branches = assert_matches_reference(entcost.bqst_program(u), initial)
     assert len(branches) == dim ** 4
@@ -211,29 +220,6 @@ def test_runners_slice_the_output_instead_of_factoring(monkeypatch):
     assert len(groupform.run_group_protocol(rep, c, psi)) == 36
     branches, _ = entcost.bqst_teleport(qcore.random_unitary(2, rng), random_state(2, rng))
     assert len(branches) == 16
-
-
-def test_output_falls_back_to_factor_state_while_factors_are_unmeasured():
-    rng = np.random.default_rng(7)
-    p = wang.random_partition(3, 3, rng)
-    program = wang.wang_program(p, wang.random_phases(3, rng))
-    initial = wang_initial(random_state(3, rng), 3)
-    # Bob acts on his measured register again: it is unmeasured but in a
-    # product state, so the data register is still factored out
-    longer = Program(program.owners, program.steps + (
-        LocalStep(BOB, "F", qcore.fourier_matrix(3), (2,)),
-    ))
-    unfactored = locc.run_protocol(longer, initial)
-    assert all(b.output is None for b in unfactored)
-    branches = locc.with_output(longer, unfactored, 0)
-    reference = locc.with_output(program, locc.run_protocol(program, initial), 0)
-    assert all(b.output is not None for b in branches)
-    for b, r in zip(branches, reference):
-        assert qcore.fidelity(b.output, r.output) >= 1 - 1e-12
-    # before any measurement the resource halves are entangled
-    empty = Program(program.owners, ())
-    with pytest.raises(EntangledFactor):
-        locc.with_output(empty, locc.run_protocol(empty, initial), 1)
 
 
 # --- outcome probabilities do not depend on the input --------------------------

@@ -185,13 +185,6 @@ def test_nonunitary_mixer_rejected():
         groupform.mixer(rep, [1.0, 1.0])
 
 
-def test_z_gate_rejects_degenerate_transform():
-    with pytest.raises(ValueError):
-        groupform.z_gate(0, 2, transform=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(NonUnitary):
-        groupform.z_gate(0, 2, transform=np.array([[0.9, 0.1], [0.1, 0.9]]))
-
-
 # --- protocol runs ---------------------------------------------------------------
 
 def test_identity_coefficients_leave_input_unchanged():

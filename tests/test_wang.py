@@ -161,7 +161,7 @@ def test_run_wang_matches_direct_application():
 def test_resource_rank_and_final_disentanglement():
     rng = np.random.default_rng(8)
     p, phases, psi = _random_setup(5, 4, rng)
-    resource = locc.maximally_entangled(p.n).to_state()
+    resource = locc.maximally_entangled(p.n)
     assert qcore.schmidt(resource, [0]).rank == p.n
     for branch in wang.run_wang(p, phases, psi):
         # both ancillas end in basis states, unentangled from everything
