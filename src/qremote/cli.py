@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import sys
@@ -18,7 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import entcost, groupform, locc, qcore, wang
-from .errors import DimensionMismatch, MalformedProblem, QRemoteError
+from .errors import (
+    DimensionMismatch, MalformedProblem, NonFinite, QRemoteError, UnsupportedProblem,
+)
 from .qcore import StateVector
 
 FIDELITY_TOL = 1e-9
@@ -37,12 +40,19 @@ def pair_to_complex(pair) -> complex:
     return complex(re, im)
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """JSON has no NaN or Infinity, but Python's json module reads both."""
+    if not np.isfinite(values).all():
+        raise NonFinite("problem values must be finite numbers")
+    return values
+
+
 def vector_from_json(obj) -> np.ndarray:
-    return np.array([pair_to_complex(p) for p in obj], dtype=complex)
+    return _finite(np.array([pair_to_complex(p) for p in obj], dtype=complex))
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    return np.array([[pair_to_complex(p) for p in row] for row in obj], dtype=complex)
+    return _finite(np.array([[pair_to_complex(p) for p in row] for row in obj], dtype=complex))
 
 
 def complex_to_pair(z: complex) -> list[float]:
@@ -65,7 +75,7 @@ class Problem:
         self.run = runner                 # () -> list of branches
         self.expected = expected          # expected output amplitudes
         self.output_factor = output_factor
-        self.meta = meta                  # parsed payload for trace/cost
+        self.meta = meta                  # what trace and cost read
         self.describe = describe          # header string
 
 
@@ -88,6 +98,13 @@ def _integer(value) -> int:
     return value
 
 
+def _strings(value) -> list[str]:
+    """A JSON list of strings; list() would split "xy" into characters."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise MalformedProblem(f"expected a list of strings, got {value!r}")
+    return value
+
+
 def _input_state(doc: dict, dim: int, override: str | None) -> StateVector:
     with _document_shape():
         if override is not None:
@@ -100,7 +117,8 @@ def _input_state(doc: dict, dim: int, override: str | None) -> StateVector:
 
 
 def load_problem(path: str, input_override: str | None = None) -> Problem:
-    with open(path, "r", encoding="utf-8") as handle:
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    with open(path, "r", encoding="utf-8") as handle, _document_shape():
         doc = json.load(handle)
     if not isinstance(doc, dict):
         raise MalformedProblem(f"a problem file holds a JSON object, not {type(doc).__name__}")
@@ -128,7 +146,7 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
         with _document_shape():
             order = _integer(doc["order"])
             cayley = np.array([[_integer(x) for x in row] for row in doc["cayley"]], dtype=int)
-            names = list(doc["names"]) if "names" in doc else None
+            names = _strings(doc["names"]) if "names" in doc else None
             matrices = [matrix_from_json(m) for m in doc["matrices"]]
             mu = matrix_from_json(doc["mu"]) if "mu" in doc else None
             coefficients = vector_from_json(doc["coefficients"])
@@ -139,15 +157,14 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
         rep = groupform.projective_rep(group, matrices, mu=mu)
         state = _input_state(doc, rep.dim, input_override)
         expected = groupform.assemble(rep, coefficients) @ state.amplitudes
-        meta = {"rep": rep, "coefficients": coefficients, "input": state}
         if blocks is not None:
-            meta["decomposition"] = groupform.block_decomposition(rep, blocks)
+            groupform.block_decomposition(rep, blocks)
         return Problem(
             kind="group",
             runner=lambda: groupform.run_group_protocol(rep, coefficients, state),
             expected=expected,
             output_factor=0,
-            meta=meta,
+            meta={"rep": rep},
             describe=f"kind: group  |G|={order}  dim={rep.dim}",
         )
     if kind == "bqst":
@@ -163,7 +180,7 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
             runner=lambda: entcost.bqst_teleport(unitary, state)[0],
             expected=expected,
             output_factor=4,
-            meta={"unitary": unitary, "input": state, "dim": dim},
+            meta={},
             describe=f"kind: bqst  dim={dim}",
         )
     raise MalformedProblem(f"unknown problem kind {kind!r}; expected wang, group, or bqst")
@@ -250,17 +267,17 @@ def _print_table(row_labels, col_count, cells) -> None:
 def cmd_trace(args) -> int:
     problem = load_problem(args.file, args.input)
     if problem.kind != "wang":
-        raise ValueError("trace supports wang problems only")
+        raise UnsupportedProblem("trace supports wang problems only")
     partition = problem.meta["partition"]
     phases = problem.meta["phases"]
     state = problem.meta["input"]
     n = partition.n
     if n > 6:
-        raise ValueError(f"trace supports up to 6 blocks, got {n}")
+        raise UnsupportedProblem(f"trace supports up to 6 blocks, got {n}")
     try:
         l, m = (int(x) for x in args.branch.split(","))
-    except Exception as exc:
-        raise ValueError(f"--branch must be 'l,m', got {args.branch!r}") from exc
+    except ValueError as exc:
+        raise MalformedProblem(f"--branch must be 'l,m', got {args.branch!r}") from exc
 
     stages = wang.trace_branch(partition, phases, state, l, m)
     proj_psi = [p @ state.amplitudes for p in wang.projectors(partition)]
@@ -324,7 +341,7 @@ def _vec_text(vec: np.ndarray) -> str:
 # --- cost ----------------------------------------------------------------------
 
 def cmd_cost(args) -> int:
-    problem = load_problem(args.file, args.input)
+    problem = load_problem(args.file)
     if problem.kind == "wang":
         partition = problem.meta["partition"]
         blocks = partition.blocks
@@ -336,15 +353,15 @@ def cmd_cost(args) -> int:
         dim = rep.dim
         protocol = "group"
     else:
-        raise ValueError("cost supports wang and group problems only")
+        raise UnsupportedProblem("cost supports wang and group problems only")
 
     comparison = entcost.compare_costs(blocks, dim, protocol=protocol)
     n = len(blocks)
     rank = entcost.operator_rank(blocks)
-    verdicts = [entcost.rank_verdict(rank, d) for d in range(1, n + 1)]
+    verdicts = [entcost.feasibility_test(rank, d) for d in range(1, n + 1)]
     if args.json:
         doc = {
-            "rows": [r.to_dict() for r in comparison.rows],
+            "rows": [dataclasses.asdict(r) for r in comparison.rows],
             "wang_saves": comparison.wang_saves,
             "feasibility": [
                 {
@@ -371,6 +388,14 @@ def cmd_cost(args) -> int:
 
 
 # --- gen -------------------------------------------------------------------------
+
+def _seed(text: str) -> int:
+    """numpy seeds are non-negative; argparse reports a bad one with exit 2."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"a seed is a non-negative integer, got {seed}")
+    return seed
+
 
 def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
@@ -417,11 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     cost = sub.add_parser("cost", help="entanglement cost table and feasibility verdicts")
     cost.add_argument("file")
     cost.add_argument("--json", action="store_true", help="machine-readable output")
-    cost.add_argument("--input", default=None, help="input state as JSON [re,im] pairs")
     cost.set_defaults(func=cmd_cost)
 
     gen = sub.add_parser("gen", help="generate a random wang problem file")
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=_seed, required=True)
     gen.add_argument("--dim", type=int, default=4)
     gen.add_argument("--blocks", type=int, default=3)
     gen.add_argument("--out", default=None, help="write to a file instead of stdout")
@@ -434,7 +458,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QRemoteError, ValueError, OSError) as exc:
+    except (QRemoteError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -44,21 +44,6 @@ def operator_rank(blocks) -> int:
 
 
 @dataclass(frozen=True)
-class FeasibilityInstance:
-    """n candidate blocks against a resource of Schmidt rank d."""
-
-    blocks: tuple
-    candidate_rank: int
-    schmidt_coefficients: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.candidate_rank < 1:
-            raise ValueError("candidate rank must be >= 1")
-        if not self.blocks:
-            raise ValueError("at least one block is required")
-
-
-@dataclass(frozen=True)
 class FeasibilityVerdict:
     feasible: bool
     operator_rank: int
@@ -67,24 +52,17 @@ class FeasibilityVerdict:
     maximal_entanglement_required: str = "unknown"
 
 
-def feasibility_test(instance: FeasibilityInstance) -> FeasibilityVerdict:
-    """Rank certificate for the instance.
+def feasibility_test(n: int, d: int) -> FeasibilityVerdict:
+    """Rank certificate for blocks of operator rank n against a resource of
+    Schmidt rank d.
 
-    Infeasible whenever the resource rank is below the number of linearly
-    independent blocks; feasible otherwise, by the constructive protocol with
-    a maximally entangled resource of that rank. Partial entanglement only
-    enters through the count of nonzero Schmidt coefficients.
+    Infeasible whenever d is below n; feasible otherwise, by the constructive
+    protocol with a maximally entangled resource of rank n. Partial
+    entanglement only enters through d, the count of nonzero Schmidt
+    coefficients.
     """
-    if instance.schmidt_coefficients is not None:
-        h = np.asarray(instance.schmidt_coefficients, dtype=float)
-        d = int(np.count_nonzero(h > qcore.RANK_TOL))
-    else:
-        d = instance.candidate_rank
-    return rank_verdict(operator_rank(instance.blocks), d)
-
-
-def rank_verdict(n: int, d: int) -> FeasibilityVerdict:
-    """Verdict for blocks of operator rank n against a resource of Schmidt rank d."""
+    if d < 1:
+        raise DimensionMismatch(f"a resource has Schmidt rank >= 1, got {d}")
     if d < n:
         certificate = (
             f"operator_rank(blocks) = {n} > d = {d}: within {ASSUMED_SHAPE}, "
@@ -113,21 +91,8 @@ class CostReport:
     verdict: str = field(init=False)
 
     def __post_init__(self):
-        verdict = (
-            "infeasible" if self.schmidt_rank < self.controlled_parameters else "feasible"
-        )
-        object.__setattr__(self, "verdict", verdict)
-
-    def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "schmidt_rank": self.schmidt_rank,
-            "controlled_parameters": self.controlled_parameters,
-            "ebits": self.ebits,
-            "bits_alice_to_bob": self.bits_alice_to_bob,
-            "bits_bob_to_alice": self.bits_bob_to_alice,
-            "verdict": self.verdict,
-        }
+        feasible = feasibility_test(self.controlled_parameters, self.schmidt_rank).feasible
+        object.__setattr__(self, "verdict", "feasible" if feasible else "infeasible")
 
 
 @dataclass(frozen=True)
@@ -136,30 +101,22 @@ class CostComparison:
     wang_saves: bool       # strict ebit saving of the block protocol over BQST
 
 
+def bqst_cost(dim: int, controlled_parameters: int) -> CostReport:
+    """Teleport both ways: two rank-dim pairs, 2 log2(dim) bits each way."""
+    bits = 2 * math.log2(dim)
+    return CostReport("bqst", dim * dim, controlled_parameters, bits, bits, bits)
+
+
 def compare_costs(blocks, dim: int, protocol: str = "wang") -> CostComparison:
     """Cost rows for the block protocol (rank n) against BQST (rank D^2)."""
     n = len(tuple(blocks))
     if n < 1:
-        raise ValueError("at least one block is required")
-    wang_row = CostReport(
-        protocol=protocol,
-        schmidt_rank=n,
-        controlled_parameters=n,
-        ebits=math.log2(n),
-        bits_alice_to_bob=math.log2(n),
-        bits_bob_to_alice=math.log2(n),
-    )
-    bqst_row = CostReport(
-        protocol="bqst",
-        schmidt_rank=dim * dim,
-        controlled_parameters=n,
-        ebits=2 * math.log2(dim),
-        bits_alice_to_bob=2 * math.log2(dim),
-        bits_bob_to_alice=2 * math.log2(dim),
-    )
+        raise DimensionMismatch("at least one block is required")
+    bits = math.log2(n)
+    bqst_row = bqst_cost(dim, n)
     return CostComparison(
-        rows=(wang_row, bqst_row),
-        wang_saves=math.log2(n) < 2 * math.log2(dim),
+        rows=(CostReport(protocol, n, n, bits, bits, bits), bqst_row),
+        wang_saves=bits < bqst_row.ebits,
     )
 
 
@@ -244,13 +201,4 @@ def bqst_teleport(unitary: np.ndarray, input_state: StateVector) -> tuple[list[B
         )
     pair = locc.maximally_entangled(dim)
     initial = qcore.tensor(qcore.tensor(input_state, pair), pair)
-    branches = locc.run_protocol(bqst_program(u), initial)
-    report = CostReport(
-        protocol="bqst",
-        schmidt_rank=dim * dim,
-        controlled_parameters=dim * dim,
-        ebits=2 * math.log2(dim),
-        bits_alice_to_bob=2 * math.log2(dim),
-        bits_bob_to_alice=2 * math.log2(dim),
-    )
-    return branches, report
+    return locc.run_protocol(bqst_program(u), initial), bqst_cost(dim, dim * dim)

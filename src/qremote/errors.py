@@ -70,6 +70,10 @@ class MalformedProblem(QRemoteError):
     """A problem document lacks a key or holds a value of the wrong JSON type."""
 
 
+class UnsupportedProblem(QRemoteError):
+    """A command does not handle this problem's kind or size."""
+
+
 class NotNormalized(QRemoteError, ValueError):
     """A state vector's norm deviates from 1 beyond the tolerance."""
 

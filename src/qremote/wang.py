@@ -60,7 +60,7 @@ class Phases:
         vals = np.asarray(self.values, dtype=complex).reshape(-1)
         if not np.isfinite(vals).all():
             raise NonFinite("coefficients must be finite")
-        if np.abs(np.abs(vals) - 1.0).max() > qcore.NORM_TOL:
+        if (np.abs(np.abs(vals) - 1.0) > qcore.NORM_TOL).any():
             raise NonUnimodularCoefficient("coefficients must have modulus 1")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -248,7 +248,7 @@ def trace_branch(
     in-range (l, m) has probability 1/n^2 whatever the input.
     """
     if not (0 <= l < p.n and 0 <= m < p.n):
-        raise ValueError(f"branch ({l},{m}) out of range for {p.n} outcomes")
+        raise DimensionMismatch(f"branch ({l},{m}) out of range for {p.n} outcomes")
     program = wang_program(p, phases)
     initial = qcore.tensor(input_state, locc.maximally_entangled(p.n))
     wanted = {"l": l, "m": m}.items()

@@ -151,9 +151,7 @@ def test_criterion_6_lower_bound():
             assert entcost.operator_rank(p.blocks) == n
             flags = []
             for d in range(1, n + 3):
-                verdict = entcost.feasibility_test(
-                    entcost.FeasibilityInstance(p.blocks, d)
-                )
+                verdict = entcost.feasibility_test(entcost.operator_rank(p.blocks), d)
                 flags.append(verdict.feasible)
                 if d < n:
                     assert not verdict.feasible

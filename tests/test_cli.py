@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qremote import entcost, groupform, qcore, wang
-from qremote.cli import main, matrix_to_json, vector_to_json
+from qremote.cli import load_problem, main, matrix_to_json, vector_to_json
 
 
 def write_problem(tmp_path, name, doc):
@@ -51,7 +51,7 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["run", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: MalformedProblem:" in capsys.readouterr().err
 
 
 def test_invalid_partition_diagnostic_names_invariant(tmp_path, capsys):
@@ -69,6 +69,7 @@ def test_invalid_partition_diagnostic_names_invariant(tmp_path, capsys):
     ("input", [["NaN", 0.0], [0.0, 0.0], [0.0, 0.0]]),
     ("phases", [[1.0, 0.0], ["NaN", 0.0], [1.0, 0.0]]),
     ("input", [["Infinity", 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    ("blocks", [[[["NaN", 0.0]]]]),
 ])
 def test_non_finite_values_exit_2_as_nonfinite(tmp_path, capsys, field, value):
     doc = diagonal_wang_doc(3, np.ones(3))
@@ -139,6 +140,9 @@ PROBLEM_DOCS = {
     ("wang", "dim", 3, "DimensionMismatch"),
     ("group", "order", 3, "DimensionMismatch"),
     ("bqst", "dim", 3, "DimensionMismatch"),
+    ("group", "names", "xy", "MalformedProblem"),
+    ("group", "blocks", [0], "DimensionMismatch"),
+    ("wang", "phases", [], "DimensionMismatch"),
 ])
 def test_document_errors_exit_2_with_the_invariant_named(tmp_path, capsys, kind, key, value, name):
     doc = PROBLEM_DOCS[kind]()
@@ -146,6 +150,61 @@ def test_document_errors_exit_2_with_the_invariant_named(tmp_path, capsys, kind,
     path = write_problem(tmp_path, "bad.json", doc)
     assert main(["run", path]) == 2
     assert f"error: {name}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["trace", "{wang7}"], "UnsupportedProblem"),
+    (["trace", "{wang}", "--branch", "1"], "MalformedProblem"),
+    (["trace", "{wang}", "--branch", "a,b"], "MalformedProblem"),
+    (["trace", "{wang}", "--branch", "2,0"], "DimensionMismatch"),
+    (["run", "{not_utf8}"], "MalformedProblem"),
+])
+def test_command_rejections_exit_2_with_the_class_named(tmp_path, capsys, argv, name):
+    paths = {
+        "wang7": write_problem(tmp_path, "wang7.json", diagonal_wang_doc(7, np.ones(7))),
+        "wang": write_problem(tmp_path, "wang.json", PROBLEM_DOCS["wang"]()),
+        "not_utf8": str(tmp_path / "latin1.json"),
+    }
+    (tmp_path / "latin1.json").write_bytes(b'{"kind": "\xe9"}')   # Latin-1, not UTF-8
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert f"error: {name}:" in capsys.readouterr().err
+
+
+def test_a_bare_value_error_is_not_reported_as_invalid_input(tmp_path, monkeypatch):
+    def broken(*args):
+        raise ValueError("a library bug")
+
+    monkeypatch.setattr(wang, "run_wang", broken)
+    path = write_problem(tmp_path, "w.json", diagonal_wang_doc(2, np.ones(2)))
+    with pytest.raises(ValueError, match="a library bug"):
+        main(["run", path])
+
+
+def test_problem_meta_holds_what_the_commands_read(tmp_path):
+    rep = groupform.pauli_rep()
+    group = {
+        "kind": "group",
+        "order": 4,
+        "cayley": rep.group.cayley.tolist(),
+        "matrices": [matrix_to_json(m) for m in rep.matrices],
+        "coefficients": vector_to_json(np.array([1.0, 0, 0, 0])),
+        "blocks": [2],   # validated, not stored
+    }
+    expected = {"wang": {"partition", "phases", "input"}, "group": {"rep"}, "bqst": set()}
+    for kind, doc in [("wang", PROBLEM_DOCS["wang"]()), ("group", group),
+                      ("bqst", PROBLEM_DOCS["bqst"]())]:
+        assert set(load_problem(write_problem(tmp_path, f"{kind}.json", doc)).meta) == expected[kind]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cost", "{path}", "--input", "[[1, 0], [0, 0]]"],   # cost ignores the input state
+    ["gen", "--seed", "-1"],                             # numpy seeds are non-negative
+])
+def test_argument_errors_exit_2(tmp_path, argv):
+    path = write_problem(tmp_path, "w.json", diagonal_wang_doc(2, np.ones(2)))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(path=path) for arg in argv])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("field, value, name", [
@@ -256,6 +315,7 @@ def test_trace_rejects_group_problems(tmp_path, capsys):
     }
     path = write_problem(tmp_path, "g.json", doc)
     assert main(["trace", path]) == 2
+    assert "error: UnsupportedProblem:" in capsys.readouterr().err
 
 
 def test_cost_diagonal_qubit(tmp_path, capsys):
@@ -330,6 +390,7 @@ def test_cost_rejects_bqst_problems(tmp_path, capsys):
     doc = {"kind": "bqst", "dim": 2, "unitary": matrix_to_json(np.eye(2))}
     path = write_problem(tmp_path, "b.json", doc)
     assert main(["cost", path]) == 2
+    assert "error: UnsupportedProblem:" in capsys.readouterr().err
 
 
 def test_gen_is_deterministic_and_valid(tmp_path, capsys):

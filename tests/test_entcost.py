@@ -1,11 +1,14 @@
 """Rank accounting, feasibility certificates, cost comparison, and the
 teleport-both-ways baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qremote import entcost, locc, qcore, wang
-from qremote.errors import NonUnitary
+from qremote.errors import DimensionMismatch, NonUnitary
+from qremote.qcore import StateVector
 
 from util import random_state, stacked_rank
 
@@ -29,12 +32,12 @@ def test_partition_blocks_are_independent():
 
 def test_feasibility_verdicts():
     blocks = tuple(np.diag(np.eye(3)[i]).astype(complex) for i in range(3))
-    bad = entcost.feasibility_test(entcost.FeasibilityInstance(blocks, 2))
+    bad = entcost.feasibility_test(entcost.operator_rank(blocks), 2)
     assert not bad.feasible
     assert bad.operator_rank == 3 and bad.resource_rank == 2
     assert "operator_rank(blocks) = 3 > d = 2" in bad.certificate
 
-    good = entcost.feasibility_test(entcost.FeasibilityInstance(blocks, 3))
+    good = entcost.feasibility_test(entcost.operator_rank(blocks), 3)
     assert good.feasible
     assert good.maximal_entanglement_required == "unknown"
 
@@ -51,25 +54,32 @@ def test_feasibility_verdicts():
 def test_single_known_operation_needs_no_entanglement():
     rng = np.random.default_rng(2)
     block = (qcore.random_unitary(3, rng),)
-    verdict = entcost.feasibility_test(entcost.FeasibilityInstance(block, 1))
+    verdict = entcost.feasibility_test(entcost.operator_rank(block), 1)
     assert verdict.feasible
 
 
 def test_partial_entanglement_counts_nonzero_coefficients():
     blocks = tuple(np.diag(np.eye(3)[i]).astype(complex) for i in range(3))
     h = np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0])
-    verdict = entcost.feasibility_test(
-        entcost.FeasibilityInstance(blocks, 3, schmidt_coefficients=h)
-    )
+    resource = StateVector(np.diag(h).reshape(-1), (3, 3))   # sum_k h_k |k>|k>
+    d = qcore.schmidt(resource, [0]).rank
+    verdict = entcost.feasibility_test(entcost.operator_rank(blocks), d)
     assert verdict.resource_rank == 2
     assert not verdict.feasible
+
+
+def test_empty_resource_or_block_list_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        entcost.feasibility_test(1, 0)
+    with pytest.raises(DimensionMismatch):
+        entcost.compare_costs([], 2)
 
 
 def test_feasibility_monotone_in_rank():
     rng = np.random.default_rng(3)
     p = wang.random_partition(6, 4, rng)
     feasible_flags = [
-        entcost.feasibility_test(entcost.FeasibilityInstance(p.blocks, d)).feasible
+        entcost.feasibility_test(entcost.operator_rank(p.blocks), d).feasible
         for d in range(1, 9)
     ]
     assert feasible_flags == sorted(feasible_flags)   # False... then True...
@@ -83,7 +93,7 @@ def test_infeasible_certificates_are_sound():
         n = int(rng.integers(2, dim + 1))
         p = wang.random_partition(dim, n, rng)
         for d in range(1, n):
-            verdict = entcost.feasibility_test(entcost.FeasibilityInstance(p.blocks, d))
+            verdict = entcost.feasibility_test(entcost.operator_rank(p.blocks), d)
             assert not verdict.feasible
             assert stacked_rank(p.blocks) > d   # recomputed independently
 
@@ -93,6 +103,13 @@ def test_cost_report_verdict_invariant():
     assert row.verdict == "infeasible"
     row = entcost.CostReport("x", 3, 3, 1.0, 1.0, 1.0)
     assert row.verdict == "feasible"
+
+
+def test_cost_report_verdict_is_the_feasibility_test():
+    for d in range(1, 7):
+        for n in range(1, 7):
+            row = entcost.CostReport("x", d, n, 1.0, 1.0, 1.0)
+            assert (row.verdict == "feasible") == entcost.feasibility_test(n, d).feasible
 
 
 def test_compare_costs_diagonal_qubit():
@@ -150,6 +167,15 @@ def test_teleport_identity_roundtrip():
     assert report.bits_alice_to_bob == pytest.approx(2.0)
     for branch in branches:
         assert qcore.factor_overlap(branch.state, psi.amplitudes, 4) >= 1 - 1e-9
+
+
+def test_teleport_report_is_the_bqst_cost_row():
+    rng = np.random.default_rng(9)
+    for dim in (2, 3):
+        _, report = entcost.bqst_teleport(qcore.random_unitary(dim, rng), random_state(dim, rng))
+        row = entcost.compare_costs(wang.diagonal_partition(dim).blocks, dim).rows[1]
+        assert report.controlled_parameters == dim * dim
+        assert dataclasses.replace(report, controlled_parameters=dim) == row
 
 
 def test_teleport_random_qubit_unitary():
