@@ -9,7 +9,7 @@ resource, and provides the teleport-both-ways baseline for comparison.
 from . import cli, entcost, errors, groupform, locc, qcore, wang
 from .errors import QRemoteError
 from .locc import Party, maximally_entangled, run_protocol
-from .qcore import StateVector, apply_local, fidelity, measure_computational, schmidt, tensor
+from .qcore import StateVector, apply_local, measure_computational, schmidt, tensor
 from .wang import run_wang, svd_remote, validate_partition
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "cli",
     "entcost",
     "errors",
-    "fidelity",
     "groupform",
     "locc",
     "maximally_entangled",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import locc, qcore, wang
+from . import locc, qcore
 from .errors import DimensionMismatch, NonUnitary
 from .locc import ALICE, BOB, Branch, ConditionalStep, LocalStep, MeasureStep, Program
 from .qcore import StateVector
@@ -120,31 +120,6 @@ def compare_costs(blocks, dim: int, protocol: str = "wang") -> CostComparison:
     )
 
 
-def render_cost_table(rows) -> str:
-    """Aligned-column text table for a sequence of CostReports."""
-    header = (
-        "protocol", "schmidt_rank", "params", "ebits",
-        "bits A->B", "bits B->A", "verdict",
-    )
-    body = [
-        (
-            r.protocol,
-            str(r.schmidt_rank),
-            str(r.controlled_parameters),
-            f"{r.ebits:g}",
-            f"{r.bits_alice_to_bob:g}",
-            f"{r.bits_bob_to_alice:g}",
-            r.verdict,
-        )
-        for r in rows
-    ]
-    widths = [max(len(h), *(len(row[i]) for row in body)) for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
 # --- bidirectional teleportation baseline -------------------------------------
 
 def _clock(dim: int) -> np.ndarray:
@@ -161,9 +136,11 @@ def bqst_program(unitary: np.ndarray) -> Program:
     """
     u = np.asarray(unitary, dtype=complex)
     dim = u.shape[0]
-    csub = wang.controlled_shift(wang.diagonal_partition(dim))
-    f_inv = qcore.fourier_matrix(dim).conj().T
     shift = qcore.shift_matrix(dim)
+    shifts = [np.linalg.matrix_power(shift, i) for i in range(dim)]
+    # CX^-1 = sum_i |i><i| (x) X^i
+    csub = qcore.kron_sum([np.diag(e) for e in np.eye(dim)], shifts)
+    f_inv = qcore.fourier_matrix(dim).conj().T
     clock = _clock(dim)
     return Program(
         owners=(ALICE, ALICE, BOB, BOB, ALICE),
@@ -173,7 +150,7 @@ def bqst_program(unitary: np.ndarray) -> Program:
             LocalStep(ALICE, "F^-1", f_inv, (0,)),
             MeasureStep(ALICE, 0, "p", send_to=BOB),
             MeasureStep(ALICE, 1, "q", send_to=BOB),
-            ConditionalStep(BOB, "X^q", lambda q: np.linalg.matrix_power(shift, q), (2,), "q"),
+            ConditionalStep(BOB, "X^q", lambda q: shifts[q], (2,), "q"),
             ConditionalStep(BOB, "Z^p", lambda p: np.linalg.matrix_power(clock, p), (2,), "p"),
             # the remote operation
             LocalStep(BOB, "U", u, (2,)),
@@ -182,7 +159,7 @@ def bqst_program(unitary: np.ndarray) -> Program:
             LocalStep(BOB, "F^-1", f_inv, (2,)),
             MeasureStep(BOB, 2, "r", send_to=ALICE),
             MeasureStep(BOB, 3, "s", send_to=ALICE),
-            ConditionalStep(ALICE, "X^s", lambda s: np.linalg.matrix_power(shift, s), (4,), "s"),
+            ConditionalStep(ALICE, "X^s", lambda s: shifts[s], (4,), "s"),
             ConditionalStep(ALICE, "Z^r", lambda r: np.linalg.matrix_power(clock, r), (4,), "r"),
         ),
     )

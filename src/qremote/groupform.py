@@ -214,14 +214,6 @@ def cyclic_character_rep(n: int) -> ProjectiveRep:
     return projective_rep(cyclic(n), mats, mu=np.ones((n, n)))
 
 
-def klein_character_rep() -> ProjectiveRep:
-    """Z2 x Z2 by its four characters on the diagonal."""
-    group = klein_four()
-    signs = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
-    mats = [np.diag(signs[:, f].astype(complex)) for f in range(4)]
-    return projective_rep(group, mats, mu=np.ones((4, 4)))
-
-
 def pauli_rep() -> ProjectiveRep:
     """Projective rep of Z2 x Z2 by I, X, Z, XZ (anticommutation gives mu = -1 entries)."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -250,17 +242,6 @@ def dihedral3_rep() -> ProjectiveRep:
 
 
 # --- protocol operators -------------------------------------------------------
-
-def entangler(rep: ProjectiveRep) -> np.ndarray:
-    """P = sum_f U(f) (x) |f><f| on (A, a)."""
-    n = rep.group.order
-    total = np.zeros((rep.dim * n, rep.dim * n), dtype=complex)
-    for f, m in enumerate(rep.matrices):
-        sel = np.zeros((n, n), dtype=complex)
-        sel[f, f] = 1.0
-        total += np.kron(m, sel)
-    return total
-
 
 def z_gate(g: int, order: int) -> np.ndarray:
     """Z(g)|f> = (1/sqrt|G|) <g|F|f>^{-1} |f> for the Fourier matrix F.
@@ -317,10 +298,12 @@ def group_program(rep: ProjectiveRep, coefficients) -> Program:
     mix = mixer(rep, coefficients)
     inverses = rep.group.inverses
     mats = rep.matrices
+    labels = [np.diag(e) for e in np.eye(n)]
     return Program(
         owners=locc.PROTOCOL_OWNERS,
         steps=(
-            LocalStep(ALICE, "P", entangler(rep), (0, 1)),
+            # P = sum_f U(f) (x) |f><f| on (A, a): entangles the group label
+            LocalStep(ALICE, "P", qcore.kron_sum(mats, labels), (0, 1)),
             LocalStep(ALICE, "F", qcore.fourier_matrix(n), (1,)),
             MeasureStep(ALICE, 1, "g", send_to=BOB),
             ConditionalStep(BOB, "Z(g)", lambda g: z_gate(g, n), (2,), "g"),
@@ -412,11 +395,3 @@ def coefficients_from_unitary(unitary: np.ndarray, decomp: BlockDecomposition) -
             acc += (d / order) * np.sum(block_rep.conj() * block_target)
         coeffs[f] = acc
     return coeffs
-
-
-def random_block_diagonal_unitary(decomp: BlockDecomposition, rng: np.random.Generator) -> np.ndarray:
-    """Random unitary respecting the decomposition's block layout."""
-    out = np.zeros((decomp.rep.dim, decomp.rep.dim), dtype=complex)
-    for d, o in zip(decomp.dims, decomp.offsets):
-        out[o : o + d, o : o + d] = qcore.random_unitary(d, rng)
-    return out

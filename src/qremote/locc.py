@@ -10,8 +10,8 @@ that carried outcomes between the parties.
 run_protocol advances all branches together. Their states are the rows of
 one array over the factors not yet measured. A measurement splits each row
 into one row per outcome above PROB_FLOOR and drops the measured axis; the
-outcome goes into a column, and a later step on that factor puts it back
-as a one-hot axis. A local step is one matrix product over all rows. A
+outcome goes into a column, and a later step on that factor is a
+DimensionMismatch. A local step is one matrix product over all rows. A
 conditioned step builds and checks its operator once per distinct outcome
 value and gathers it per row. A transcript is a function of the program
 and its row's outcomes, and each branch's full state is built once, at the
@@ -195,24 +195,17 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
     column: dict[int, int] = {}           # measured factor -> its outcome column
     inbox: dict[Party, dict[str, int]] = {ALICE: {}, BOB: {}}   # tag -> column
 
-    def revive(batch, factors):
-        """Re-insert measured factors as one-hot axes holding their outcome."""
-        for f in factors:
-            if f in live:
-                continue
-            axis = 1 + sum(g < f for g in live)
-            grown = np.zeros(batch.shape[:axis] + (dims[f],) + batch.shape[axis:], complex)
-            rows = np.arange(len(batch))
-            np.moveaxis(grown, axis, 1)[rows, outcomes[rows, column.pop(f)]] = batch
-            batch = grown
-            live.insert(axis - 1, f)
-        return batch
+    def axes(targets) -> list[int]:
+        """Batch axes of the target factors, which must not be measured yet."""
+        for t in targets:
+            if t not in live:
+                raise DimensionMismatch(f"factor {t} was measured and cannot be used again")
+        return [1 + live.index(t) for t in targets]
 
     for step in program.steps:
         if isinstance(step, MeasureStep):
             _check_locality(owners, step.party, (step.target,))
-            batch = revive(batch, (step.target,))
-            axis = 1 + live.index(step.target)
+            (axis,) = axes((step.target,))
             moved = np.moveaxis(batch, axis, 1)
             slabs = moved.reshape(moved.shape[:2] + (-1,))
             p = np.einsum("bkr,bkr->bk", slabs.conj(), slabs).real
@@ -229,6 +222,7 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
                 inbox[step.send_to][step.message] = column[step.target]
             continue
         _check_locality(owners, step.party, step.targets)
+        targets = axes(step.targets)
         if isinstance(step, LocalStep):
             ops = qcore.local_unitary(step.matrix, dims, step.targets)
         else:
@@ -244,12 +238,10 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
             ops = np.stack([
                 qcore.local_unitary(step.build(int(v)), dims, step.targets) for v in values
             ])[index]
-        batch = revive(batch, step.targets)
-        axes = [1 + live.index(t) for t in step.targets]
-        front = range(1, len(axes) + 1)
-        moved = np.moveaxis(batch, axes, front)
+        front = range(1, len(targets) + 1)
+        moved = np.moveaxis(batch, targets, front)
         out = ops @ moved.reshape(len(moved), ops.shape[-1], -1)
-        batch = np.moveaxis(out.reshape(moved.shape), front, axes)
+        batch = np.moveaxis(out.reshape(moved.shape), front, targets)
 
     events = _transcript_events(program)
     branches = []
@@ -290,23 +282,6 @@ def _step_events(step: Step, outcome: int | None) -> tuple[Event, ...]:
         return measured + (ClassicalMessageEvent(step.party, step.send_to, step.message, outcome),)
     consumed = step.message if isinstance(step, ConditionalStep) else None
     return (LocalOpEvent(step.party, step.label, step.targets, consumed),)
-
-
-def validate_transcript(transcript: Transcript, owners) -> None:
-    """Structural audit: locality of every event and message-before-use causality."""
-    delivered: dict[Party, set[str]] = {ALICE: set(), BOB: set()}
-    for event in transcript.events:
-        if isinstance(event, LocalOpEvent):
-            _check_locality(owners, event.party, event.targets)
-            if event.consumed is not None and event.consumed not in delivered[event.party]:
-                raise MissingClassicalDependency(
-                    f"{event.party.value} used outcome {event.consumed!r} "
-                    "before any message delivered it"
-                )
-        elif isinstance(event, MeasurementEvent):
-            _check_locality(owners, event.party, (event.target,))
-        else:
-            delivered[event.receiver].add(event.tag)
 
 
 def transcript_lines(transcript: Transcript) -> list[str]:

@@ -93,19 +93,6 @@ def ket(index: int, dim: int) -> StateVector:
     return StateVector(amps, (dim,))
 
 
-def basis_state(indices, dims) -> StateVector:
-    """Computational basis state |i0, i1, ...> over the given factors."""
-    dims = tuple(int(d) for d in dims)
-    flat = 0
-    for i, d in zip(indices, dims, strict=True):
-        if not 0 <= i < d:
-            raise DimensionMismatch(f"basis index {i} out of range for dim {d}")
-        flat = flat * d + i
-    amps = np.zeros(math.prod(dims), dtype=complex)
-    amps[flat] = 1.0
-    return StateVector(amps, dims)
-
-
 def tensor(a, b):
     """Kronecker product of two matrices or two states (factor lists concatenate)."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
@@ -115,6 +102,21 @@ def tensor(a, b):
     if isinstance(a, StateVector) or isinstance(b, StateVector):
         raise TypeError("tensor expects two matrices or two states, not a mix")
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def kron_sum(left, right) -> np.ndarray:
+    """sum_i left[i] (x) right[i] for two equally long stacks of square
+    matrices, as one matrix product over the term index i."""
+    a = np.asarray(left, dtype=complex)
+    b = np.asarray(right, dtype=complex)
+    n, da, db = len(a), a.shape[-1], b.shape[-1]
+    if a.shape != (n, da, da) or b.shape != (n, db, db):
+        raise DimensionMismatch(
+            f"kron_sum needs two stacks of n square matrices, got {a.shape} and {b.shape}"
+        )
+    # entry ((r, c), (s, t)) = sum_i a[i, r, c] b[i, s, t], regrouped to ((r, s), (c, t))
+    terms = a.reshape(n, -1).T @ b.reshape(n, -1)
+    return terms.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
 def is_unitary(m: np.ndarray, tol: float = NORM_TOL) -> bool:
@@ -210,17 +212,6 @@ def schmidt(state: StateVector, cut) -> SchmidtForm:
     )
 
 
-def schmidt_reconstruct(form: SchmidtForm) -> StateVector:
-    """Rebuild sum_i h_i |l_i>|r_i> and restore the original factor order."""
-    matrix = (form.left_basis * form.coefficients) @ form.right_basis.conj().T
-    left_dims = tuple(form.factor_dims[i] for i in form.cut)
-    rest = tuple(i for i in range(len(form.factor_dims)) if i not in form.cut)
-    rest_dims = tuple(form.factor_dims[i] for i in rest)
-    tensor_form = matrix.reshape(left_dims + rest_dims)
-    tensor_form = np.moveaxis(tensor_form, range(len(form.cut)), form.cut)
-    return StateVector(tensor_form.reshape(-1), form.factor_dims)
-
-
 def fourier_matrix(n: int) -> np.ndarray:
     """Discrete Fourier transform, entries e^{2*pi*i*m*j/n} / sqrt(n)."""
     if n < 1:
@@ -237,15 +228,6 @@ def shift_matrix(n: int) -> np.ndarray:
     for k in range(n):
         m[(k - 1) % n, k] = 1.0
     return m
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|; equality up to global phase means fidelity 1."""
-    if a.factor_dims != b.factor_dims:
-        raise DimensionMismatch(
-            f"cannot compare factors {a.factor_dims} with {b.factor_dims}"
-        )
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
 
 
 def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:

@@ -87,17 +87,23 @@ def validate_partition(blocks) -> BlockPartition:
             raise DimensionMismatch(
                 f"block {i} has shape {b.shape}, expected ({dim}, {dim})"
             )
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            if i == j:
-                continue
-            overlap = np.abs(mats[i].conj().T @ mats[j]).max()
-            if overlap > qcore.NORM_TOL:
-                raise OverlappingBlocks(
-                    f"blocks {i} and {j} overlap: max |A_i^dag A_j| = {overlap:.3e}"
-                )
-    gram = sum(b.conj().T @ b for b in mats)
-    dev = np.abs(gram - np.eye(dim)).max()
+        if not np.isfinite(b).all():
+            raise NonFinite(f"block {i} has a non-finite entry")
+    # entries near the float limit can overflow these products; such a block
+    # is still rejected by name (its singular values are not 1), so numpy
+    # need not warn about the overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(mats)):
+            for j in range(len(mats)):
+                if i == j:
+                    continue
+                overlap = np.abs(mats[i].conj().T @ mats[j]).max()
+                if overlap > qcore.NORM_TOL:
+                    raise OverlappingBlocks(
+                        f"blocks {i} and {j} overlap: max |A_i^dag A_j| = {overlap:.3e}"
+                    )
+        gram = sum(b.conj().T @ b for b in mats)
+        dev = np.abs(gram - np.eye(dim)).max()
     if dev > qcore.NORM_TOL:
         raise IncompleteBlocks(
             f"sum A_i^dag A_i deviates from identity by {dev:.3e}"
@@ -177,17 +183,6 @@ def assemble(p: BlockPartition, phases: Phases) -> np.ndarray:
     return total
 
 
-def controlled_shift(p: BlockPartition) -> np.ndarray:
-    """P = sum_i P_i (x) X^i on (A, a): shifts the ancilla by the block index.
-
-    X^i moves |d> to |d - i>, so entry ((a, c), (b, d)) is P_{(d - c) mod n}[a, b]:
-    each (c, d) block of the ancilla picks one projector."""
-    n = p.n
-    ancilla = np.arange(n)
-    blocks = np.stack(projectors(p))[(ancilla[None, :] - ancilla[:, None]) % n]
-    return blocks.transpose(2, 0, 3, 1).reshape(p.dim * n, p.dim * n)
-
-
 def phase_gate(phases: Phases) -> np.ndarray:
     """Bob's C = diag(c_0 .. c_{N-1})."""
     return np.diag(phases.values)
@@ -207,14 +202,14 @@ def wang_program(p: BlockPartition, phases: Phases) -> Program:
     if len(phases) != p.n:
         raise DimensionMismatch(f"{len(phases)} coefficients for {p.n} blocks")
     shift = qcore.shift_matrix(p.n)
+    shifts = [np.linalg.matrix_power(shift, i) for i in range(p.n)]
     return Program(
         owners=locc.PROTOCOL_OWNERS,
         steps=(
-            LocalStep(ALICE, "P", controlled_shift(p), (0, 1)),
+            # P = sum_i P_i (x) X^i on (A, a): shifts the ancilla by the block index
+            LocalStep(ALICE, "P", qcore.kron_sum(projectors(p), shifts), (0, 1)),
             MeasureStep(ALICE, 1, "l", send_to=BOB),
-            ConditionalStep(
-                BOB, "X^l", lambda l: np.linalg.matrix_power(shift, l), (2,), "l"
-            ),
+            ConditionalStep(BOB, "X^l", lambda l: shifts[l], (2,), "l"),
             LocalStep(BOB, "C", phase_gate(phases), (2,)),
             LocalStep(BOB, "F", qcore.fourier_matrix(p.n), (2,)),
             MeasureStep(BOB, 2, "m", send_to=ALICE),

@@ -13,7 +13,14 @@ import pytest
 
 from qremote import entcost, groupform, qcore, wang
 
-from util import random_diag_phases, random_state, stacked_rank
+from util import (
+    fidelity,
+    klein_character_rep,
+    random_block_diagonal_unitary,
+    random_diag_phases,
+    random_state,
+    stacked_rank,
+)
 
 
 def criterion(label):
@@ -106,13 +113,13 @@ def test_criterion_4_coefficient_round_trip():
         (groupform.cyclic_character_rep(2), (1, 1)),
         (groupform.cyclic_character_rep(3), (1, 1, 1)),
         (groupform.cyclic_character_rep(4), (1, 1, 1, 1)),
-        (groupform.klein_character_rep(), (1, 1, 1, 1)),
+        (klein_character_rep(), (1, 1, 1, 1)),
         (groupform.pauli_rep(), (2,)),
     )
     for rep, dims in cases:
         decomp = groupform.block_decomposition(rep, dims)
         for _ in range(100):
-            target = groupform.random_block_diagonal_unitary(decomp, rng)
+            target = random_block_diagonal_unitary(decomp, rng)
             c = groupform.coefficients_from_unitary(target, decomp)
             reassembled = sum(cf * m for cf, m in zip(c, rep.matrices))
             assert np.abs(reassembled - target).max() <= 1e-9
@@ -138,7 +145,7 @@ def test_criterion_5_cross_protocol_consistency():
         }
         assert wang_branches.keys() == group_branches.keys()
         for key, wb in wang_branches.items():
-            assert qcore.fidelity(wb.output, group_branches[key].output) >= 1 - 1e-9
+            assert fidelity(wb.output, group_branches[key].output) >= 1 - 1e-9
 
 
 @criterion("criterion 6 (rank lower bound with sound certificates)")

@@ -2,11 +2,15 @@
 and deterministic generation."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qremote
 from qremote import entcost, groupform, qcore, wang
 from qremote.cli import load_problem, main, matrix_to_json, vector_to_json
 
@@ -79,6 +83,27 @@ def test_non_finite_values_exit_2_as_nonfinite(tmp_path, capsys, field, value):
     path.write_text(json.dumps(doc).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity"))
     assert main(["run", str(path)]) == 2
     assert "NonFinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("blocks", 1e308, "IncompleteBlocks"),
+    ("input", [[1e308, 0.0], [0.0, 0.0], [0.0, 0.0]], "NonFinite"),
+])
+def test_overflowing_values_exit_2_without_numpy_warnings(tmp_path, field, value, name):
+    doc = diagonal_wang_doc(3, np.ones(3))
+    if field == "blocks":
+        doc["blocks"][0][0][0] = [value, 0.0]
+    else:
+        doc[field] = value
+    path = write_problem(tmp_path, "big.json", doc)
+    # a separate interpreter, so numpy's warnings reach stderr as a user sees them
+    env = {**os.environ, "PYTHONPATH": str(Path(qremote.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qremote", "run", path], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {name}:")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("edit", [

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qremote import entcost, locc, qcore, wang
+from qremote import cli, entcost, locc, qcore, wang
 from qremote.errors import DimensionMismatch, NonUnitary
 from qremote.qcore import StateVector
 
@@ -151,7 +151,7 @@ def test_wang_row_matches_consumed_resource_rank():
 
 def test_render_cost_table_alignment():
     comparison = entcost.compare_costs(wang.diagonal_partition(2).blocks, 2)
-    text = entcost.render_cost_table(comparison.rows)
+    text = cli.render_cost_table(comparison.rows)
     lines = text.splitlines()
     assert lines[0].startswith("protocol")
     assert len(lines) == 3

@@ -8,31 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qremote import entcost, groupform, locc, qcore, wang
-from qremote.errors import LocalityViolation, MissingClassicalDependency, NonUnitary
+from qremote.errors import (
+    DimensionMismatch, LocalityViolation, MissingClassicalDependency, NonUnitary,
+)
 from qremote.locc import ALICE, BOB, ConditionalStep, LocalStep, MeasureStep, Program
 
 from reference_executor import run_reference
-from util import random_state
+from util import fidelity, klein_character_rep, random_block_diagonal_unitary, random_state
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 GROUP_REPS = {
     "cyclic-3": (lambda: groupform.cyclic_character_rep(3), (1, 1, 1)),
     "cyclic-5": (lambda: groupform.cyclic_character_rep(5), (1,) * 5),
-    "klein": (groupform.klein_character_rep, (1, 1, 1, 1)),
+    "klein": (klein_character_rep, (1, 1, 1, 1)),
     "pauli": (groupform.pauli_rep, (2,)),
     "dihedral3": (groupform.dihedral3_rep, (1, 1, 2)),
 }
 
 
 def unmeasured_factors(program):
-    """Factors no measurement leaves in a basis state at the program's end."""
-    unmeasured = set(range(len(program.owners)))
-    for step in program.steps:
-        if isinstance(step, MeasureStep):
-            unmeasured.discard(step.target)
-        else:
-            unmeasured.update(step.targets)
-    return unmeasured
+    """Factors no step measures; measured ones stay in a basis state."""
+    measured = {step.target for step in program.steps if isinstance(step, MeasureStep)}
+    return set(range(len(program.owners))) - measured
 
 
 def assert_matches_reference(program, initial):
@@ -48,7 +45,7 @@ def assert_matches_reference(program, initial):
             # the output is the one unmeasured register, factored out
             (k,) = unmeasured
             assert g.output is not None
-            assert qcore.fidelity(g.output, qcore.factor_state(w.state, k)) >= 1 - 1e-12
+            assert fidelity(g.output, qcore.factor_state(w.state, k)) >= 1 - 1e-12
     return got
 
 
@@ -61,7 +58,7 @@ def group_setup(name, rng):
     rep = make()
     decomp = groupform.block_decomposition(rep, block_dims)
     c = groupform.coefficients_from_unitary(
-        groupform.random_block_diagonal_unitary(decomp, rng), decomp
+        random_block_diagonal_unitary(decomp, rng), decomp
     )
     return rep, c, random_state(rep.dim, rng)
 
@@ -110,45 +107,37 @@ def test_svd_remote_matches_reference():
         assert abs(g.probability - w.probability) <= 1e-12
         post = qcore.apply_local(program.post, w.state, (0,))
         np.testing.assert_allclose(g.state.amplitudes, post.amplitudes, rtol=0, atol=1e-12)
-        assert qcore.fidelity(g.output, qcore.factor_state(post, 0)) >= 1 - 1e-12
+        assert fidelity(g.output, qcore.factor_state(post, 0)) >= 1 - 1e-12
 
 
 # --- synthetic programs --------------------------------------------------------
 
-def two_party_state(rng):
-    amps = rng.normal(size=6) + 1j * rng.normal(size=6)
-    return qcore.StateVector(amps / np.linalg.norm(amps), (2, 3))
-
-
 def test_unsent_outcome_is_used_by_its_own_party():
+    rng = np.random.default_rng(0)
+    amps = rng.normal(size=12) + 1j * rng.normal(size=12)
+    initial = qcore.StateVector(amps / np.linalg.norm(amps), (2, 2, 3))
     z = np.diag([1.0, -1.0]).astype(complex)
-    program = Program((ALICE, BOB), (
+    program = Program((ALICE, ALICE, BOB), (
         LocalStep(ALICE, "H", HADAMARD, (0,)),
         MeasureStep(ALICE, 0, "x", send_to=None),
-        ConditionalStep(ALICE, "Z^x", lambda x: np.linalg.matrix_power(z, x), (0,), "x"),
-        LocalStep(BOB, "X", qcore.shift_matrix(3), (1,)),
+        ConditionalStep(ALICE, "Z^x", lambda x: np.linalg.matrix_power(z, x), (1,), "x"),
+        LocalStep(BOB, "X", qcore.shift_matrix(3), (2,)),
     ))
-    branches = assert_matches_reference(program, two_party_state(np.random.default_rng(0)))
+    branches = assert_matches_reference(program, initial)
     assert len(branches) == 2
     assert all(b.outcomes == {} for b in branches)
 
 
-def test_measured_factor_is_acted_on_and_measured_again():
-    program = Program((ALICE, BOB), (
-        MeasureStep(ALICE, 0, "x", send_to=BOB),
-        MeasureStep(ALICE, 0, "y"),              # the same basis state again
-        LocalStep(ALICE, "H", HADAMARD, (0,)),   # revives the measured factor
-        MeasureStep(ALICE, 0, "z", send_to=BOB),
-        ConditionalStep(
-            BOB, "X^x", lambda x: np.linalg.matrix_power(qcore.shift_matrix(3), x), (1,), "x"
-        ),
-        MeasureStep(BOB, 1, "w"),
-        LocalStep(BOB, "F", qcore.fourier_matrix(3), (1,)),
+def test_a_step_on_a_measured_factor_is_a_dimension_mismatch():
+    initial = qcore.tensor(qcore.ket(0, 2), qcore.ket(0, 3))
+    for step in (
         LocalStep(ALICE, "H", HADAMARD, (0,)),
-    ))
-    branches = assert_matches_reference(program, two_party_state(np.random.default_rng(1)))
-    assert len(branches) == 2 * 2 * 3
-    assert all(b.output is None for b in branches)   # both factors end unmeasured
+        ConditionalStep(ALICE, "Z^x", lambda x: np.eye(2), (0,), "x"),
+        MeasureStep(ALICE, 0, "y"),
+    ):
+        program = Program((ALICE, BOB), (MeasureStep(ALICE, 0, "x"), step))
+        with pytest.raises(DimensionMismatch, match="factor 0 was measured"):
+            locc.run_protocol(program, initial)
 
 
 def test_zero_probability_outcome_is_pruned():

@@ -15,7 +15,14 @@ from qremote.errors import (
     NotBlockDiagonal,
 )
 
-from util import random_diag_phases, random_state, step_operators
+from util import (
+    fidelity,
+    klein_character_rep,
+    random_block_diagonal_unitary,
+    random_diag_phases,
+    random_state,
+    step_operators,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -87,7 +94,7 @@ def test_factor_products_are_translation_invariant():
     # is 1, for the genuinely projective Pauli system it is mu(h^-1, h)
     for rep in (
         groupform.cyclic_character_rep(4),
-        groupform.klein_character_rep(),
+        klein_character_rep(),
         groupform.dihedral3_rep(),
         groupform.pauli_rep(),
     ):
@@ -100,7 +107,7 @@ def test_factor_products_are_translation_invariant():
             }
             assert len(products) == 1
             assert abs(products.pop() - rep.mu[hinv, h]) <= 1e-9
-    for rep in (groupform.cyclic_character_rep(5), groupform.klein_character_rep()):
+    for rep in (groupform.cyclic_character_rep(5), klein_character_rep()):
         g = rep.group
         for h in range(g.order):
             for f in range(g.order):
@@ -162,7 +169,7 @@ def test_alice_side_group_operators_ignore_the_coefficients():
     decomp = groupform.block_decomposition(rep, (1, 1, 2))
     one, two = (
         groupform.group_program(rep, groupform.coefficients_from_unitary(
-            groupform.random_block_diagonal_unitary(decomp, rng), decomp))
+            random_block_diagonal_unitary(decomp, rng), decomp))
         for _ in range(2)
     )
     for h in range(rep.group.order):
@@ -194,7 +201,7 @@ def test_identity_coefficients_leave_input_unchanged():
     c[rep.group.identity] = 1.0
     psi = random_state(3, rng)
     for branch in groupform.run_group_protocol(rep, c, psi):
-        assert qcore.fidelity(branch.output, psi) >= 1 - 1e-9
+        assert fidelity(branch.output, psi) >= 1 - 1e-9
 
 
 def test_pauli_protocol_implements_hadamard_on_all_branches():
@@ -216,7 +223,7 @@ def test_dihedral_protocol_runs_exactly():
     rng = np.random.default_rng(3)
     rep = groupform.dihedral3_rep()
     decomp = groupform.block_decomposition(rep, (1, 1, 2))
-    target = groupform.random_block_diagonal_unitary(decomp, rng)
+    target = random_block_diagonal_unitary(decomp, rng)
     c = groupform.coefficients_from_unitary(target, decomp)
     psi = random_state(4, rng)
     expected = target @ psi.amplitudes
@@ -243,7 +250,7 @@ def test_cyclic_protocol_agrees_with_wang_diagonal():
                           groupform.run_group_protocol(rep, c, psi)}
         assert wang_branches.keys() == group_branches.keys()
         for key in wang_branches:
-            fid = qcore.fidelity(wang_branches[key].output, group_branches[key].output)
+            fid = fidelity(wang_branches[key].output, group_branches[key].output)
             assert fid >= 1 - 1e-9
 
 
@@ -282,12 +289,12 @@ def test_round_trip_on_random_block_diagonal_unitaries():
     rng = np.random.default_rng(6)
     for rep, dims in (
         (groupform.cyclic_character_rep(4), (1, 1, 1, 1)),
-        (groupform.klein_character_rep(), (1, 1, 1, 1)),
+        (klein_character_rep(), (1, 1, 1, 1)),
         (groupform.pauli_rep(), (2,)),
     ):
         decomp = groupform.block_decomposition(rep, dims)
         for _ in range(20):
-            target = groupform.random_block_diagonal_unitary(decomp, rng)
+            target = random_block_diagonal_unitary(decomp, rng)
             c = groupform.coefficients_from_unitary(target, decomp)
             reassembled = sum(cf * m for cf, m in zip(c, rep.matrices))
             assert np.abs(reassembled - target).max() <= 1e-9
@@ -304,7 +311,7 @@ def test_block_structure_violations_rejected():
     # splitting the 2-dim irrep of the triangle rep leaks weight off-diagonal
     with pytest.raises(NotBlockDiagonal):
         groupform.block_decomposition(groupform.dihedral3_rep(), (2, 1, 1))
-    rep = groupform.klein_character_rep()
+    rep = klein_character_rep()
     decomp = groupform.block_decomposition(rep, (1, 1, 1, 1))
     rng = np.random.default_rng(7)
     with pytest.raises(NotBlockDiagonal):

@@ -21,7 +21,7 @@ from qremote.locc import (
     Transcript,
 )
 
-from util import random_state
+from util import random_state, validate_transcript
 
 
 def test_maximally_entangled_small_cases():
@@ -112,7 +112,7 @@ def test_transcripts_validate_and_serialize():
     p = wang.diagonal_partition(2)
     phases = wang.random_phases(2, rng)
     for branch in wang.run_wang(p, phases, random_state(2, rng)):
-        locc.validate_transcript(branch.transcript, locc.PROTOCOL_OWNERS)
+        validate_transcript(branch.transcript, locc.PROTOCOL_OWNERS)
         lines = locc.transcript_lines(branch.transcript)
         assert lines[0] == "LOCALOP|alice|P|0,1"
         assert any(line.startswith("MSG|alice|l|to=bob") for line in lines)
@@ -143,10 +143,10 @@ def test_validator_rejects_out_of_order_use():
         probability=1.0,
     )
     with pytest.raises(MissingClassicalDependency):
-        locc.validate_transcript(bad, locc.PROTOCOL_OWNERS)
+        validate_transcript(bad, locc.PROTOCOL_OWNERS)
 
 
 def test_validator_rejects_foreign_factors():
     bad = Transcript(events=(LocalOpEvent(BOB, "P", (0,)),), probability=1.0)
     with pytest.raises(LocalityViolation):
-        locc.validate_transcript(bad, locc.PROTOCOL_OWNERS)
+        validate_transcript(bad, locc.PROTOCOL_OWNERS)

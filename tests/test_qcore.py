@@ -4,11 +4,11 @@ exhaustive measurement, Schmidt decomposition, Fourier/shift gates."""
 import numpy as np
 import pytest
 
-from qremote import qcore
+from qremote import groupform, qcore, wang
 from qremote.errors import DimensionMismatch, EntangledFactor, NonUnitary, NotNormalized
 from qremote.qcore import StateVector
 
-from util import random_state
+from util import basis_state, fidelity, klein_character_rep, random_state, schmidt_reconstruct
 
 
 def test_tensor_identity_matrices():
@@ -24,10 +24,10 @@ def test_tensor_states_concatenates_factors():
 
 
 def test_basis_state_indexing():
-    s = qcore.basis_state((1, 0), (2, 3))
+    s = basis_state((1, 0), (2, 3))
     np.testing.assert_allclose(s.amplitudes, np.eye(6)[3], atol=0)
     with pytest.raises(DimensionMismatch):
-        qcore.basis_state((2, 0), (2, 3))
+        basis_state((2, 0), (2, 3))
 
 
 def test_tensor_builds_the_shared_resource():
@@ -39,6 +39,29 @@ def test_tensor_builds_the_shared_resource():
     expected = np.zeros(9, dtype=complex)
     expected[[0, 4, 8]] = 1 / np.sqrt(3)
     np.testing.assert_allclose(resource.amplitudes, expected, atol=1e-15)
+
+
+def test_kron_sum_is_the_kron_loop_bitwise():
+    # every coupling the protocols build: wang P, group P and bqst CX^-1
+    def shifts(n):
+        return [np.linalg.matrix_power(qcore.shift_matrix(n), i) for i in range(n)]
+
+    def labels(n):
+        return [np.diag(row) for row in np.eye(n)]
+
+    rng = np.random.default_rng(7)
+    partitions = [wang.diagonal_partition(1), wang.diagonal_partition(4)]
+    partitions += [wang.random_partition(d, n, rng) for d, n in ((3, 2), (6, 4), (8, 8))]
+    cases = [(wang.projectors(p), shifts(p.n)) for p in partitions]
+    reps = [groupform.cyclic_character_rep(3), groupform.cyclic_character_rep(5),
+            klein_character_rep(), groupform.pauli_rep(), groupform.dihedral3_rep()]
+    cases += [(rep.matrices, labels(rep.group.order)) for rep in reps]
+    cases += [(labels(d), shifts(d)) for d in range(1, 6)]
+    for left, right in cases:
+        oracle = sum(np.kron(a, b) for a, b in zip(left, right))
+        np.testing.assert_array_equal(qcore.kron_sum(left, right), oracle)
+    with pytest.raises(DimensionMismatch):
+        qcore.kron_sum([np.eye(2)], shifts(2))
 
 
 def test_tensor_rejects_mixed_kinds():
@@ -160,7 +183,7 @@ def test_schmidt_reconstruction():
     rng = np.random.default_rng(4)
     for dims, cut in [((2, 2), [0]), ((3, 4), [1]), ((2, 3, 2), [0, 2])]:
         s = StateVector(random_state(int(np.prod(dims)), rng).amplitudes, dims)
-        rebuilt = qcore.schmidt_reconstruct(qcore.schmidt(s, cut))
+        rebuilt = schmidt_reconstruct(qcore.schmidt(s, cut))
         assert np.abs(rebuilt.amplitudes - s.amplitudes).max() <= 1e-10
 
 
@@ -212,7 +235,7 @@ def test_factor_overlap_and_extraction():
     joint = qcore.tensor(psi, chi)
     assert qcore.factor_overlap(joint, psi.amplitudes, 0) == pytest.approx(1.0, abs=1e-12)
     extracted = qcore.factor_state(joint, 1)
-    assert qcore.fidelity(extracted, chi) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(extracted, chi) == pytest.approx(1.0, abs=1e-12)
 
     bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
     assert qcore.factor_overlap(bell, np.array([1, 0]), 0) == pytest.approx(

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qremote import locc, qcore, wang
-from qremote.errors import IncompleteBlocks, NonUnitary, OverlappingBlocks
+from qremote.errors import IncompleteBlocks, NonFinite, NonUnitary, OverlappingBlocks
 
-from util import random_state, step_operators
+from util import fidelity, random_state, step_operators
 
 
 def _random_setup(dim, n, rng):
@@ -34,6 +34,14 @@ def test_missing_blocks_are_incomplete():
         wang.validate_partition([proj])
 
 
+def test_non_finite_block_entries_are_named():
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        block = np.zeros((2, 2), dtype=complex)
+        block[0, 0] = bad
+        with pytest.raises(NonFinite):
+            wang.validate_partition([block, np.diag([0.0, 1.0])])
+
+
 def test_partition_from_split_bases():
     rng = np.random.default_rng(0)
     p = wang.partition_from_bases(
@@ -43,6 +51,11 @@ def test_partition_from_split_bases():
     # revalidating the produced blocks reproduces the same structure
     again = wang.validate_partition(p.blocks)
     assert again.ranks == (2, 1, 1)
+
+
+def controlled_shift(p):
+    """The P step of the block protocol's program."""
+    return wang.wang_program(p, wang.Phases(np.ones(p.n))).steps[0].matrix
 
 
 def test_controlled_shift_is_cnot_for_diagonal_qubit_case():
@@ -63,7 +76,7 @@ def test_controlled_shift_block_circulant_pattern():
     rng = np.random.default_rng(1)
     for p in (wang.diagonal_partition(3), wang.random_partition(5, 3, rng)):
         projs = wang.projectors(p)
-        blocks = wang.controlled_shift(p).reshape(p.dim, p.n, p.dim, p.n)
+        blocks = controlled_shift(p).reshape(p.dim, p.n, p.dim, p.n)
         for r in range(p.n):
             for c in range(p.n):
                 np.testing.assert_allclose(
@@ -82,7 +95,7 @@ def test_controlled_shift_equals_the_kron_sum():
             np.kron(proj, np.linalg.matrix_power(shift, i))
             for i, proj in enumerate(wang.projectors(p))
         )
-        np.testing.assert_array_equal(wang.controlled_shift(p), oracle)
+        np.testing.assert_array_equal(controlled_shift(p), oracle)
 
 
 def test_recovery_with_no_outcome_maps_u_to_v():
@@ -142,7 +155,7 @@ def test_trivial_phases_give_identity_operation():
     p = wang.diagonal_partition(3)
     psi = random_state(3, rng)
     for branch in wang.run_wang(p, wang.Phases(np.ones(3)), psi):
-        assert qcore.fidelity(branch.output, psi) >= 1 - 1e-9
+        assert fidelity(branch.output, psi) >= 1 - 1e-9
 
 
 def test_run_wang_matches_direct_application():
@@ -177,7 +190,7 @@ def test_trace_branch_agrees_with_protocol_run():
     branches = {(b.outcomes["l"], b.outcomes["m"]): b for b in wang.run_wang(p, phases, psi)}
     for (l, m), branch in branches.items():
         stages = wang.trace_branch(p, phases, psi, l, m)
-        assert qcore.fidelity(stages[-1].state, branch.state) >= 1 - 1e-12
+        assert fidelity(stages[-1].state, branch.state) >= 1 - 1e-12
 
 
 def test_svd_remote_diagonal_input_stays_diagonal():
