@@ -112,9 +112,7 @@ def _input_state(doc: dict, dim: int, override: str | None) -> StateVector:
             amps = vector_from_json(doc["input"])
         else:
             return qcore.ket(0, dim)
-    # an amplitude near the float limit overflows the norm: NonFinite, no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        return StateVector(amps, (dim,))
+    return StateVector(amps, (dim,))
 
 
 def load_problem(path: str, input_override: str | None = None) -> Problem:

@@ -14,13 +14,13 @@ outcome goes into a column, and a later step on that factor is a
 DimensionMismatch. A local step is one matrix product over all rows. A
 conditioned step builds and checks its operator once per distinct outcome
 value and gathers it per row. A transcript is a function of the program
-and its row's outcomes, and each branch's full state is built once, at the
-end. When one factor is left unmeasured, its row is the branch's output.
+and its row's outcomes; the row is the branch's output. Branch.state puts
+each measured factor back, in its outcome's basis state, when it is read.
 
 Every protocol runner returns run_protocol's Branch values, and each
-runner's program leaves exactly its output register unmeasured, so every
-branch carries its output. A step-by-step trace (wang.trace_branch) is the
-program cut after each traced step, run as is.
+runner's program leaves exactly its output register unmeasured. A
+step-by-step trace (wang.trace_branch) is the program cut after each traced
+step, run as is.
 """
 
 from __future__ import annotations
@@ -123,17 +123,29 @@ class Transcript:
 
 @dataclass(frozen=True)
 class Branch:
-    """One measurement branch: its transcript, the full register state and
-    the output, the one register the program leaves unmeasured (None when
-    it leaves more than one)."""
+    """One measurement branch over registers of factor_dims: its transcript
+    and its output, the state of the unmeasured factors in factor order."""
 
     transcript: Transcript
-    state: StateVector
-    output: StateVector | None = None
+    output: StateVector
+    factor_dims: tuple[int, ...]
 
     @property
     def probability(self) -> float:
         return self.transcript.probability
+
+    @property
+    def state(self) -> StateVector:
+        """The full register state, built on each read: the output at the
+        unmeasured factors, each outcome's basis state at its measured one."""
+        index: list[int | slice] = [slice(None)] * len(self.factor_dims)
+        for e in self.transcript.events:
+            if isinstance(e, MeasurementEvent):
+                index[e.target] = e.outcome
+        full = np.zeros(math.prod(self.factor_dims), dtype=complex)
+        full.reshape(self.factor_dims)[tuple(index)] = self.output.tensor_form()
+        full.setflags(write=False)   # frozen here, so StateVector need not copy it
+        return StateVector(full, self.factor_dims)
 
     @property
     def outcomes(self) -> dict[str, int]:
@@ -179,9 +191,8 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
 
     Returns one Branch per surviving outcome combination, in deterministic
     (lexicographic outcome) order. Branch probabilities multiply along the
-    measurement path and are recorded on the transcript. When the program
-    leaves exactly one factor unmeasured, each branch's output is that
-    factor's state. The module docstring says how the branches are run.
+    measurement path and are recorded on the transcript. The module
+    docstring says how the branches are run.
     """
     owners, dims = program.owners, initial.factor_dims
     if len(owners) != len(dims):
@@ -192,7 +203,6 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
     live = list(range(len(dims)))         # factor on each axis after the first
     prob = np.ones(1)
     outcomes = np.zeros((1, 0), dtype=int)   # one column per measurement
-    column: dict[int, int] = {}           # measured factor -> its outcome column
     inbox: dict[Party, dict[str, int]] = {ALICE: {}, BOB: {}}   # tag -> column
 
     def axes(targets) -> list[int]:
@@ -215,11 +225,10 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
             prob = prob[rows] * kept
             outcomes = np.column_stack((outcomes[rows], ks))
             live.remove(step.target)
-            column[step.target] = outcomes.shape[1] - 1
             # the measuring party always learns its own outcome
-            inbox[step.party][step.message] = column[step.target]
+            inbox[step.party][step.message] = outcomes.shape[1] - 1
             if step.send_to is not None:
-                inbox[step.send_to][step.message] = column[step.target]
+                inbox[step.send_to][step.message] = outcomes.shape[1] - 1
             continue
         _check_locality(owners, step.party, step.targets)
         targets = axes(step.targets)
@@ -244,16 +253,10 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
         batch = np.moveaxis(out.reshape(moved.shape), front, targets)
 
     events = _transcript_events(program)
-    branches = []
-    for amps, row, p in zip(batch, outcomes.tolist(), prob.tolist()):
-        full = np.zeros(math.prod(dims), dtype=complex)
-        full.reshape(dims)[
-            tuple(slice(None) if f in live else row[column[f]] for f in range(len(dims)))
-        ] = amps
-        full.setflags(write=False)   # frozen here, so StateVector need not copy it
-        output = StateVector(amps, (dims[live[0]],)) if len(live) == 1 else None
-        branches.append(Branch(Transcript(events(row), p), StateVector(full, dims), output))
-    return branches
+    return [
+        Branch(Transcript(events(row), p), StateVector(amps, amps.shape), dims)
+        for amps, row, p in zip(batch, outcomes.tolist(), prob.tolist())
+    ]
 
 
 def _transcript_events(program: Program) -> Callable[[list[int]], tuple[Event, ...]]:

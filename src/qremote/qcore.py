@@ -51,7 +51,8 @@ class StateVector:
             raise DimensionMismatch(
                 f"{amps.size} amplitudes do not fill factors {dims}"
             )
-        norm = np.linalg.norm(amps)
+        # vdot sets no floating-point flags: an overflow is NonFinite, not a warning
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if not math.isfinite(norm):
             raise NonFinite(f"state norm {norm} is not finite")
         if abs(norm - 1.0) > NORM_TOL:

@@ -312,13 +312,9 @@ def svd_remote(unitary: np.ndarray) -> RemoteSvdProgram:
 def run_svd_remote(program: RemoteSvdProgram, input_state: StateVector) -> list[Branch]:
     """local pre, remote diagonal, local post; one branch per (l, m).
 
-    The post operation is applied to both the full state and the output."""
+    The post operation is applied to each branch's output."""
     mid = qcore.apply_local(program.pre, input_state, (0,))
     return [
-        Branch(
-            b.transcript,
-            qcore.apply_local(program.post, b.state, (0,)),
-            qcore.apply_local(program.post, b.output, (0,)),
-        )
+        Branch(b.transcript, qcore.apply_local(program.post, b.output, (0,)), b.factor_dims)
         for b in run_wang(program.partition, program.phases, mid)
     ]

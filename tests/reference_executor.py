@@ -2,15 +2,18 @@
 
 It walks the branch tree depth first, one full state per node, through
 qcore.apply_local and qcore.measure_computational. It is slow and simple,
-so the batched executor is checked against it.
+so the batched executor is checked against it. Each branch keeps the full
+state it reached, so the check does not rest on locc.Branch.state, which
+derives that state from the output.
 """
+
+from dataclasses import dataclass
 
 from qremote import qcore
 from qremote.errors import MissingClassicalDependency
 from qremote.locc import (
     ALICE,
     BOB,
-    Branch,
     ClassicalMessageEvent,
     ConditionalStep,
     LocalOpEvent,
@@ -19,6 +22,17 @@ from qremote.locc import (
     Transcript,
     _check_locality,
 )
+from qremote.qcore import StateVector
+
+
+@dataclass(frozen=True)
+class ReferenceBranch:
+    transcript: Transcript
+    state: StateVector
+
+    @property
+    def probability(self) -> float:
+        return self.transcript.probability
 
 
 def run_reference(program, initial):
@@ -26,7 +40,7 @@ def run_reference(program, initial):
 
     def execute(i, state, prob, events, inbox):
         if i == len(program.steps):
-            branches.append(Branch(Transcript(tuple(events), prob), state))
+            branches.append(ReferenceBranch(Transcript(tuple(events), prob), state))
             return
         step = program.steps[i]
         if isinstance(step, (LocalStep, ConditionalStep)):

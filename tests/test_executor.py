@@ -26,26 +26,28 @@ GROUP_REPS = {
 }
 
 
-def unmeasured_factors(program):
-    """Factors no step measures; measured ones stay in a basis state."""
-    measured = {step.target for step in program.steps if isinstance(step, MeasureStep)}
-    return set(range(len(program.owners))) - measured
+def at_outcomes(state, transcript):
+    """The state's tensor form with each measured factor fixed at its outcome."""
+    index = [slice(None)] * len(state.factor_dims)
+    for e in transcript.events:
+        if isinstance(e, locc.MeasurementEvent):
+            index[e.target] = e.outcome
+    return state.tensor_form()[tuple(index)]
 
 
 def assert_matches_reference(program, initial):
     got = locc.run_protocol(program, initial)
     want = run_reference(program, initial)
     assert [b.transcript.events for b in got] == [b.transcript.events for b in want]
-    unmeasured = unmeasured_factors(program)
     for g, w in zip(got, want):
         assert abs(g.probability - w.probability) <= 1e-12
+        expected_output = at_outcomes(w.state, w.transcript)
+        assert g.output.factor_dims == expected_output.shape
+        np.testing.assert_allclose(
+            g.output.amplitudes, expected_output.reshape(-1), rtol=0, atol=1e-12
+        )
         assert g.state.factor_dims == w.state.factor_dims
         np.testing.assert_allclose(g.state.amplitudes, w.state.amplitudes, rtol=0, atol=1e-12)
-        if len(unmeasured) == 1:
-            # the output is the one unmeasured register, factored out
-            (k,) = unmeasured
-            assert g.output is not None
-            assert fidelity(g.output, qcore.factor_state(w.state, k)) >= 1 - 1e-12
     return got
 
 

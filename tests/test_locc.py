@@ -127,9 +127,9 @@ def test_branch_states_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         branches = wang.run_wang(p, wang.random_phases(3, rng), random_state(3, rng))
-        state = weakref.ref(branches[0].state)
+        output = weakref.ref(branches[0].output)
         del branches
-        assert state() is None
+        assert output() is None
     finally:
         gc.enable()
 

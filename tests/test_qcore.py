@@ -1,11 +1,15 @@
 """State and operator primitives: tensor products, local application,
 exhaustive measurement, Schmidt decomposition, Fourier/shift gates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from qremote import groupform, qcore, wang
-from qremote.errors import DimensionMismatch, EntangledFactor, NonUnitary, NotNormalized
+from qremote.errors import (
+    DimensionMismatch, EntangledFactor, NonFinite, NonUnitary, NotNormalized,
+)
 from qremote.qcore import StateVector
 
 from util import basis_state, fidelity, klein_character_rep, random_state, schmidt_reconstruct
@@ -250,6 +254,14 @@ def test_state_vector_invariants():
         StateVector(np.array([1.0, 1.0]), (2,))
     with pytest.raises(DimensionMismatch):
         StateVector(np.array([1.0, 0.0]), (3,))
+
+
+@pytest.mark.parametrize("amp", [1e308, np.nan, np.inf])
+def test_non_finite_norm_is_named_without_a_numpy_warning(amp):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            StateVector(np.array([amp, 0.0]), (2,))
 
 
 def test_state_vector_copies_writable_arrays_and_keeps_frozen_ones():

@@ -1,6 +1,8 @@
 """Block-partition validation, step operators, protocol exactness, and the
 three-stage split for arbitrary unitaries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,20 @@ def test_run_wang_matches_direct_application():
         assert len(branches) == n * n
         for branch in branches:
             assert qcore.factor_overlap(branch.state, expected, 0) >= 1 - 1e-9
+
+
+def test_run_wang_branches_hold_only_their_outputs():
+    # 256 branches at (D, n) = (16, 16): full states would take 16 MB, outputs 64 kB
+    p, phases, psi = _random_setup(16, 16, np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        branches = wang.run_wang(p, phases, psi)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(branches) == 256
+    assert held < 1_000_000
 
 
 def test_resource_rank_and_final_disentanglement():
