@@ -410,6 +410,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _tolerance(text: str) -> float:
+    """A finite fidelity tolerance: nan would fail every run and inf pass it."""
+    tol = float(text)
+    if not math.isfinite(tol):
+        raise argparse.ArgumentTypeError(f"a tolerance is a finite number, got {text}")
+    return tol
+
+
 def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     partition = wang.random_partition(args.dim, args.blocks, rng)
@@ -442,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("file")
     run.add_argument("--json", action="store_true", help="machine-readable output")
     run.add_argument("--input", default=None, help="input state as JSON [re,im] pairs")
-    run.add_argument("--tol", type=float, default=FIDELITY_TOL,
+    run.add_argument("--tol", type=_tolerance, default=FIDELITY_TOL,
                      help="fidelity failure threshold is 1 - tol")
     run.set_defaults(func=cmd_run)
 

@@ -142,70 +142,65 @@ class ProjectiveRep:
 
 
 def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
-    """Assemble and validate; with mu omitted it is derived from the matrices."""
+    """Assemble and validate; with mu omitted it is read off the product table.
+
+    Every product U(f)U(g) is formed once, in one table. The checks, in
+    order: unitary matrices, unimodular factors, the identity element
+    carrying the identity matrix, closure, and factor-system consistency.
+    Closure: U(f)U(g) = mu(f,g) U(fg) for every pair. Consistency of the
+    two-term products mu(h^{-1},f) mu(h,h^{-1}f): closure makes this
+    independent of f and equal to mu(h^{-1},h), which is checked; it
+    collapses to 1 whenever the system is normalized with mu(h^{-1},h) = 1
+    (all the character representations here), but genuinely projective
+    systems can carry -1 there.
+    """
     mats = tuple(np.asarray(m, dtype=complex) for m in matrices)
-    if len(mats) != group.order:
-        raise DimensionMismatch(
-            f"{len(mats)} matrices for a group of order {group.order}"
-        )
+    n = group.order
+    if len(mats) != n:
+        raise DimensionMismatch(f"{len(mats)} matrices for a group of order {n}")
     dim = mats[0].shape[0]
     for i, m in enumerate(mats):
         if m.shape != (dim, dim):
             raise DimensionMismatch(f"matrix {i} has shape {m.shape}")
-    if mu is None:
-        n = group.order
-        mu = np.empty((n, n), dtype=complex)
-        for f in range(n):
-            for g in range(n):
-                mu[f, g] = np.trace(mats[group.mul(f, g)].conj().T @ (mats[f] @ mats[g])) / dim
-    mu = np.asarray(mu, dtype=complex)
-    rep = ProjectiveRep(group, mats, mu)
-    return validate_rep(rep)
-
-
-def validate_rep(rep: ProjectiveRep) -> ProjectiveRep:
-    """Check unitarity, unimodular factors, closure, and factor-system consistency.
-
-    Closure: U(f)U(g) = mu(f,g) U(fg) for every pair; the identity element
-    must carry the identity matrix. Consistency of the two-term products
-    mu(h^{-1},f) mu(h,h^{-1}f): closure makes this independent of f and equal
-    to mu(h^{-1},h), which is checked; it collapses to 1 whenever the system
-    is normalized with mu(h^{-1},h) = 1 (all the character representations
-    here), but genuinely projective systems can carry -1 there.
-    """
-    group, mats, mu = rep.group, rep.matrices, rep.mu
-    n = group.order
-    if mu.shape != (n, n):
-        raise DimensionMismatch(f"factor system has shape {mu.shape}")
+    if mu is not None:
+        mu = np.asarray(mu, dtype=complex)
+        if mu.shape != (n, n):
+            raise DimensionMismatch(f"factor system has shape {mu.shape}")
     for f, m in enumerate(mats):
         if not qcore.is_unitary(m):
             raise NonUnitary(f"representation matrix {group.names[f]} is not unitary")
+    stack = np.stack(mats)
+    products = stack[:, None] @ stack[None, :]      # products[f, g] = U(f) U(g)
+    targets = stack[group.cayley]                   # targets[f, g] = U(fg)
+    if mu is None:
+        mu = np.einsum("fgab,fgab->fg", targets.conj(), products) / dim
     worst = np.abs(np.abs(mu) - 1.0).max()
     if worst > qcore.NORM_TOL:
         raise NonUnimodularFactor(
             f"factor system deviates from modulus 1 by {worst:.3e}"
         )
-    if np.abs(mats[group.identity] - np.eye(rep.dim)).max() > qcore.NORM_TOL:
+    if np.abs(mats[group.identity] - np.eye(dim)).max() > qcore.NORM_TOL:
         raise NotARepresentation("identity element must carry the identity matrix")
-    for f in range(n):
-        for g in range(n):
-            dev = np.abs(mats[f] @ mats[g] - mu[f, g] * mats[group.mul(f, g)]).max()
-            if dev > qcore.NORM_TOL:
-                raise NotARepresentation(
-                    f"U({group.names[f]}) U({group.names[g]}) != "
-                    f"mu U({group.names[group.mul(f, g)]}) (deviation {dev:.3e})"
-                )
-    for h in range(n):
-        hinv = group.inv(h)
-        expected = mu[hinv, h]
-        for f in range(n):
-            prod = mu[hinv, f] * mu[h, group.mul(hinv, f)]
-            if abs(prod - expected) > qcore.NORM_TOL:
-                raise NotARepresentation(
-                    f"factor products mu(h^-1,f) mu(h,h^-1 f) are inconsistent at "
-                    f"h={group.names[h]}, f={group.names[f]}"
-                )
-    return rep
+    closure = np.abs(products - mu[:, :, None, None] * targets).max(axis=(2, 3))
+    bad = np.argwhere(closure > qcore.NORM_TOL)
+    if len(bad):
+        f, g = bad[0]
+        raise NotARepresentation(
+            f"U({group.names[f]}) U({group.names[g]}) != "
+            f"mu U({group.names[group.cayley[f, g]]}) (deviation {closure[f, g]:.3e})"
+        )
+    elements, hinv = np.arange(n), group.inverses
+    # consistency[h, f] = mu(h^-1, f) mu(h, h^-1 f), to equal mu(h^-1, h)
+    consistency = mu[hinv] * mu[elements[:, None], group.cayley[hinv]]
+    expected = mu[hinv, elements][:, None]
+    bad = np.argwhere(np.abs(consistency - expected) > qcore.NORM_TOL)
+    if len(bad):
+        h, f = bad[0]
+        raise NotARepresentation(
+            f"factor products mu(h^-1,f) mu(h,h^-1 f) are inconsistent at "
+            f"h={group.names[h]}, f={group.names[f]}"
+        )
+    return ProjectiveRep(group, mats, mu)
 
 
 def cyclic_character_rep(n: int) -> ProjectiveRep:
@@ -254,15 +249,6 @@ def z_gate(g: int, order: int) -> np.ndarray:
     return gate
 
 
-def translation(rep: ProjectiveRep, f: int) -> np.ndarray:
-    """R(f) = sum_g mu(g, f) |g><gf|: a unimodular-weighted permutation."""
-    n = rep.group.order
-    r = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        r[g, rep.group.mul(g, f)] = rep.mu[g, f]
-    return r
-
-
 def assemble(rep: ProjectiveRep, coefficients) -> np.ndarray:
     """Direct matrix sum_f c(f) U(f); must come out unitary."""
     c = _coefficient_vector(rep, coefficients)
@@ -273,10 +259,15 @@ def assemble(rep: ProjectiveRep, coefficients) -> np.ndarray:
 
 
 def mixer(rep: ProjectiveRep, coefficients) -> np.ndarray:
-    """M = sum_f c(f) R(f). Unitarity is not guaranteed for arbitrary factor
-    systems, so it is verified here per instance."""
+    """M = sum_f c(f) R(f) over the weighted right-translations
+    R(f) = sum_g mu(g, f) |g><gf|: entry (g, gf) is c(f) mu(g, f), placed
+    through the Cayley table, whose rows are permutations. Unitarity is not
+    guaranteed for arbitrary factor systems, so it is verified here per
+    instance."""
     c = _coefficient_vector(rep, coefficients)
-    total = sum(cf * translation(rep, f) for f, cf in enumerate(c))
+    n = rep.group.order
+    total = np.zeros((n, n), dtype=complex)
+    total[np.arange(n)[:, None], rep.group.cayley] = c * rep.mu
     if not qcore.is_unitary(total):
         raise NonUnitaryM("sum c(f) R(f) is not unitary for this instance")
     return total

@@ -7,10 +7,9 @@ recovery R_m) is built from the block structure alone; the coefficient
 vector lives in a separate Bob-side object so that ignorance is enforced by
 construction, not convention.
 
-Each block factors as A_i = sum_j |v_j^(i)><u_j^(i)| over two full
-orthonormal systems {u}, {v}; the per-block singular vectors drive both P
-(projectors onto the u-spans) and R_m (u -> v exchange with outcome-dependent
-phases).
+The class conditions make every block a partial isometry, so Alice's
+operators are functions of the blocks themselves: the projectors
+P_i = A_i^dag A_i and the recovery R_m = sum_j e^{-2 pi i m j / N} A_j.
 
 wang_program is the one description of the protocol: run_wang executes it,
 and trace_branch is that program cut after each traced step.
@@ -39,15 +38,15 @@ from .qcore import StateVector
 class BlockPartition:
     """Validated block structure {A_i}: the public half of the operation."""
 
-    blocks: tuple[np.ndarray, ...]
-    u: tuple[np.ndarray, ...]       # columns u_j^(i), per block
-    v: tuple[np.ndarray, ...]       # columns v_j^(i), per block
-    ranks: tuple[int, ...]
-    dim: int
+    blocks: np.ndarray              # read-only (n, D, D) stack of the A_i
 
     @property
     def n(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.blocks.shape[1]
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,14 @@ class Phases:
 
 
 def validate_partition(blocks) -> BlockPartition:
-    """Check the operation-class conditions and extract per-block {u, v} bases.
+    """Check the operation-class conditions on the blocks.
 
-    Raises OverlappingBlocks if any A_i^dag A_j != 0 (i != j) and
-    IncompleteBlocks if sum_i A_i^dag A_i != I. The singular bases returned
-    are whatever the SVD produces; any valid pair of systems works, so no
-    canonical choice is attempted, but the extracted structure is re-checked
-    against the blocks before use.
+    All pairs are read from the Gram table [A_i^dag A_j], one matrix product
+    per block row against the blocks laid side by side. Raises
+    OverlappingBlocks at the first (i, j), i != j in row-major order, whose
+    entry is not 0, and IncompleteBlocks if the diagonal entries do not sum
+    to I, if a block has a singular value above RANK_TOL that is not 1
+    within 1e-8, or if the block ranks do not sum to the dimension.
     """
     mats = tuple(np.asarray(b, dtype=complex) for b in blocks)
     if not mats:
@@ -89,47 +89,47 @@ def validate_partition(blocks) -> BlockPartition:
             )
         if not np.isfinite(b).all():
             raise NonFinite(f"block {i} has a non-finite entry")
+    stack = np.stack(mats)
+    n = len(mats)
     # entries near the float limit can overflow these products; such a block
     # is still rejected by name (its singular values are not 1), so numpy
     # need not warn about the overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(mats)):
-            for j in range(len(mats)):
-                if i == j:
-                    continue
-                overlap = np.abs(mats[i].conj().T @ mats[j]).max()
-                if overlap > qcore.NORM_TOL:
-                    raise OverlappingBlocks(
-                        f"blocks {i} and {j} overlap: max |A_i^dag A_j| = {overlap:.3e}"
-                    )
-        gram = sum(b.conj().T @ b for b in mats)
-        dev = np.abs(gram - np.eye(dim)).max()
+        side_by_side = stack.transpose(1, 0, 2).reshape(dim, n * dim)
+        completeness = np.zeros((dim, dim), dtype=complex)
+        # one block row [A_i^dag A_j]_j of the Gram table at a time, so the
+        # table never holds more than D x nD entries
+        for i, block in enumerate(stack):
+            row = (block.conj().T @ side_by_side).reshape(dim, n, dim)
+            overlaps = np.abs(row).max(axis=(0, 2))
+            overlaps[i] = 0.0
+            bad = np.flatnonzero(overlaps > qcore.NORM_TOL)
+            if len(bad):
+                raise OverlappingBlocks(
+                    f"blocks {i} and {bad[0]} overlap: "
+                    f"max |A_i^dag A_j| = {overlaps[bad[0]]:.3e}"
+                )
+            completeness += row[:, i, :]
+        dev = np.abs(completeness - np.eye(dim)).max()
     if dev > qcore.NORM_TOL:
         raise IncompleteBlocks(
             f"sum A_i^dag A_i deviates from identity by {dev:.3e}"
         )
 
-    u_sets, v_sets, ranks = [], [], []
-    for i, b in enumerate(mats):
-        w, s, vh = np.linalg.svd(b)
-        r = int(np.count_nonzero(s > qcore.RANK_TOL))
+    singular = np.linalg.svd(stack, compute_uv=False)
+    ranks = np.count_nonzero(singular > qcore.RANK_TOL, axis=1)
+    for i, (s, r) in enumerate(zip(singular, ranks)):
         if r and np.abs(s[:r] - 1.0).max() > 1e-8:
             raise IncompleteBlocks(
                 f"block {i} has singular values {s[:r]} != 1; "
                 "it cannot belong to a unitary combination"
             )
-        u_sets.append(vh[:r].conj().T)
-        v_sets.append(w[:, :r])
-        ranks.append(r)
-    if sum(ranks) != dim:
+    if ranks.sum() != dim:
         raise IncompleteBlocks(
-            f"block ranks {tuple(ranks)} do not sum to the dimension {dim}"
+            f"block ranks {tuple(ranks.tolist())} do not sum to the dimension {dim}"
         )
-    for i, b in enumerate(mats):
-        rebuilt = v_sets[i] @ u_sets[i].conj().T
-        if np.abs(rebuilt - b).max() > 1e-8:
-            raise IncompleteBlocks(f"block {i} does not match its singular form")
-    return BlockPartition(mats, tuple(u_sets), tuple(v_sets), tuple(ranks), dim)
+    stack.setflags(write=False)
+    return BlockPartition(stack)
 
 
 def diagonal_partition(dim: int) -> BlockPartition:
@@ -168,9 +168,9 @@ def random_phases(n: int, rng: np.random.Generator) -> Phases:
     return Phases(np.exp(2j * np.pi * rng.uniform(size=n)))
 
 
-def projectors(p: BlockPartition) -> list[np.ndarray]:
-    """P_i = sum_j |u_j^(i)><u_j^(i)|, the projectors onto the u-spans."""
-    return [u @ u.conj().T for u in p.u]
+def projectors(p: BlockPartition) -> np.ndarray:
+    """P_i = A_i^dag A_i, the projectors onto the block supports, as a stack."""
+    return p.blocks.conj().transpose(0, 2, 1) @ p.blocks
 
 
 def assemble(p: BlockPartition, phases: Phases) -> np.ndarray:
@@ -189,12 +189,9 @@ def phase_gate(phases: Phases) -> np.ndarray:
 
 
 def recovery(p: BlockPartition, m: int) -> np.ndarray:
-    """R_m = sum_j e^{-2 pi i m j / N} sum_k |v_k^(j)><u_k^(j)|."""
-    total = np.zeros((p.dim, p.dim), dtype=complex)
-    for j in range(p.n):
-        phase = np.exp(-2j * np.pi * m * j / p.n)
-        total += phase * (p.v[j] @ p.u[j].conj().T)
-    return total
+    """R_m = sum_j e^{-2 pi i m j / N} A_j."""
+    phases = np.exp(-2j * np.pi * m * np.arange(p.n) / p.n)
+    return np.tensordot(phases, p.blocks, axes=1)
 
 
 def wang_program(p: BlockPartition, phases: Phases) -> Program:

@@ -224,6 +224,9 @@ def test_problem_meta_holds_what_the_commands_read(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["cost", "{path}", "--input", "[[1, 0], [0, 0]]"],   # cost ignores the input state
     ["gen", "--seed", "-1"],                             # numpy seeds are non-negative
+    ["run", "{path}", "--tol=nan"],                      # a tolerance is finite
+    ["run", "{path}", "--tol=inf"],
+    ["run", "{path}", "--tol=-inf"],
 ])
 def test_argument_errors_exit_2(tmp_path, argv):
     path = write_problem(tmp_path, "w.json", diagonal_wang_doc(2, np.ones(2)))

@@ -117,12 +117,20 @@ def test_factor_products_are_translation_invariant():
 
 # --- protocol operators ---------------------------------------------------------
 
+def one_hot(f, n):
+    c = np.zeros(n, dtype=complex)
+    c[f] = 1.0
+    return c
+
+
 def test_translations_are_weighted_permutations():
+    # a one-hot coefficient vector picks out the single translation R(f)
     for rep in (groupform.cyclic_character_rep(4), groupform.pauli_rep()):
         n = rep.group.order
-        assert np.abs(groupform.translation(rep, rep.group.identity) - np.eye(n)).max() <= 1e-12
+        identity = groupform.mixer(rep, one_hot(rep.group.identity, n))
+        assert np.abs(identity - np.eye(n)).max() <= 1e-12
         for f in range(n):
-            r = groupform.translation(rep, f)
+            r = groupform.mixer(rep, one_hot(f, n))
             support = np.abs(r) > 1e-12
             assert (support.sum(axis=0) == 1).all()
             assert (support.sum(axis=1) == 1).all()
@@ -147,7 +155,7 @@ def test_mixer_matches_plain_translations_for_cyclic_group():
         for g in range(3):
             perm[g, table[g, f]] = 1.0
         expected += c[f] * perm
-    got = sum(c[f] * groupform.translation(rep, f) for f in range(3))
+    got = sum(c[f] * groupform.mixer(rep, one_hot(f, 3)) for f in range(3))
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -217,6 +225,32 @@ def test_pauli_protocol_implements_hadamard_on_all_branches():
     assert abs(total - 1.0) <= 1e-10
     for branch in branches:
         assert qcore.factor_overlap(branch.state, expected, 0) >= 1 - 1e-9
+
+
+def test_conjugated_reps_keep_their_factor_systems_and_run_exactly():
+    # V U(f) V^dag is the same projective rep in another basis: the derived mu
+    # must be the original one, and the protocol implements V T V^dag
+    rng = np.random.default_rng(8)
+    for rep, dims in (
+        (groupform.cyclic_character_rep(4), (1, 1, 1, 1)),
+        (klein_character_rep(), (1, 1, 1, 1)),
+        (groupform.pauli_rep(), (2,)),
+        (groupform.dihedral3_rep(), (1, 1, 2)),
+    ):
+        v = qcore.random_unitary(rep.dim, rng)
+        conjugated = groupform.projective_rep(
+            rep.group, [v @ m @ v.conj().T for m in rep.matrices]
+        )
+        assert np.abs(conjugated.mu - rep.mu).max() <= 1e-12
+        decomp = groupform.block_decomposition(rep, dims)
+        target = random_block_diagonal_unitary(decomp, rng)
+        c = groupform.coefficients_from_unitary(target, decomp)
+        psi = random_state(rep.dim, rng)
+        expected = v @ target @ v.conj().T @ psi.amplitudes
+        branches = groupform.run_group_protocol(conjugated, c, psi)
+        assert len(branches) == rep.group.order ** 2
+        for branch in branches:
+            assert abs(np.vdot(expected, branch.output.amplitudes)) >= 1 - 1e-9
 
 
 def test_dihedral_protocol_runs_exactly():

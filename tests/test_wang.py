@@ -9,7 +9,7 @@ import pytest
 from qremote import locc, qcore, wang
 from qremote.errors import IncompleteBlocks, NonFinite, NonUnitary, OverlappingBlocks
 
-from util import fidelity, random_state, step_operators
+from util import fidelity, random_state, reference_validate_partition, step_operators
 
 
 def _random_setup(dim, n, rng):
@@ -19,9 +19,15 @@ def _random_setup(dim, n, rng):
     return p, phases, psi
 
 
+def projector_ranks(p):
+    """Rank of each block read as the trace of its projector A_i^dag A_i."""
+    return tuple(int(round(np.trace(proj).real)) for proj in wang.projectors(p))
+
+
 def test_diagonal_blocks_validate_with_unit_ranks():
     p = wang.diagonal_partition(4)
-    assert p.ranks == (1, 1, 1, 1)
+    assert projector_ranks(p) == (1, 1, 1, 1)
+    assert projector_ranks(p) == tuple(np.linalg.matrix_rank(b) for b in p.blocks)
     assert p.n == 4 and p.dim == 4
 
 
@@ -49,10 +55,72 @@ def test_partition_from_split_bases():
     p = wang.partition_from_bases(
         qcore.random_unitary(4, rng), qcore.random_unitary(4, rng), (2, 1, 1)
     )
-    assert p.ranks == (2, 1, 1)
+    assert projector_ranks(p) == (2, 1, 1)
     # revalidating the produced blocks reproduces the same structure
     again = wang.validate_partition(p.blocks)
-    assert again.ranks == (2, 1, 1)
+    assert projector_ranks(again) == (2, 1, 1)
+
+
+def near_tolerance_blocks(kind, rng):
+    """Blocks of a random valid partition at D = 2..16, pushed to the edge of
+    validity.
+
+    "noise": complex Gaussian noise of 1e-13 to 1e-7 on every block.
+    "scale": one block scaled by 1 +- eps, eps from 1e-13 to 1e-7.
+    "spurious": one block gains delta |x><y| with delta just above RANK_TOL,
+    y in its kernel and x off its range, so the Gram checks can pass while
+    the block has a singular value that is neither 0 nor 1.
+    """
+    dim = int(rng.integers(2, 17))
+    if kind != "spurious":
+        blocks = np.array(wang.random_partition(dim, int(rng.integers(1, dim + 1)), rng).blocks)
+        eps = 10.0 ** rng.uniform(-13, -7)
+        if kind == "noise":
+            blocks += eps * (rng.normal(size=blocks.shape) + 1j * rng.normal(size=blocks.shape))
+        else:
+            blocks[rng.integers(len(blocks))] *= 1 + rng.choice((-1, 1)) * eps
+        return blocks
+    n = int(rng.integers(2, dim + 1))
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=n - 1, replace=False))
+    edges = np.concatenate(([0], cuts, [dim]))
+    u_basis, v_basis = qcore.random_unitary(dim, rng), qcore.random_unitary(dim, rng)
+    blocks = np.array(wang.partition_from_bases(u_basis, v_basis, np.diff(edges)).blocks)
+    i = int(rng.integers(n))
+    outside = np.ones(dim, dtype=bool)
+    outside[edges[i] : edges[i + 1]] = False
+    x = v_basis[:, outside] @ random_state(int(outside.sum()), rng).amplitudes
+    y = u_basis[:, outside] @ random_state(int(outside.sum()), rng).amplitudes
+    blocks[i] += rng.uniform(1.05, 2.0) * qcore.RANK_TOL * np.outer(x, y.conj())
+    return blocks
+
+
+REJECTIONS = {
+    "overlap": "overlap: max",
+    "identity": "deviates from identity",
+    "singular": "singular values",
+    "ranks": "do not sum",
+    "rebuild": "singular form",
+}
+
+
+def test_validate_partition_matches_the_pairwise_oracle():
+    # both accept with the same ranks, or both raise the same class and message
+    rng = np.random.default_rng(13)
+    verdicts = set()
+    for kind in ("noise", "scale", "spurious") * 110:
+        blocks = near_tolerance_blocks(kind, rng)
+        try:
+            ranks = reference_validate_partition(blocks)
+        except (IncompleteBlocks, OverlappingBlocks) as exc:
+            with pytest.raises(type(exc)) as got:
+                wang.validate_partition(blocks)
+            assert str(got.value) == str(exc)
+            verdicts.add(next(rule for rule, text in REJECTIONS.items() if text in str(exc)))
+        else:
+            assert projector_ranks(wang.validate_partition(blocks)) == ranks
+            verdicts.add("accepted")
+    # the sweep reaches acceptance and every rule the near-tolerance cases can break
+    assert verdicts >= {"accepted", "overlap", "identity", "singular"}
 
 
 def controlled_shift(p):
@@ -102,11 +170,9 @@ def test_controlled_shift_equals_the_kron_sum():
 
 def test_recovery_with_no_outcome_maps_u_to_v():
     rng = np.random.default_rng(2)
-    p = wang.random_partition(5, 3, rng)
-    r0 = wang.recovery(p, 0)
-    for j in range(p.n):
-        for k in range(p.ranks[j]):
-            np.testing.assert_allclose(r0 @ p.u[j][:, k], p.v[j][:, k], atol=1e-10)
+    u_basis, v_basis = qcore.random_unitary(5, rng), qcore.random_unitary(5, rng)
+    p = wang.partition_from_bases(u_basis, v_basis, (2, 1, 2))
+    np.testing.assert_allclose(wang.recovery(p, 0) @ u_basis, v_basis, atol=1e-10)
 
 
 def test_step_operators_are_unitary():

@@ -7,7 +7,13 @@ import math
 import numpy as np
 
 from qremote import groupform, locc, qcore
-from qremote.errors import DimensionMismatch, MissingClassicalDependency
+from qremote.errors import (
+    DimensionMismatch,
+    IncompleteBlocks,
+    MissingClassicalDependency,
+    NonFinite,
+    OverlappingBlocks,
+)
 from qremote.locc import ALICE, BOB, LocalOpEvent, MeasurementEvent
 
 
@@ -36,6 +42,63 @@ def stacked_rank(blocks, tol=1e-9):
     """Independent rank oracle: count singular values of the stacked rows."""
     rows = np.stack([np.asarray(b, dtype=complex).reshape(-1) for b in blocks])
     return int(np.count_nonzero(np.linalg.svd(rows, compute_uv=False) > tol))
+
+
+# --- partition oracle ------------------------------------------------------
+
+def reference_validate_partition(blocks):
+    """Block-class conditions checked pair by pair and block by block.
+
+    Same checks, order and messages as wang.validate_partition, from a
+    pairwise A_i^dag A_j loop and one SVD per block; additionally rebuilds
+    each block from its singular vectors. Returns the block ranks.
+    """
+    mats = tuple(np.asarray(b, dtype=complex) for b in blocks)
+    if not mats:
+        raise IncompleteBlocks("a partition needs at least one block")
+    dim = mats[0].shape[0]
+    for i, b in enumerate(mats):
+        if b.ndim != 2 or b.shape != (dim, dim):
+            raise DimensionMismatch(
+                f"block {i} has shape {b.shape}, expected ({dim}, {dim})"
+            )
+        if not np.isfinite(b).all():
+            raise NonFinite(f"block {i} has a non-finite entry")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(mats)):
+            for j in range(len(mats)):
+                if i == j:
+                    continue
+                overlap = np.abs(mats[i].conj().T @ mats[j]).max()
+                if overlap > qcore.NORM_TOL:
+                    raise OverlappingBlocks(
+                        f"blocks {i} and {j} overlap: max |A_i^dag A_j| = {overlap:.3e}"
+                    )
+        gram = sum(b.conj().T @ b for b in mats)
+        dev = np.abs(gram - np.eye(dim)).max()
+    if dev > qcore.NORM_TOL:
+        raise IncompleteBlocks(
+            f"sum A_i^dag A_i deviates from identity by {dev:.3e}"
+        )
+    factors, ranks = [], []
+    for i, b in enumerate(mats):
+        w, s, vh = np.linalg.svd(b)
+        r = int(np.count_nonzero(s > qcore.RANK_TOL))
+        if r and np.abs(s[:r] - 1.0).max() > 1e-8:
+            raise IncompleteBlocks(
+                f"block {i} has singular values {s[:r]} != 1; "
+                "it cannot belong to a unitary combination"
+            )
+        factors.append((w[:, :r], vh[:r]))
+        ranks.append(r)
+    if sum(ranks) != dim:
+        raise IncompleteBlocks(
+            f"block ranks {tuple(ranks)} do not sum to the dimension {dim}"
+        )
+    for i, (b, (w, vh)) in enumerate(zip(mats, factors)):
+        if np.abs(w @ vh - b).max() > 1e-8:
+            raise IncompleteBlocks(f"block {i} does not match its singular form")
+    return tuple(ranks)
 
 
 # --- state oracles ---------------------------------------------------------
