@@ -144,9 +144,10 @@ class ProjectiveRep:
 def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
     """Assemble and validate; with mu omitted it is read off the product table.
 
-    Every product U(f)U(g) is formed once, in one table. The checks, in
-    order: unitary matrices, unimodular factors, the identity element
-    carrying the identity matrix, closure, and factor-system consistency.
+    Every product U(f)U(g) is formed once, one table row U(f)U(.) at a
+    time. The checks, in order: unitary matrices, unimodular factors, the
+    identity element carrying the identity matrix, closure, and
+    factor-system consistency.
     Closure: U(f)U(g) = mu(f,g) U(fg) for every pair. Consistency of the
     two-term products mu(h^{-1},f) mu(h,h^{-1}f): closure makes this
     independent of f and equal to mu(h^{-1},h), which is checked; it
@@ -170,10 +171,18 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
         if not qcore.is_unitary(m):
             raise NonUnitary(f"representation matrix {group.names[f]} is not unitary")
     stack = np.stack(mats)
-    products = stack[:, None] @ stack[None, :]      # products[f, g] = U(f) U(g)
-    targets = stack[group.cayley]                   # targets[f, g] = U(fg)
-    if mu is None:
-        mu = np.einsum("fgab,fgab->fg", targets.conj(), products) / dim
+    derive = mu is None
+    if derive:
+        mu = np.empty((n, n), dtype=complex)
+    closure = np.empty((n, n))
+    # one table row at a time, so it never holds more than |G| D^2 entries:
+    # products[g] = U(f) U(g) against targets[g] = U(fg)
+    for f, row in enumerate(group.cayley):
+        products = stack[f] @ stack
+        targets = stack[row]
+        if derive:
+            mu[f] = np.einsum("gab,gab->g", targets.conj(), products) / dim
+        closure[f] = np.abs(products - mu[f, :, None, None] * targets).max(axis=(1, 2))
     worst = np.abs(np.abs(mu) - 1.0).max()
     if worst > qcore.NORM_TOL:
         raise NonUnimodularFactor(
@@ -181,7 +190,6 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
         )
     if np.abs(mats[group.identity] - np.eye(dim)).max() > qcore.NORM_TOL:
         raise NotARepresentation("identity element must carry the identity matrix")
-    closure = np.abs(products - mu[:, :, None, None] * targets).max(axis=(2, 3))
     bad = np.argwhere(closure > qcore.NORM_TOL)
     if len(bad):
         f, g = bad[0]

@@ -10,6 +10,8 @@ construction, not convention.
 The class conditions make every block a partial isometry, so Alice's
 operators are functions of the blocks themselves: the projectors
 P_i = A_i^dag A_i and the recovery R_m = sum_j e^{-2 pi i m j / N} A_j.
+Both read BlockPartition.isometries, the blocks with their singular values
+set to exactly 1: validation accepts 1 +- 1e-8, too loose for P's NORM_TOL.
 
 wang_program is the one description of the protocol: run_wang executes it,
 and trace_branch is that program cut after each traced step.
@@ -18,6 +20,7 @@ and trace_branch is that program cut after each traced step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +51,14 @@ class BlockPartition:
     def dim(self) -> int:
         return self.blocks.shape[1]
 
+    @cached_property
+    def isometries(self) -> np.ndarray:
+        """Each block A = W S V^dag as W (S > RANK_TOL) V^dag, one batched SVD."""
+        w, s, vh = np.linalg.svd(self.blocks)
+        exact = (w * (s > qcore.RANK_TOL)[:, None, :]) @ vh
+        exact.setflags(write=False)
+        return exact
+
 
 @dataclass(frozen=True)
 class Phases:
@@ -71,8 +82,8 @@ class Phases:
 def validate_partition(blocks) -> BlockPartition:
     """Check the operation-class conditions on the blocks.
 
-    All pairs are read from the Gram table [A_i^dag A_j], one matrix product
-    per block row against the blocks laid side by side. Raises
+    All pairs are read from the Gram table [A_i^dag A_j], one batched
+    product per block row against the stack of blocks. Raises
     OverlappingBlocks at the first (i, j), i != j in row-major order, whose
     entry is not 0, and IncompleteBlocks if the diagonal entries do not sum
     to I, if a block has a singular value above RANK_TOL that is not 1
@@ -90,18 +101,16 @@ def validate_partition(blocks) -> BlockPartition:
         if not np.isfinite(b).all():
             raise NonFinite(f"block {i} has a non-finite entry")
     stack = np.stack(mats)
-    n = len(mats)
     # entries near the float limit can overflow these products; such a block
     # is still rejected by name (its singular values are not 1), so numpy
     # need not warn about the overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        side_by_side = stack.transpose(1, 0, 2).reshape(dim, n * dim)
         completeness = np.zeros((dim, dim), dtype=complex)
         # one block row [A_i^dag A_j]_j of the Gram table at a time, so the
-        # table never holds more than D x nD entries
+        # table never holds more than n D^2 entries
         for i, block in enumerate(stack):
-            row = (block.conj().T @ side_by_side).reshape(dim, n, dim)
-            overlaps = np.abs(row).max(axis=(0, 2))
+            row = block.conj().T @ stack
+            overlaps = np.abs(row).max(axis=(1, 2))
             overlaps[i] = 0.0
             bad = np.flatnonzero(overlaps > qcore.NORM_TOL)
             if len(bad):
@@ -109,7 +118,7 @@ def validate_partition(blocks) -> BlockPartition:
                     f"blocks {i} and {bad[0]} overlap: "
                     f"max |A_i^dag A_j| = {overlaps[bad[0]]:.3e}"
                 )
-            completeness += row[:, i, :]
+            completeness += row[i]
         dev = np.abs(completeness - np.eye(dim)).max()
     if dev > qcore.NORM_TOL:
         raise IncompleteBlocks(
@@ -170,7 +179,7 @@ def random_phases(n: int, rng: np.random.Generator) -> Phases:
 
 def projectors(p: BlockPartition) -> np.ndarray:
     """P_i = A_i^dag A_i, the projectors onto the block supports, as a stack."""
-    return p.blocks.conj().transpose(0, 2, 1) @ p.blocks
+    return p.isometries.conj().transpose(0, 2, 1) @ p.isometries
 
 
 def assemble(p: BlockPartition, phases: Phases) -> np.ndarray:
@@ -191,7 +200,7 @@ def phase_gate(phases: Phases) -> np.ndarray:
 def recovery(p: BlockPartition, m: int) -> np.ndarray:
     """R_m = sum_j e^{-2 pi i m j / N} A_j."""
     phases = np.exp(-2j * np.pi * m * np.arange(p.n) / p.n)
-    return np.tensordot(phases, p.blocks, axes=1)
+    return np.tensordot(phases, p.isometries, axes=1)
 
 
 def wang_program(p: BlockPartition, phases: Phases) -> Program:

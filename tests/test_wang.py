@@ -103,24 +103,57 @@ REJECTIONS = {
 }
 
 
+def assert_runs_on_the_singular_factors(p, factors, rng):
+    """P, R_m and every run_wang branch against the operators the oracle's
+    singular factors give: P_i = V_r V_r^dag, R_m = sum_j e^{-2 pi i mj/n}
+    W_r V_r^dag and the target sum_i c_i W_r V_r^dag."""
+    exact = np.array([w @ vh for w, vh in factors])
+    np.testing.assert_allclose(
+        wang.projectors(p), [vh.conj().T @ vh for _, vh in factors], atol=1e-12
+    )
+    for m in range(p.n):
+        phases = np.exp(-2j * np.pi * m * np.arange(p.n) / p.n)
+        np.testing.assert_allclose(
+            wang.recovery(p, m), np.tensordot(phases, exact, axes=1), atol=1e-12
+        )
+    phases = wang.random_phases(p.n, rng)
+    psi = random_state(p.dim, rng)
+    target = np.tensordot(phases.values, exact, axes=1) @ psi.amplitudes
+    target = qcore.StateVector(target, (p.dim,))
+    for b in wang.run_wang(p, phases, psi):
+        assert fidelity(b.output, target) > 1 - 1e-9
+
+
 def test_validate_partition_matches_the_pairwise_oracle():
-    # both accept with the same ranks, or both raise the same class and message
+    # both accept with the same ranks and the accepted partition runs on the
+    # oracle's operators, or both raise the same class and message
     rng = np.random.default_rng(13)
     verdicts = set()
     for kind in ("noise", "scale", "spurious") * 110:
         blocks = near_tolerance_blocks(kind, rng)
         try:
-            ranks = reference_validate_partition(blocks)
+            factors = reference_validate_partition(blocks)
         except (IncompleteBlocks, OverlappingBlocks) as exc:
             with pytest.raises(type(exc)) as got:
                 wang.validate_partition(blocks)
             assert str(got.value) == str(exc)
             verdicts.add(next(rule for rule, text in REJECTIONS.items() if text in str(exc)))
         else:
-            assert projector_ranks(wang.validate_partition(blocks)) == ranks
+            p = wang.validate_partition(blocks)
+            assert projector_ranks(p) == tuple(vh.shape[0] for _, vh in factors)
+            assert_runs_on_the_singular_factors(p, factors, rng)
             verdicts.add("accepted")
     # the sweep reaches acceptance and every rule the near-tolerance cases can break
     assert verdicts >= {"accepted", "overlap", "identity", "singular"}
+
+
+def test_blocks_off_isometry_within_tolerance_still_run():
+    # accepted: completeness is off by 6e-10 and the singular value by 3e-10;
+    # P built from the raw blocks would miss unitarity by 1.2e-9 > NORM_TOL
+    blocks = [np.diag([1 + 3e-10, 0]), np.diag([0, 1])]
+    p = wang.validate_partition(blocks)
+    factors = reference_validate_partition(blocks)
+    assert_runs_on_the_singular_factors(p, factors, np.random.default_rng(4))
 
 
 def controlled_shift(p):

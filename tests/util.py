@@ -51,7 +51,8 @@ def reference_validate_partition(blocks):
 
     Same checks, order and messages as wang.validate_partition, from a
     pairwise A_i^dag A_j loop and one SVD per block; additionally rebuilds
-    each block from its singular vectors. Returns the block ranks.
+    each block from its singular vectors. Returns each block's singular
+    factors (W_r, V_r^dag) over its r singular values above RANK_TOL.
     """
     mats = tuple(np.asarray(b, dtype=complex) for b in blocks)
     if not mats:
@@ -98,7 +99,7 @@ def reference_validate_partition(blocks):
     for i, (b, (w, vh)) in enumerate(zip(mats, factors)):
         if np.abs(w @ vh - b).max() > 1e-8:
             raise IncompleteBlocks(f"block {i} does not match its singular form")
-    return tuple(ranks)
+    return factors
 
 
 # --- state oracles ---------------------------------------------------------
