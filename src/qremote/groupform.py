@@ -24,6 +24,7 @@ from . import locc, qcore
 from .errors import (
     DimensionMismatch,
     MultiplicityNotOne,
+    NonFinite,
     NonUnimodularFactor,
     NonUnitary,
     NonUnitaryM,
@@ -59,45 +60,37 @@ class FiniteGroup:
 
 
 def finite_group(cayley, names=None) -> FiniteGroup:
-    """Validate a Cayley table: permutation rows/columns, associativity,
-    unique identity, inverses."""
+    """Validate a Cayley table: permutation rows/columns, associativity and a
+    unique identity, which together give inverses."""
     table = np.asarray(cayley, dtype=int)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroup(f"Cayley table must be square, got shape {table.shape}")
     n = table.shape[0]
     if table.min() < 0 or table.max() >= n:
         raise NotAGroup("Cayley table entries must be element indices")
-    full = frozenset(range(n))
-    for i in range(n):
-        if frozenset(table[i]) != full or frozenset(table[:, i]) != full:
-            raise NotAGroup(
-                f"row/column {i} of the Cayley table is not a permutation"
-            )
+    elements = np.arange(n)
+    permutes = (np.sort(table, axis=1) == elements).all(axis=1)
+    permutes &= (np.sort(table, axis=0) == elements[:, None]).all(axis=0)
+    if not permutes.all():
+        raise NotAGroup(
+            f"row/column {np.argmin(permutes)} of the Cayley table is not a permutation"
+        )
     left = table[table, :]          # left[i,j,k] = (ij)k
     right = table[:, table]         # right[i,j,k] = i(jk)
     if not np.array_equal(left, right):
         raise NotAGroup("Cayley table is not associative")
-    identities = [
-        e for e in range(n)
-        if np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n))
-    ]
+    identities = np.flatnonzero(
+        (table == elements).all(axis=1) & (table == elements[:, None]).all(axis=0)
+    )
     if len(identities) != 1:
         raise NotAGroup(f"expected one identity element, found {len(identities)}")
-    e = identities[0]
-    inverses = np.full(n, -1, dtype=int)
-    for i in range(n):
-        for j in range(n):
-            if table[i, j] == e and table[j, i] == e:
-                inverses[i] = j
-                break
-        if inverses[i] < 0:
-            raise NotAGroup(f"element {i} has no inverse")
-    if names is None:
-        names = tuple(str(i) for i in range(n))
-    else:
-        names = tuple(str(x) for x in names)
-        if len(names) != n:
-            raise DimensionMismatch(f"need {n} names, got {len(names)}")
+    e = int(identities[0])
+    # an associative Latin square with an identity is a group: the one e in
+    # row i marks i's inverse
+    inverses = np.argmax(table == e, axis=1)
+    names = tuple(str(x) for x in (range(n) if names is None else names))
+    if len(names) != n:
+        raise DimensionMismatch(f"need {n} names, got {len(names)}")
     table = table.copy()
     table.setflags(write=False)
     inverses.setflags(write=False)
@@ -145,9 +138,10 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
     """Assemble and validate; with mu omitted it is read off the product table.
 
     Every product U(f)U(g) is formed once, one table row U(f)U(.) at a
-    time. The checks, in order: unitary matrices, unimodular factors, the
-    identity element carrying the identity matrix, closure, and
-    factor-system consistency.
+    time. The checks, in order: finite entries, unitary matrices, unimodular
+    factors, the identity element carrying the identity matrix, closure, and
+    factor-system consistency. mu is stored as mu/|mu|; the matrices are kept
+    as given, as the protocol's P and U(h^-1) check the residual bounded here.
     Closure: U(f)U(g) = mu(f,g) U(fg) for every pair. Consistency of the
     two-term products mu(h^{-1},f) mu(h,h^{-1}f): closure makes this
     independent of f and equal to mu(h^{-1},h), which is checked; it
@@ -167,10 +161,12 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
         mu = np.asarray(mu, dtype=complex)
         if mu.shape != (n, n):
             raise DimensionMismatch(f"factor system has shape {mu.shape}")
+    stack = np.stack(mats)
+    if not np.isfinite(stack).all() or (mu is not None and not np.isfinite(mu).all()):
+        raise NonFinite("representation matrices and factor system must be finite")
     for f, m in enumerate(mats):
         if not qcore.is_unitary(m):
             raise NonUnitary(f"representation matrix {group.names[f]} is not unitary")
-    stack = np.stack(mats)
     derive = mu is None
     if derive:
         mu = np.empty((n, n), dtype=complex)
@@ -208,7 +204,7 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
             f"factor products mu(h^-1,f) mu(h,h^-1 f) are inconsistent at "
             f"h={group.names[h]}, f={group.names[f]}"
         )
-    return ProjectiveRep(group, mats, mu)
+    return ProjectiveRep(group, mats, mu / np.abs(mu))
 
 
 def cyclic_character_rep(n: int) -> ProjectiveRep:

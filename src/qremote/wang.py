@@ -10,8 +10,8 @@ construction, not convention.
 The class conditions make every block a partial isometry, so Alice's
 operators are functions of the blocks themselves: the projectors
 P_i = A_i^dag A_i and the recovery R_m = sum_j e^{-2 pi i m j / N} A_j.
-Both read BlockPartition.isometries, the blocks with their singular values
-set to exactly 1: validation accepts 1 +- 1e-8, too loose for P's NORM_TOL.
+Validation stores the class's exact member, so these operators and every
+sum_i c_i A_i are unitary by construction.
 
 wang_program is the one description of the protocol: run_wang executes it,
 and trace_branch is that program cut after each traced step.
@@ -20,7 +20,6 @@ and trace_branch is that program cut after each traced step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .qcore import StateVector
 class BlockPartition:
     """Validated block structure {A_i}: the public half of the operation."""
 
-    blocks: np.ndarray              # read-only (n, D, D) stack of the A_i
+    blocks: np.ndarray              # read-only (n, D, D) stack of the exact A_i
 
     @property
     def n(self) -> int:
@@ -51,18 +50,10 @@ class BlockPartition:
     def dim(self) -> int:
         return self.blocks.shape[1]
 
-    @cached_property
-    def isometries(self) -> np.ndarray:
-        """Each block A = W S V^dag as W (S > RANK_TOL) V^dag, one batched SVD."""
-        w, s, vh = np.linalg.svd(self.blocks)
-        exact = (w * (s > qcore.RANK_TOL)[:, None, :]) @ vh
-        exact.setflags(write=False)
-        return exact
-
 
 @dataclass(frozen=True)
 class Phases:
-    """Bob's private coefficient vector, one unimodular scalar per block."""
+    """Bob's private coefficient vector: unimodular scalars, stored as c/|c|."""
 
     values: np.ndarray
 
@@ -72,6 +63,7 @@ class Phases:
             raise NonFinite("coefficients must be finite")
         if (np.abs(np.abs(vals) - 1.0) > qcore.NORM_TOL).any():
             raise NonUnimodularCoefficient("coefficients must have modulus 1")
+        vals = vals / np.abs(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -88,6 +80,9 @@ def validate_partition(blocks) -> BlockPartition:
     entry is not 0, and IncompleteBlocks if the diagonal entries do not sum
     to I, if a block has a singular value above RANK_TOL that is not 1
     within 1e-8, or if the block ranks do not sum to the dimension.
+    The stored blocks are the exact member A_i = W diag(owner == i) V^dag:
+    W and V are the polar factors of the kept singular vectors, which no
+    phase or basis choice of the SVD changes.
     """
     mats = tuple(np.asarray(b, dtype=complex) for b in blocks)
     if not mats:
@@ -125,8 +120,9 @@ def validate_partition(blocks) -> BlockPartition:
             f"sum A_i^dag A_i deviates from identity by {dev:.3e}"
         )
 
-    singular = np.linalg.svd(stack, compute_uv=False)
-    ranks = np.count_nonzero(singular > qcore.RANK_TOL, axis=1)
+    w, singular, vh = np.linalg.svd(stack)
+    kept = singular > qcore.RANK_TOL
+    ranks = np.count_nonzero(kept, axis=1)
     for i, (s, r) in enumerate(zip(singular, ranks)):
         if r and np.abs(s[:r] - 1.0).max() > 1e-8:
             raise IncompleteBlocks(
@@ -137,8 +133,14 @@ def validate_partition(blocks) -> BlockPartition:
         raise IncompleteBlocks(
             f"block ranks {tuple(ranks.tolist())} do not sum to the dimension {dim}"
         )
-    stack.setflags(write=False)
-    return BlockPartition(stack)
+    # by the rank sum the kept singular vectors are D per side: the rows of
+    # W^T (outputs) and V^dag (inputs), each replaced by its polar factor
+    u, _, uh = np.linalg.svd(np.stack((w.transpose(0, 2, 1)[kept], vh[kept])))
+    out_rows, in_rows = u @ uh
+    owned = np.nonzero(kept)[0] == np.arange(len(stack))[:, None]
+    member = (out_rows.T * owned[:, None, :]) @ in_rows
+    member.setflags(write=False)
+    return BlockPartition(member)
 
 
 def diagonal_partition(dim: int) -> BlockPartition:
@@ -179,7 +181,7 @@ def random_phases(n: int, rng: np.random.Generator) -> Phases:
 
 def projectors(p: BlockPartition) -> np.ndarray:
     """P_i = A_i^dag A_i, the projectors onto the block supports, as a stack."""
-    return p.isometries.conj().transpose(0, 2, 1) @ p.isometries
+    return p.blocks.conj().transpose(0, 2, 1) @ p.blocks
 
 
 def assemble(p: BlockPartition, phases: Phases) -> np.ndarray:
@@ -200,7 +202,7 @@ def phase_gate(phases: Phases) -> np.ndarray:
 def recovery(p: BlockPartition, m: int) -> np.ndarray:
     """R_m = sum_j e^{-2 pi i m j / N} A_j."""
     phases = np.exp(-2j * np.pi * m * np.arange(p.n) / p.n)
-    return np.tensordot(phases, p.isometries, axes=1)
+    return np.tensordot(phases, p.blocks, axes=1)
 
 
 def wang_program(p: BlockPartition, phases: Phases) -> Program:

@@ -51,6 +51,16 @@ def test_run_json_output_parses(tmp_path, capsys):
     assert doc["branches"][0]["outcomes"] == {"l": 0, "m": 0}
 
 
+def test_near_tolerance_phases_run(tmp_path, capsys):
+    # |c_0| - 1 = 8e-10 is accepted, and the run compares against the exact
+    # member c_0/|c_0|, so the combined operator is unitary
+    doc = diagonal_wang_doc(2, np.array([1.0000000008, 1j]))
+    assert doc["phases"][0] == [1.0000000008, 0.0]
+    path = write_problem(tmp_path, "w.json", doc)
+    assert main(["run", path]) == 0
+    assert "result: OK" in capsys.readouterr().out
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -7,10 +7,12 @@ import pytest
 from qremote import groupform, qcore, wang
 from qremote.errors import (
     MultiplicityNotOne,
+    NonFinite,
     NonUnimodularFactor,
     NonUnitary,
     NonUnitaryM,
     NonUnitaryTarget,
+    NotAGroup,
     NotARepresentation,
     NotBlockDiagonal,
 )
@@ -54,6 +56,10 @@ def test_bad_cayley_tables_rejected():
     table = np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
     with pytest.raises(ValueError):
         groupform.finite_group(table)
+    # row 2 is the first row that is no permutation, but column 0 is named
+    table = np.array([[0, 1, 2], [1, 2, 0], [0, 0, 1]])
+    with pytest.raises(NotAGroup, match="row/column 0 of the Cayley table"):
+        groupform.finite_group(table)
 
 
 # --- representations -----------------------------------------------------------
@@ -81,6 +87,33 @@ def test_nonunimodular_factor_rejected():
     rep = groupform.cyclic_character_rep(3)
     with pytest.raises(NonUnimodularFactor):
         groupform.projective_rep(rep.group, rep.matrices, mu=2 * np.ones((3, 3)))
+
+
+def test_non_finite_matrices_and_factors_are_named():
+    rep = groupform.cyclic_character_rep(3)
+    mu = np.ones((3, 3), dtype=complex)
+    mu[1, 2] = np.nan
+    with pytest.raises(NonFinite):
+        groupform.projective_rep(rep.group, rep.matrices, mu=mu)
+    mats = list(rep.matrices)
+    mats[1] = np.where(np.eye(3) > 0, np.inf, 0).astype(complex)
+    with pytest.raises(NonFinite):
+        groupform.projective_rep(rep.group, mats)
+
+
+def test_near_unimodular_factor_is_stored_exactly_and_runs():
+    # |mu(1,2)| = 1 + 8e-10 passes validation; stored as mu/|mu|, it gives a
+    # unitary M for c = e_2, where |mu|^2 - 1 = 1.6e-9 would fail NORM_TOL
+    rep = groupform.pauli_rep()
+    mu = np.array(rep.mu)
+    mu[1, 2] *= 1 + 8e-10
+    near = groupform.projective_rep(rep.group, rep.matrices, mu=mu)
+    np.testing.assert_allclose(np.abs(near.mu), 1.0, rtol=0, atol=1e-15)
+    c = np.eye(4)[2]
+    psi = random_state(2, np.random.default_rng(15))
+    expected = qcore.StateVector(Z @ psi.amplitudes, (2,))
+    for b in groupform.run_group_protocol(near, c, psi):
+        assert fidelity(b.output, expected) >= 1 - 1e-9
 
 
 def test_nonunitary_matrices_rejected():

@@ -9,7 +9,13 @@ import pytest
 from qremote import locc, qcore, wang
 from qremote.errors import IncompleteBlocks, NonFinite, NonUnitary, OverlappingBlocks
 
-from util import fidelity, random_state, reference_validate_partition, step_operators
+from util import (
+    fidelity,
+    random_diag_phases,
+    random_state,
+    reference_validate_partition,
+    step_operators,
+)
 
 
 def _random_setup(dim, n, rng):
@@ -106,7 +112,8 @@ REJECTIONS = {
 def assert_runs_on_the_singular_factors(p, factors, rng):
     """P, R_m and every run_wang branch against the operators the oracle's
     singular factors give: P_i = V_r V_r^dag, R_m = sum_j e^{-2 pi i mj/n}
-    W_r V_r^dag and the target sum_i c_i W_r V_r^dag."""
+    W_r V_r^dag and the target sum_i c_i W_r V_r^dag; the branches also
+    against wang.assemble, which must accept the partition."""
     exact = np.array([w @ vh for w, vh in factors])
     np.testing.assert_allclose(
         wang.projectors(p), [vh.conj().T @ vh for _, vh in factors], atol=1e-12
@@ -120,15 +127,18 @@ def assert_runs_on_the_singular_factors(p, factors, rng):
     psi = random_state(p.dim, rng)
     target = np.tensordot(phases.values, exact, axes=1) @ psi.amplitudes
     target = qcore.StateVector(target, (p.dim,))
+    direct = qcore.StateVector(wang.assemble(p, phases) @ psi.amplitudes, (p.dim,))
     for b in wang.run_wang(p, phases, psi):
         assert fidelity(b.output, target) > 1 - 1e-9
+        assert fidelity(b.output, direct) >= 1 - 1e-9
 
 
 def test_validate_partition_matches_the_pairwise_oracle():
     # both accept with the same ranks and the accepted partition runs on the
-    # oracle's operators, or both raise the same class and message
+    # oracle's operators and on its own assemble, or both raise the same
+    # class and message
     rng = np.random.default_rng(13)
-    verdicts = set()
+    verdicts, drift = set(), 0.0
     for kind in ("noise", "scale", "spurious") * 110:
         blocks = near_tolerance_blocks(kind, rng)
         try:
@@ -142,7 +152,10 @@ def test_validate_partition_matches_the_pairwise_oracle():
             p = wang.validate_partition(blocks)
             assert projector_ranks(p) == tuple(vh.shape[0] for _, vh in factors)
             assert_runs_on_the_singular_factors(p, factors, rng)
+            drift = max(drift, np.abs(p.blocks - blocks).max())
             verdicts.add("accepted")
+    # the stored exact member stays near the given blocks (measured: 3.7e-10)
+    assert drift <= 1e-8
     # the sweep reaches acceptance and every rule the near-tolerance cases can break
     assert verdicts >= {"accepted", "overlap", "identity", "singular"}
 
@@ -154,6 +167,32 @@ def test_blocks_off_isometry_within_tolerance_still_run():
     p = wang.validate_partition(blocks)
     factors = reference_validate_partition(blocks)
     assert_runs_on_the_singular_factors(p, factors, np.random.default_rng(4))
+
+
+def test_accepted_inputs_are_stored_as_the_exact_class_member():
+    # |c_0|^2 - 1 = 1.6e-9 > NORM_TOL, yet |c_0| - 1 = 8e-10 is accepted:
+    # Phases stores c/|c|, so C and sum_i c_i A_i come out unitary
+    phases = wang.Phases([1 + 8e-10, 1j])
+    np.testing.assert_allclose(np.abs(phases.values), 1.0, rtol=0, atol=1e-15)
+    p = wang.validate_partition([np.diag([1 + 3e-10, 0]), np.diag([0, 1 - 2e-10])])
+    np.testing.assert_allclose(p.blocks, [np.diag([1, 0]), np.diag([0, 1])], rtol=0, atol=1e-15)
+    psi = random_state(2, np.random.default_rng(14))
+    direct = qcore.StateVector(wang.assemble(p, phases) @ psi.amplitudes, (2,))
+    for b in wang.run_wang(p, phases, psi):
+        assert fidelity(b.output, direct) >= 1 - 1e-9
+
+
+def test_the_exact_member_is_a_fixed_point_of_validation():
+    # noisy blocks are moved onto the class; the member is left where it is,
+    # and a permuted block order permutes it
+    rng = np.random.default_rng(16)
+    blocks = np.array(wang.random_partition(6, 3, rng).blocks)
+    blocks += 1e-11 * (rng.normal(size=blocks.shape) + 1j * rng.normal(size=blocks.shape))
+    p = wang.validate_partition(blocks)
+    u = np.tensordot(random_diag_phases(3, rng), p.blocks, axes=1)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-14)
+    np.testing.assert_allclose(wang.validate_partition(p.blocks).blocks, p.blocks, atol=1e-14)
+    np.testing.assert_allclose(wang.validate_partition(blocks[::-1]).blocks, p.blocks[::-1], atol=1e-14)
 
 
 def controlled_shift(p):
