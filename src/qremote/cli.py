@@ -370,7 +370,7 @@ def cmd_cost(args) -> int:
 
     comparison = entcost.compare_costs(blocks, dim, protocol=protocol)
     n = len(blocks)
-    rank = entcost.operator_rank(blocks)
+    rank = comparison.rows[0].controlled_parameters   # operator_rank(blocks)
     verdicts = [entcost.feasibility_test(rank, d) for d in range(1, n + 1)]
     if args.json:
         doc = {

@@ -108,14 +108,17 @@ def bqst_cost(dim: int, controlled_parameters: int) -> CostReport:
 
 
 def compare_costs(blocks, dim: int, protocol: str = "wang") -> CostComparison:
-    """Cost rows for the block protocol (rank n) against BQST (rank D^2)."""
-    n = len(tuple(blocks))
+    """Cost rows for the block protocol (rank n) against BQST (rank D^2),
+    both judged against the operator rank of the blocks, which may be < n."""
+    blocks = tuple(blocks)
+    n = len(blocks)
     if n < 1:
         raise DimensionMismatch("at least one block is required")
+    rank = operator_rank(blocks)
     bits = math.log2(n)
-    bqst_row = bqst_cost(dim, n)
+    bqst_row = bqst_cost(dim, rank)
     return CostComparison(
-        rows=(CostReport(protocol, n, n, bits, bits, bits), bqst_row),
+        rows=(CostReport(protocol, n, rank, bits, bits, bits), bqst_row),
         wang_saves=bits < bqst_row.ebits,
     )
 

@@ -13,9 +13,10 @@ into one row per outcome above PROB_FLOOR and drops the measured axis; the
 outcome goes into a column, and a later step on that factor is a
 DimensionMismatch. A local step is one matrix product over all rows. A
 conditioned step builds and checks its operator once per distinct outcome
-value and gathers it per row. A transcript is a function of the program
-and its row's outcomes; the row is the branch's output. Branch.state puts
-each measured factor back, in its outcome's basis state, when it is read.
+value and gathers it per row. A branch stores its outcomes, probability
+and output (its row) and shares the run's operator-free record of the
+steps; its transcript, outcomes and full state (each measured factor back
+in its outcome's basis state) are derived from these on each read.
 
 Every protocol runner returns run_protocol's Branch values, and each
 runner's program leaves exactly its output register unmeasured. A
@@ -123,25 +124,43 @@ class Transcript:
 
 @dataclass(frozen=True)
 class Branch:
-    """One measurement branch over registers of factor_dims: its transcript
-    and its output, the state of the unmeasured factors in factor order."""
+    """One measurement branch over registers of factor_dims. steps is the
+    run's record of the program (a LocalOpEvent per operator step, each
+    MeasureStep as is), row one outcome per MeasureStep in program order,
+    and output the state of the unmeasured factors in factor order."""
 
-    transcript: Transcript
+    steps: tuple[LocalOpEvent | MeasureStep, ...]
+    row: tuple[int, ...]
+    probability: float
     output: StateVector
     factor_dims: tuple[int, ...]
 
+    def _measured(self):
+        """(MeasureStep, outcome) pairs in program order."""
+        return zip((s for s in self.steps if isinstance(s, MeasureStep)), self.row)
+
     @property
-    def probability(self) -> float:
-        return self.transcript.probability
+    def transcript(self) -> Transcript:
+        """The branch's events, built on each read from steps and row."""
+        row = iter(self.row)
+        events: list[Event] = []
+        for s in self.steps:
+            if isinstance(s, LocalOpEvent):
+                events.append(s)
+                continue
+            k = next(row)
+            events.append(MeasurementEvent(s.party, s.target, k))
+            if s.send_to is not None:
+                events.append(ClassicalMessageEvent(s.party, s.send_to, s.message, k))
+        return Transcript(tuple(events), self.probability)
 
     @property
     def state(self) -> StateVector:
         """The full register state, built on each read: the output at the
         unmeasured factors, each outcome's basis state at its measured one."""
         index: list[int | slice] = [slice(None)] * len(self.factor_dims)
-        for e in self.transcript.events:
-            if isinstance(e, MeasurementEvent):
-                index[e.target] = e.outcome
+        for s, k in self._measured():
+            index[s.target] = k
         full = np.zeros(math.prod(self.factor_dims), dtype=complex)
         full.reshape(self.factor_dims)[tuple(index)] = self.output.tensor_form()
         full.setflags(write=False)   # frozen here, so StateVector need not copy it
@@ -150,11 +169,7 @@ class Branch:
     @property
     def outcomes(self) -> dict[str, int]:
         """Message tag -> payload, in the order the messages were sent."""
-        return {
-            e.tag: e.payload
-            for e in self.transcript.events
-            if isinstance(e, ClassicalMessageEvent)
-        }
+        return {s.message: k for s, k in self._measured() if s.send_to is not None}
 
 
 # --- resource states -------------------------------------------------------
@@ -191,8 +206,7 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
 
     Returns one Branch per surviving outcome combination, in deterministic
     (lexicographic outcome) order. Branch probabilities multiply along the
-    measurement path and are recorded on the transcript. The module
-    docstring says how the branches are run.
+    measurement path. The module docstring says how the branches are run.
     """
     owners, dims = program.owners, initial.factor_dims
     if len(owners) != len(dims):
@@ -252,39 +266,15 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
         out = ops @ moved.reshape(len(moved), ops.shape[-1], -1)
         batch = np.moveaxis(out.reshape(moved.shape), front, targets)
 
-    events = _transcript_events(program)
+    steps = tuple(
+        s if isinstance(s, MeasureStep) else LocalOpEvent(
+            s.party, s.label, s.targets, s.message if isinstance(s, ConditionalStep) else None)
+        for s in program.steps
+    )
     return [
-        Branch(Transcript(events(row), p), StateVector(amps, amps.shape), dims)
+        Branch(steps, tuple(row), p, StateVector(amps, amps.shape), dims)
         for amps, row, p in zip(batch, outcomes.tolist(), prob.tolist())
     ]
-
-
-def _transcript_events(program: Program) -> Callable[[list[int]], tuple[Event, ...]]:
-    """A branch's events as a function of its outcomes, one per measurement.
-    Each distinct event is built once and shared by the branches."""
-    built: dict[tuple[int, int | None], tuple[Event, ...]] = {}
-
-    def events(row: list[int]) -> tuple[Event, ...]:
-        out: list[Event] = []
-        outcomes = iter(row)
-        for i, step in enumerate(program.steps):
-            key = (i, next(outcomes) if isinstance(step, MeasureStep) else None)
-            if key not in built:
-                built[key] = _step_events(step, key[1])
-            out.extend(built[key])
-        return tuple(out)
-
-    return events
-
-
-def _step_events(step: Step, outcome: int | None) -> tuple[Event, ...]:
-    if isinstance(step, MeasureStep):
-        measured = (MeasurementEvent(step.party, step.target, outcome),)
-        if step.send_to is None:
-            return measured
-        return measured + (ClassicalMessageEvent(step.party, step.send_to, step.message, outcome),)
-    consumed = step.message if isinstance(step, ConditionalStep) else None
-    return (LocalOpEvent(step.party, step.label, step.targets, consumed),)
 
 
 def transcript_lines(transcript: Transcript) -> list[str]:

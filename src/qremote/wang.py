@@ -19,7 +19,7 @@ and trace_branch is that program cut after each traced step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -323,6 +323,6 @@ def run_svd_remote(program: RemoteSvdProgram, input_state: StateVector) -> list[
     The post operation is applied to each branch's output."""
     mid = qcore.apply_local(program.pre, input_state, (0,))
     return [
-        Branch(b.transcript, qcore.apply_local(program.post, b.output, (0,)), b.factor_dims)
+        replace(b, output=qcore.apply_local(program.post, b.output, (0,)))
         for b in run_wang(program.partition, program.phases, mid)
     ]

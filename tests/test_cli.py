@@ -424,6 +424,30 @@ def test_cost_computes_the_operator_rank_once(tmp_path, capsys, monkeypatch, fla
     assert len(calls) == 1
 
 
+# two blocks spanning one operator: operator rank 1 below the block count 2
+RANK_ONE_DOCS = {
+    "group": {
+        "kind": "group", "order": 2, "cayley": [[0, 1], [1, 0]],
+        "matrices": [[[[1, 0]]], [[[-1, 0]]]], "coefficients": [[1, 0], [0, 0]],
+    },
+    "wang": {"kind": "wang", "dim": 1, "blocks": [[[[1, 0]]], [[[0, 0]]]]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RANK_ONE_DOCS))
+def test_cost_rows_are_judged_against_the_operator_rank(tmp_path, capsys, kind):
+    path = write_problem(tmp_path, "r.json", RANK_ONE_DOCS[kind])
+    assert main(["cost", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    feasible = {f["d"]: f["feasible"] for f in report["feasibility"]}
+    assert {f["operator_rank"] for f in report["feasibility"]} == {1}
+    judged = [row for row in report["rows"] if row["schmidt_rank"] in feasible]
+    assert len(judged) == 2
+    for row in judged:
+        assert (row["verdict"] == "feasible") == feasible[row["schmidt_rank"]]
+    assert [row["controlled_parameters"] for row in report["rows"]] == [1, 1]
+
+
 def test_cost_rejects_bqst_problems(tmp_path, capsys):
     doc = {"kind": "bqst", "dim": 2, "unitary": matrix_to_json(np.eye(2))}
     path = write_problem(tmp_path, "b.json", doc)

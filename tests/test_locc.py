@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qremote import locc, qcore, wang
+from qremote import entcost, groupform, locc, qcore, wang
 from qremote.errors import DimensionMismatch, LocalityViolation, MissingClassicalDependency
 from qremote.locc import (
     ALICE,
@@ -119,6 +119,37 @@ def test_transcripts_validate_and_serialize():
         assert any(line.startswith("MEASURE|bob|2") for line in lines)
         # the recovery is conditioned on m and must come after its message
         assert lines[-1] == "LOCALOP|alice|R_m|0;uses=m"
+
+
+def test_runs_and_branch_reads_build_no_transcript(monkeypatch):
+    # a branch stores its outcome row; probability, outcomes and state are
+    # read from it, and a transcript is built only when one is asked for
+    def refuse(*args):
+        raise AssertionError("a transcript event was built")
+
+    monkeypatch.setattr(locc, "MeasurementEvent", refuse)
+    monkeypatch.setattr(locc, "ClassicalMessageEvent", refuse)
+    rng = np.random.default_rng(5)
+    c = np.zeros(4, dtype=complex)
+    c[1] = c[2] = 1 / np.sqrt(2)
+    runs = {
+        ("l", "m"): wang.run_wang(
+            wang.random_partition(3, 3, rng), wang.random_phases(3, rng), random_state(3, rng)
+        ),
+        ("g", "h"): groupform.run_group_protocol(groupform.pauli_rep(), c, random_state(2, rng)),
+        ("p", "q", "r", "s"): entcost.bqst_teleport(
+            qcore.random_unitary(2, rng), random_state(2, rng)
+        )[0],
+    }
+    for tags, branches in runs.items():
+        assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-10)
+        for b in branches:
+            assert tuple(b.outcomes) == tags
+            assert tuple(b.outcomes.values()) == b.row
+            assert b.state.factor_dims == b.factor_dims
+            # one record per run, holding no operator
+            assert b.steps is branches[0].steps
+            assert all(isinstance(s, (LocalOpEvent, MeasureStep)) for s in b.steps)
 
 
 def test_branch_states_are_freed_without_the_cycle_collector():
