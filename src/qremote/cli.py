@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 import numpy as np
@@ -47,12 +48,20 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _list(value) -> list:
+    """A JSON list; iterating an object would read its keys."""
+    if not isinstance(value, list):
+        raise MalformedProblem(f"expected a list, got {value!r}")
+    return value
+
+
 def vector_from_json(obj) -> np.ndarray:
-    return _finite(np.array([pair_to_complex(p) for p in obj], dtype=complex))
+    return _finite(np.array([pair_to_complex(p) for p in _list(obj)], dtype=complex))
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    return _finite(np.array([[pair_to_complex(p) for p in row] for row in obj], dtype=complex))
+    rows = [[pair_to_complex(p) for p in _list(row)] for row in _list(obj)]
+    return _finite(np.array(rows, dtype=complex))
 
 
 def complex_to_pair(z: complex) -> list[float]:
@@ -69,13 +78,16 @@ def matrix_to_json(mat) -> list:
 
 # --- problem files -----------------------------------------------------------
 
+@dataclasses.dataclass(frozen=True)
 class Problem:
-    def __init__(self, kind, runner, expected, meta, describe):
-        self.kind = kind
-        self.run = runner                 # () -> list of branches
-        self.expected = expected          # expected output amplitudes
-        self.meta = meta                  # what trace and cost read
-        self.describe = describe          # header string
+    """A loaded problem file: the values that run, trace and cost read."""
+
+    kind: str
+    run: Callable[[], list]      # every branch of the protocol
+    expected: np.ndarray         # expected output amplitudes
+    describe: str                # header line
+    blocks: object = None        # the operators cost judges; None for bqst
+    trace: tuple | None = None   # (partition, phases, input) for wang only
 
 
 @contextlib.contextmanager
@@ -125,7 +137,7 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
     if kind == "wang":
         with _document_shape():
             dim = _integer(doc["dim"])
-            blocks = [matrix_from_json(b) for b in doc["blocks"]]
+            blocks = [matrix_from_json(b) for b in _list(doc["blocks"])]
             values = vector_from_json(doc["phases"]) if "phases" in doc else None
         partition = wang.validate_partition(blocks)
         if partition.dim != dim:
@@ -135,20 +147,22 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
         expected = wang.assemble(partition, phases) @ state.amplitudes
         return Problem(
             kind="wang",
-            runner=lambda: wang.run_wang(partition, phases, state),
+            run=lambda: wang.run_wang(partition, phases, state),
             expected=expected,
-            meta={"partition": partition, "phases": phases, "input": state},
             describe=f"kind: wang  dim={dim}  blocks={partition.n}",
+            blocks=partition.blocks,
+            trace=(partition, phases, state),
         )
     if kind == "group":
         with _document_shape():
             order = _integer(doc["order"])
-            cayley = np.array([[_integer(x) for x in row] for row in doc["cayley"]], dtype=int)
+            rows = [[_integer(x) for x in _list(row)] for row in _list(doc["cayley"])]
+            cayley = np.array(rows, dtype=int)
             names = _strings(doc["names"]) if "names" in doc else None
-            matrices = [matrix_from_json(m) for m in doc["matrices"]]
+            matrices = [matrix_from_json(m) for m in _list(doc["matrices"])]
             mu = matrix_from_json(doc["mu"]) if "mu" in doc else None
             coefficients = vector_from_json(doc["coefficients"])
-            blocks = [_integer(d) for d in doc["blocks"]] if "blocks" in doc else None
+            blocks = [_integer(d) for d in _list(doc["blocks"])] if "blocks" in doc else None
         group = groupform.finite_group(cayley, names=names)
         if group.order != order:
             raise DimensionMismatch(f"declared order {order} does not match the Cayley table")
@@ -159,10 +173,10 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
             groupform.block_decomposition(rep, blocks)
         return Problem(
             kind="group",
-            runner=lambda: groupform.run_group_protocol(rep, coefficients, state),
+            run=lambda: groupform.run_group_protocol(rep, coefficients, state),
             expected=expected,
-            meta={"rep": rep},
             describe=f"kind: group  |G|={order}  dim={rep.dim}",
+            blocks=rep.matrices,
         )
     if kind == "bqst":
         with _document_shape():
@@ -174,9 +188,8 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
         expected = np.asarray(unitary, dtype=complex) @ state.amplitudes
         return Problem(
             kind="bqst",
-            runner=lambda: entcost.bqst_teleport(unitary, state)[0],
+            run=lambda: entcost.bqst_teleport(unitary, state)[0],
             expected=expected,
-            meta={},
             describe=f"kind: bqst  dim={dim}",
         )
     raise MalformedProblem(f"unknown problem kind {kind!r}; expected wang, group, or bqst")
@@ -255,14 +268,10 @@ def _aligned(rows) -> list[str]:
 
 def cmd_trace(args) -> int:
     problem = load_problem(args.file, args.input)
-    if problem.kind != "wang":
+    if problem.trace is None:
         raise UnsupportedProblem("trace supports wang problems only")
-    partition = problem.meta["partition"]
-    phases = problem.meta["phases"]
-    state = problem.meta["input"]
+    partition, phases, state = problem.trace
     n = partition.n
-    if n > 6:
-        raise UnsupportedProblem(f"trace supports up to 6 blocks, got {n}")
     try:
         l, m = (int(x) for x in args.branch.split(","))
     except ValueError as exc:
@@ -355,20 +364,10 @@ def render_cost_table(rows) -> str:
 
 def cmd_cost(args) -> int:
     problem = load_problem(args.file)
-    if problem.kind == "wang":
-        partition = problem.meta["partition"]
-        blocks = partition.blocks
-        dim = partition.dim
-        protocol = "wang"
-    elif problem.kind == "group":
-        rep = problem.meta["rep"]
-        blocks = rep.matrices
-        dim = rep.dim
-        protocol = "group"
-    else:
+    if problem.blocks is None:
         raise UnsupportedProblem("cost supports wang and group problems only")
-
-    comparison = entcost.compare_costs(blocks, dim, protocol=protocol)
+    blocks = problem.blocks
+    comparison = entcost.compare_costs(blocks, problem.expected.size, protocol=problem.kind)
     n = len(blocks)
     rank = comparison.rows[0].controlled_parameters   # operator_rank(blocks)
     verdicts = [entcost.feasibility_test(rank, d) for d in range(1, n + 1)]
@@ -411,10 +410,10 @@ def _seed(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """A finite fidelity tolerance: nan would fail every run and inf pass it."""
+    """A fidelity tolerance in [0, 1): outside it 1 - tol fails every run or passes it."""
     tol = float(text)
-    if not math.isfinite(tol):
-        raise argparse.ArgumentTypeError(f"a tolerance is a finite number, got {text}")
+    if not 0 <= tol < 1:
+        raise argparse.ArgumentTypeError(f"a tolerance lies in [0, 1), got {text}")
     return tol
 
 

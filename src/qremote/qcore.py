@@ -120,12 +120,12 @@ def kron_sum(left, right) -> np.ndarray:
     return terms.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
-def is_unitary(m: np.ndarray, tol: float = NORM_TOL) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return bool(
-        np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= tol
+        np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= NORM_TOL
     )
 
 

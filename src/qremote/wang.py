@@ -14,12 +14,13 @@ Validation stores the class's exact member, so these operators and every
 sum_i c_i A_i are unitary by construction.
 
 wang_program is the one description of the protocol: run_wang executes it,
-and trace_branch is that program cut after each traced step.
+trace_branch is that program cut after each traced step, and svd_program
+wraps it in Alice's local factors of an arbitrary unitary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -317,12 +318,16 @@ def svd_remote(unitary: np.ndarray) -> RemoteSvdProgram:
     )
 
 
-def run_svd_remote(program: RemoteSvdProgram, input_state: StateVector) -> list[Branch]:
-    """local pre, remote diagonal, local post; one branch per (l, m).
+def svd_program(program: RemoteSvdProgram) -> Program:
+    """wang_program for the diagonal factor between Alice's local pre and post."""
+    core = wang_program(program.partition, program.phases)
+    pre = LocalStep(ALICE, "pre", program.pre, (0,))
+    post = LocalStep(ALICE, "post", program.post, (0,))
+    return Program(core.owners, (pre, *core.steps, post))
 
-    The post operation is applied to each branch's output."""
-    mid = qcore.apply_local(program.pre, input_state, (0,))
-    return [
-        replace(b, output=qcore.apply_local(program.post, b.output, (0,)))
-        for b in run_wang(program.partition, program.phases, mid)
-    ]
+
+def run_svd_remote(program: RemoteSvdProgram, input_state: StateVector) -> list[Branch]:
+    """Execute svd_program over every (l, m) branch: each transcript runs from
+    Alice's pre to her post, and each output is U applied to the input."""
+    initial = qcore.tensor(input_state, locc.maximally_entangled(program.partition.n))
+    return locc.run_protocol(svd_program(program), initial)

@@ -178,6 +178,16 @@ PROBLEM_DOCS = {
     ("group", "names", "xy", "MalformedProblem"),
     ("group", "blocks", [0], "DimensionMismatch"),
     ("wang", "phases", [], "DimensionMismatch"),
+    # a JSON object where a list belongs
+    ("wang", "phases", {}, "MalformedProblem"),
+    ("wang", "input", {}, "MalformedProblem"),
+    ("wang", "blocks", {}, "MalformedProblem"),
+    ("group", "coefficients", {}, "MalformedProblem"),
+    ("group", "matrices", {}, "MalformedProblem"),
+    ("group", "mu", {}, "MalformedProblem"),
+    ("group", "cayley", {}, "MalformedProblem"),
+    ("group", "blocks", {}, "MalformedProblem"),
+    ("bqst", "unitary", [{}, {}], "MalformedProblem"),
 ])
 def test_document_errors_exit_2_with_the_invariant_named(tmp_path, capsys, kind, key, value, name):
     doc = PROBLEM_DOCS[kind]()
@@ -188,15 +198,16 @@ def test_document_errors_exit_2_with_the_invariant_named(tmp_path, capsys, kind,
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["trace", "{wang7}"], "UnsupportedProblem"),
+    (["trace", "{bqst}"], "UnsupportedProblem"),
     (["trace", "{wang}", "--branch", "1"], "MalformedProblem"),
     (["trace", "{wang}", "--branch", "a,b"], "MalformedProblem"),
     (["trace", "{wang}", "--branch", "2,0"], "DimensionMismatch"),
     (["run", "{not_utf8}"], "MalformedProblem"),
+    (["run", "{wang}", "--input", "{{}}"], "MalformedProblem"),
 ])
 def test_command_rejections_exit_2_with_the_class_named(tmp_path, capsys, argv, name):
     paths = {
-        "wang7": write_problem(tmp_path, "wang7.json", diagonal_wang_doc(7, np.ones(7))),
+        "bqst": write_problem(tmp_path, "bqst.json", PROBLEM_DOCS["bqst"]()),
         "wang": write_problem(tmp_path, "wang.json", PROBLEM_DOCS["wang"]()),
         "not_utf8": str(tmp_path / "latin1.json"),
     }
@@ -225,10 +236,19 @@ def test_problem_meta_holds_what_the_commands_read(tmp_path):
         "coefficients": vector_to_json(np.array([1.0, 0, 0, 0])),
         "blocks": [2],   # validated, not stored
     }
-    expected = {"wang": {"partition", "phases", "input"}, "group": {"rep"}, "bqst": set()}
-    for kind, doc in [("wang", PROBLEM_DOCS["wang"]()), ("group", group),
-                      ("bqst", PROBLEM_DOCS["bqst"]())]:
-        assert set(load_problem(write_problem(tmp_path, f"{kind}.json", doc)).meta) == expected[kind]
+    problem = load_problem(write_problem(tmp_path, "wang.json", PROBLEM_DOCS["wang"]()))
+    partition, phases, state = problem.trace
+    assert problem.blocks is partition.blocks
+    np.testing.assert_allclose(partition.blocks, [np.diag([1, 0]), np.diag([0, 1])], atol=1e-12)
+    np.testing.assert_array_equal(phases.values, [1, 1])
+    np.testing.assert_array_equal(state.amplitudes, [1, 0])
+
+    problem = load_problem(write_problem(tmp_path, "group.json", group))
+    assert problem.trace is None
+    np.testing.assert_array_equal(problem.blocks, rep.matrices)
+
+    problem = load_problem(write_problem(tmp_path, "bqst.json", PROBLEM_DOCS["bqst"]()))
+    assert problem.blocks is None and problem.trace is None
 
 
 @pytest.mark.parametrize("argv", [
@@ -237,6 +257,9 @@ def test_problem_meta_holds_what_the_commands_read(tmp_path):
     ["run", "{path}", "--tol=nan"],                      # a tolerance is finite
     ["run", "{path}", "--tol=inf"],
     ["run", "{path}", "--tol=-inf"],
+    ["run", "{path}", "--tol", "1"],                     # and lies in [0, 1)
+    ["run", "{path}", "--tol", "5"],
+    ["run", "{path}", "--tol", "-1"],
 ])
 def test_argument_errors_exit_2(tmp_path, argv):
     path = write_problem(tmp_path, "w.json", diagonal_wang_doc(2, np.ones(2)))
@@ -339,6 +362,15 @@ def test_trace_step2_row_matches_recomputation(tmp_path, capsys):
     # step-2 row is step-1 row l after the X^l correction: labels shift by l
     assert f"step 2: Alice measures a -> {l}; Bob applies X^{l}" in out
     assert "P0|psi>" in out and "P1|psi>" in out
+
+
+def test_trace_runs_on_more_than_six_blocks(tmp_path, capsys):
+    path = str(tmp_path / "wang7.json")
+    assert main(["gen", "--seed", "1", "--dim", "8", "--blocks", "7", "--out", path]) == 0
+    assert main(["trace", path, "--branch", "3,5"]) == 0
+    out = capsys.readouterr().out
+    assert "trace: wang  dim=8  blocks=7  branch l=3, m=5" in out
+    assert "fidelity vs direct application: 1.000000000000" in out
 
 
 def test_trace_rejects_group_problems(tmp_path, capsys):
@@ -485,11 +517,12 @@ def test_input_flag_overrides_initial_state(tmp_path, capsys):
     assert "result: OK" in capsys.readouterr().out
 
 
-def test_unreachable_threshold_exits_1(tmp_path, capsys):
-    # --tol below 0 pushes the threshold above 1, forcing the failure path
+def test_unreachable_threshold_exits_1(tmp_path, capsys, monkeypatch):
+    # an expected operation the protocol does not implement forces the failure path
+    monkeypatch.setattr(wang, "assemble", lambda p, phases: np.array([[0, 1], [1, 0]]))
     phases = np.array([1.0, 1j])
     path = write_problem(tmp_path, "w.json", diagonal_wang_doc(2, phases))
-    assert main(["run", path, "--tol", "-1"]) == 1
+    assert main(["run", path]) == 1
     assert "result: FIDELITY FAILURE" in capsys.readouterr().out
 
 
