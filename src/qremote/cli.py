@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import sys
-from collections.abc import Callable
 from fractions import Fraction
 
 import numpy as np
@@ -85,11 +84,12 @@ class Problem:
     """A loaded problem file: the values that run, trace and cost read."""
 
     kind: str
-    run: Callable[[], list]      # every branch of the protocol
+    program: locc.Program        # what run executes and cost reads its row off
+    input: StateVector           # the input register's state
     expected: np.ndarray         # expected output amplitudes
     describe: str                # header line
     blocks: object = None        # the operators cost judges; None for bqst
-    trace: tuple | None = None   # (partition, phases, input) for wang only
+    trace: tuple | None = None   # (partition, phases) for wang only
 
 
 @contextlib.contextmanager
@@ -135,27 +135,20 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
         doc = json.load(handle)
     if not isinstance(doc, dict):
         raise MalformedProblem(f"a problem file holds a JSON object, not {type(doc).__name__}")
-    kind = doc.get("kind")
+    kind, blocks, trace = doc.get("kind"), None, None
     if kind == "wang":
         with _document_shape():
             dim = _integer(doc["dim"])
-            blocks = [matrix_from_json(b) for b in _list(doc["blocks"])]
+            given = [matrix_from_json(b) for b in _list(doc["blocks"])]
             values = vector_from_json(doc["phases"]) if "phases" in doc else None
-        partition = wang.validate_partition(blocks)
+        partition = wang.validate_partition(given)
         if partition.dim != dim:
             raise DimensionMismatch(f"declared dim {dim} does not match blocks ({partition.dim})")
         phases = wang.Phases(np.ones(partition.n) if values is None else values)
-        state = _input_state(doc, dim, input_override)
-        expected = wang.assemble(partition, phases) @ state.amplitudes
-        return Problem(
-            kind="wang",
-            run=lambda: wang.run_wang(partition, phases, state),
-            expected=expected,
-            describe=f"kind: wang  dim={dim}  blocks={partition.n}",
-            blocks=partition.blocks,
-            trace=(partition, phases, state),
-        )
-    if kind == "group":
+        target, program = wang.assemble(partition, phases), wang.wang_program(partition, phases)
+        describe = f"kind: wang  dim={dim}  blocks={partition.n}"
+        blocks, trace = partition.blocks, (partition, phases)
+    elif kind == "group":
         with _document_shape():
             order = _integer(doc["order"])
             rows = [[_integer(x) for x in _list(row)] for row in _list(doc["cayley"])]
@@ -164,37 +157,29 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
             matrices = [matrix_from_json(m) for m in _list(doc["matrices"])]
             mu = matrix_from_json(doc["mu"]) if "mu" in doc else None
             coefficients = vector_from_json(doc["coefficients"])
-            blocks = [_integer(d) for d in _list(doc["blocks"])] if "blocks" in doc else None
+            irreps = [_integer(d) for d in _list(doc["blocks"])] if "blocks" in doc else None
         group = groupform.finite_group(cayley, names=names)
         if group.order != order:
             raise DimensionMismatch(f"declared order {order} does not match the Cayley table")
         rep = groupform.projective_rep(group, matrices, mu=mu)
-        state = _input_state(doc, rep.dim, input_override)
-        expected = groupform.assemble(rep, coefficients) @ state.amplitudes
-        if blocks is not None:
-            groupform.block_decomposition(rep, blocks)
-        return Problem(
-            kind="group",
-            run=lambda: groupform.run_group_protocol(rep, coefficients, state),
-            expected=expected,
-            describe=f"kind: group  |G|={order}  dim={rep.dim}",
-            blocks=rep.matrices,
-        )
-    if kind == "bqst":
+        target = groupform.assemble(rep, coefficients)
+        if irreps is not None:
+            groupform.block_decomposition(rep, irreps)
+        program = groupform.group_program(rep, coefficients)
+        describe = f"kind: group  |G|={order}  dim={rep.dim}"
+        blocks = rep.matrices
+    elif kind == "bqst":
         with _document_shape():
             dim = _integer(doc["dim"])
-            unitary = matrix_from_json(doc["unitary"])
-        if unitary.shape != (dim, dim):
-            raise DimensionMismatch(f"unitary shape {unitary.shape} does not match dim {dim}")
-        state = _input_state(doc, dim, input_override)
-        expected = np.asarray(unitary, dtype=complex) @ state.amplitudes
-        return Problem(
-            kind="bqst",
-            run=lambda: entcost.bqst_teleport(unitary, state)[0],
-            expected=expected,
-            describe=f"kind: bqst  dim={dim}",
-        )
-    raise MalformedProblem(f"unknown problem kind {kind!r}; expected wang, group, or bqst")
+            target = matrix_from_json(doc["unitary"])
+        if target.shape != (dim, dim):
+            raise DimensionMismatch(f"unitary shape {target.shape} does not match dim {dim}")
+        program = entcost.bqst_program(target)
+        describe = f"kind: bqst  dim={dim}"
+    else:
+        raise MalformedProblem(f"unknown problem kind {kind!r}; expected wang, group, or bqst")
+    state = _input_state(doc, program.dims[0], input_override)
+    return Problem(kind, program, state, target @ state.amplitudes, describe, blocks, trace)
 
 
 # --- run ----------------------------------------------------------------------
@@ -202,7 +187,7 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
 def cmd_run(args) -> int:
     problem = load_problem(args.file, args.input)
     threshold = 1.0 - args.tol
-    branches = problem.run()
+    branches = locc.run_protocol(problem.program, locc.prepare(problem.program, problem.input))
     fids = [float(abs(np.vdot(problem.expected, b.output.amplitudes))) for b in branches]
     min_fid = min(fids)
     ok = min_fid >= threshold
@@ -272,7 +257,7 @@ def cmd_trace(args) -> int:
     problem = load_problem(args.file, args.input)
     if problem.trace is None:
         raise UnsupportedProblem("trace supports wang problems only")
-    partition, phases, state = problem.trace
+    (partition, phases), state = problem.trace, problem.input
     n = partition.n
     try:
         l, m = (int(x) for x in args.branch.split(","))
@@ -368,9 +353,8 @@ def cmd_cost(args) -> int:
     problem = load_problem(args.file)
     if problem.blocks is None:
         raise UnsupportedProblem("cost supports wang and group problems only")
-    blocks = problem.blocks
-    comparison = entcost.compare_costs(blocks, problem.expected.size, protocol=problem.kind)
-    n = len(blocks)
+    comparison = entcost.compare_costs(problem.kind, problem.program, problem.blocks)
+    n = len(problem.blocks)
     rank = comparison.rows[0].controlled_parameters   # operator_rank(blocks)
     verdicts = [entcost.feasibility_test(rank, d) for d in range(1, n + 1)]
     if args.json:

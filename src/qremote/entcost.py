@@ -1,5 +1,5 @@
-"""Entanglement accounting: the Schmidt-rank lower bound and the
-teleport-both-ways baseline.
+"""Entanglement accounting: the Schmidt-rank lower bound, cost rows read
+off a protocol's Program, and the teleport-both-ways baseline.
 
 The lower bound is a rank certificate, not a search: in any protocol of the
 two-round shape (controlled shift + measurement on Alice's side, one
@@ -9,6 +9,8 @@ Schmidt rank d makes available, so no more than d of the blocks can be
 linearly independent. n independent blocks therefore need rank >= n.
 Whether the resource must additionally be maximally entangled is left open
 and reported as unknown.
+Cost rows state no formula of their own: program_cost reads them off the
+program that run executes, its resource pairs and its sent outcomes.
 """
 
 from __future__ import annotations
@@ -103,33 +105,30 @@ class CostComparison:
     wang_saves: bool       # strict ebit saving of the block protocol over BQST
 
 
-def bqst_cost(dim: int, controlled_parameters: int) -> CostReport:
-    """Teleport both ways: two rank-dim pairs, 2 log2(dim) bits each way."""
-    bits = 2 * math.log2(dim)
-    return CostReport("bqst", dim * dim, controlled_parameters, bits, bits, bits)
-
-
-def compare_costs(blocks, dim: int, protocol: str = "wang") -> CostComparison:
-    """Cost rows for the block protocol (rank n) against BQST (rank D^2),
-    both judged against the operator rank of the blocks, which may be < n."""
-    blocks = tuple(blocks)
-    n = len(blocks)
-    if n < 1:
-        raise DimensionMismatch("at least one block is required")
-    rank = operator_rank(blocks)
-    bits = math.log2(n)
-    bqst_row = bqst_cost(dim, rank)
-    return CostComparison(
-        rows=(CostReport(protocol, n, rank, bits, bits, bits), bqst_row),
-        wang_saves=bits < bqst_row.ebits,
+def program_cost(protocol: str, program: Program, controlled_parameters: int) -> CostReport:
+    """The program's cost row: log2 d ebits per rank-d pair of program.dims,
+    and log2 of the measured factor's dimension per outcome a party sends."""
+    ranks = program.dims[1::2]
+    sent = {ALICE: 0.0, BOB: 0.0}
+    for s in program.steps:
+        if isinstance(s, MeasureStep) and s.send_to is not None:
+            sent[s.party] += math.log2(program.dims[s.target])
+    return CostReport(
+        protocol, math.prod(ranks), controlled_parameters,
+        sum(math.log2(d) for d in ranks), sent[ALICE], sent[BOB],
     )
 
 
+def compare_costs(protocol: str, program: Program, blocks) -> CostComparison:
+    """Cost rows of the protocol's program and of BQST on its input register,
+    both judged against the operator rank of the blocks, which may be < n."""
+    rank = operator_rank(blocks)
+    row = program_cost(protocol, program, rank)
+    bqst_row = program_cost("bqst", bqst_program(np.eye(program.dims[0])), rank)
+    return CostComparison(rows=(row, bqst_row), wang_saves=row.ebits < bqst_row.ebits)
+
+
 # --- bidirectional teleportation baseline -------------------------------------
-
-def _clock(dim: int) -> np.ndarray:
-    return np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
-
 
 def bqst_program(unitary: np.ndarray) -> Program:
     """Teleport to Bob, apply the unitary, teleport back.
@@ -140,11 +139,13 @@ def bqst_program(unitary: np.ndarray) -> Program:
     shift/clock corrections on the far half. The final state lands in a2.
     """
     u = np.asarray(unitary, dtype=complex)
+    if not qcore.is_unitary(u):
+        raise NonUnitary("bqst needs a unitary operation")
     dim = u.shape[0]
     shifts = qcore.shift_powers(dim)
     labels = np.eye(dim)[:, None] * np.eye(dim)   # |i><i|
     f_inv = qcore.fourier_matrix(dim).conj().T
-    clock = _clock(dim)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
     return Program(
         owners=(ALICE, ALICE, BOB, BOB, ALICE),
         steps=(
@@ -166,20 +167,13 @@ def bqst_program(unitary: np.ndarray) -> Program:
             ConditionalStep(ALICE, "X^s", lambda s: shifts[s], (4,), "s"),
             ConditionalStep(ALICE, "Z^r", lambda r: np.linalg.matrix_power(clock, r), (4,), "r"),
         ),
+        dims=(dim,) * 5,
     )
 
 
 def bqst_teleport(unitary: np.ndarray, input_state: StateVector) -> tuple[list[Branch], CostReport]:
     """Run bqst_program over all D^4 outcome branches; a2 is the output of
-    every branch."""
-    u = np.asarray(unitary, dtype=complex)
-    if not qcore.is_unitary(u):
-        raise NonUnitary("bqst_teleport needs a unitary operation")
-    dim = u.shape[0]
-    if input_state.dim != dim:
-        raise DimensionMismatch(
-            f"input dimension {input_state.dim} does not match the unitary ({dim})"
-        )
-    pair = locc.maximally_entangled(dim)
-    initial = qcore.tensor(qcore.tensor(input_state, pair), pair)
-    return locc.run_protocol(bqst_program(u), initial), bqst_cost(dim, dim * dim)
+    every branch. The report is the program's cost row."""
+    program = bqst_program(unitary)
+    branches = locc.run_protocol(program, locc.prepare(program, input_state))
+    return branches, program_cost("bqst", program, program.dims[0] ** 2)

@@ -287,7 +287,6 @@ def _coefficient_vector(rep: ProjectiveRep, coefficients) -> np.ndarray:
 
 def group_program(rep: ProjectiveRep, coefficients) -> Program:
     """Five-step program on registers (A, a, b) = (Alice, Alice, Bob)."""
-    assemble(rep, coefficients)
     n = rep.group.order
     mix = mixer(rep, coefficients)
     inverses = rep.group.inverses
@@ -305,18 +304,16 @@ def group_program(rep: ProjectiveRep, coefficients) -> Program:
             MeasureStep(BOB, 2, "h", send_to=ALICE),
             ConditionalStep(ALICE, "U(h^-1)", lambda h: mats[inverses[h]], (0,), "h"),
         ),
+        dims=(rep.dim, n, n),
     )
 
 
 def run_group_protocol(rep: ProjectiveRep, coefficients, input_state: StateVector) -> list[Branch]:
-    """Execute all |G|^2 branches; every branch leaves sum_f c(f) U(f) applied
-    to the A register up to a global phase."""
-    if input_state.dim != rep.dim:
-        raise DimensionMismatch(
-            f"input dimension {input_state.dim} does not match the rep ({rep.dim})"
-        )
-    initial = qcore.tensor(input_state, locc.maximally_entangled(rep.group.order))
-    return locc.run_protocol(group_program(rep, coefficients), initial)
+    """Execute all |G|^2 branches; every branch leaves sum_f c(f) U(f), which
+    assemble checks is unitary, applied to the A register up to a global phase."""
+    assemble(rep, coefficients)
+    program = group_program(rep, coefficients)
+    return locc.run_protocol(program, locc.prepare(program, input_state))
 
 
 # --- coefficient reconstruction ----------------------------------------------

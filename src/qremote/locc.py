@@ -23,10 +23,13 @@ record of the steps; its transcript, outcomes and full state (each
 measured factor back in its outcome's basis state) are derived from these
 on each read.
 
-Every protocol runner returns run_protocol's Branch values, and each
-runner's program leaves exactly its output register unmeasured. A
-step-by-step trace (wang.trace_branch) is the program cut after each traced
-step, run as is.
+A Program declares its registers, dims: the input at factor 0, then a
+maximally entangled pair on each of (1, 2), (3, 4), ... prepare checks the
+input against them and appends the pairs, and entcost reads cost rows off
+the same program. Every protocol runner returns
+run_protocol(program, prepare(program, input)), and its program leaves
+exactly its output register unmeasured. A step-by-step trace
+(wang.trace_branch) is the program cut after each traced step, run as is.
 """
 
 from __future__ import annotations
@@ -214,6 +217,18 @@ def maximally_entangled(n: int) -> StateVector:
 class Program:
     owners: tuple[Party, ...]
     steps: tuple[Step, ...]
+    dims: tuple[int, ...] = ()   # input, then a maximally entangled pair per two
+
+
+def prepare(program: Program, input_state: StateVector) -> StateVector:
+    """The input at factor 0, then a maximally entangled pair on each of
+    factors (1, 2), (3, 4), ... of program.dims."""
+    state = input_state
+    if state.factor_dims != program.dims[:1]:
+        raise DimensionMismatch(f"input dimensions {state.factor_dims} != {program.dims[:1]}")
+    for n in program.dims[1::2]:
+        state = qcore.tensor(state, maximally_entangled(n))
+    return state
 
 
 def _check_locality(owners, party: Party, targets) -> None:

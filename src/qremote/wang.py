@@ -13,9 +13,10 @@ P_i = A_i^dag A_i and the recovery R_m = sum_j e^{-2 pi i m j / N} A_j.
 Validation stores the class's exact member, so these operators and every
 sum_i c_i A_i are unitary by construction.
 
-wang_program is the one description of the protocol: run_wang executes it,
-trace_branch is that program cut after each traced step, and svd_program
-wraps it in Alice's local factors of an arbitrary unitary.
+wang_program is the one description of the protocol, registers included:
+run_wang executes it, trace_branch is that program cut after each traced
+step, svd_program wraps it in Alice's local factors of an arbitrary unitary,
+and entcost reads its cost row off it.
 """
 
 from __future__ import annotations
@@ -225,6 +226,7 @@ def wang_program(p: BlockPartition, phases: Phases) -> Program:
             MeasureStep(BOB, 2, "m", send_to=ALICE),
             ConditionalStep(ALICE, "R_m", lambda m: recovery(p, m), (0,), "m"),
         ),
+        dims=(p.dim, p.n, p.n),
     )
 
 
@@ -234,12 +236,8 @@ def run_wang(p: BlockPartition, phases: Phases, input_state: StateVector) -> lis
     Each branch ends with the A register holding sum_i c_i A_i applied to the
     input, up to a global phase, and both resource registers in basis states.
     """
-    if input_state.dim != p.dim:
-        raise DimensionMismatch(
-            f"input dimension {input_state.dim} does not match blocks ({p.dim})"
-        )
-    initial = qcore.tensor(input_state, locc.maximally_entangled(p.n))
-    return locc.run_protocol(wang_program(p, phases), initial)
+    program = wang_program(p, phases)
+    return locc.run_protocol(program, locc.prepare(program, input_state))
 
 
 def trace_branch(
@@ -255,11 +253,11 @@ def trace_branch(
     if not (0 <= l < p.n and 0 <= m < p.n):
         raise DimensionMismatch(f"branch ({l},{m}) out of range for {p.n} outcomes")
     program = wang_program(p, phases)
-    initial = qcore.tensor(input_state, locc.maximally_entangled(p.n))
+    initial = locc.prepare(program, input_state)
     wanted = {"l": l, "m": m}.items()
     stages = []
     for k in (0, 1, 3, 4, 6, 7):
-        prefix = Program(program.owners, program.steps[:k])
+        prefix = Program(program.owners, program.steps[:k], program.dims)
         stages.append(next(
             b for b in locc.run_protocol(prefix, initial) if b.outcomes.items() <= wanted
         ))
@@ -324,11 +322,11 @@ def svd_program(program: RemoteSvdProgram) -> Program:
     core = wang_program(program.partition, program.phases)
     pre = LocalStep(ALICE, "pre", program.pre, (0,))
     post = LocalStep(ALICE, "post", program.post, (0,))
-    return Program(core.owners, (pre, *core.steps, post))
+    return Program(core.owners, (pre, *core.steps, post), core.dims)
 
 
 def run_svd_remote(program: RemoteSvdProgram, input_state: StateVector) -> list[Branch]:
     """Execute svd_program over every (l, m) branch: each transcript runs from
     Alice's pre to her post, and each output is U applied to the input."""
-    initial = qcore.tensor(input_state, locc.maximally_entangled(program.partition.n))
-    return locc.run_protocol(svd_program(program), initial)
+    full = svd_program(program)
+    return locc.run_protocol(full, locc.prepare(full, input_state))

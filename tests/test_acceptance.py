@@ -20,6 +20,7 @@ from util import (
     random_diag_phases,
     random_state,
     stacked_rank,
+    unit_program,
 )
 
 
@@ -176,12 +177,13 @@ def test_criterion_7_resource_comparison():
         dim = int(rng.integers(2, 9))
         n = int(rng.integers(2, dim + 1))
         p = wang.random_partition(dim, n, rng)
-        rows = entcost.compare_costs(p.blocks, dim).rows
+        rows = entcost.compare_costs("wang", unit_program(p), p.blocks).rows
         assert rows[0].ebits == pytest.approx(np.log2(n))
         assert rows[1].ebits == pytest.approx(2 * np.log2(dim))
     for n_qubits in (1, 2, 3):
         dim = 2**n_qubits
-        rows = entcost.compare_costs(wang.diagonal_partition(dim).blocks, dim).rows
+        p = wang.diagonal_partition(dim)
+        rows = entcost.compare_costs("wang", unit_program(p), p.blocks).rows
         assert rows[0].ebits / rows[1].ebits == 0.5
 
 

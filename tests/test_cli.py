@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qremote
-from qremote import entcost, groupform, qcore, wang
+from qremote import entcost, groupform, locc, qcore, wang
 from qremote.cli import load_problem, main, matrix_to_json, vector_to_json
 
 from util import random_block_diagonal_unitary
@@ -235,7 +235,7 @@ def test_a_bare_value_error_is_not_reported_as_invalid_input(tmp_path, monkeypat
     def broken(*args):
         raise ValueError("a library bug")
 
-    monkeypatch.setattr(wang, "run_wang", broken)
+    monkeypatch.setattr(locc, "run_protocol", broken)
     path = write_problem(tmp_path, "w.json", diagonal_wang_doc(2, np.ones(2)))
     with pytest.raises(ValueError, match="a library bug"):
         main(["run", path])
@@ -252,7 +252,8 @@ def test_problem_meta_holds_what_the_commands_read(tmp_path):
         "blocks": [2],   # validated, not stored
     }
     problem = load_problem(write_problem(tmp_path, "wang.json", PROBLEM_DOCS["wang"]()))
-    partition, phases, state = problem.trace
+    partition, phases = problem.trace
+    state = problem.input
     assert problem.blocks is partition.blocks
     np.testing.assert_allclose(partition.blocks, [np.diag([1, 0]), np.diag([0, 1])], atol=1e-12)
     np.testing.assert_array_equal(phases.values, [1, 1])
@@ -502,6 +503,34 @@ def test_cost_rejects_bqst_problems(tmp_path, capsys):
     path = write_problem(tmp_path, "b.json", doc)
     assert main(["cost", path]) == 2
     assert "error: UnsupportedProblem:" in capsys.readouterr().err
+
+
+# cost builds the program run executes, so it rejects at load what run rejects
+REJECTED_AT_LOAD = {
+    # the target 0.6 + 0.4 = 1 is unitary, the mixer [[.6, .4], [.4, .6]] is not
+    "NonUnitaryM": {
+        "kind": "group", "order": 2, "cayley": [[0, 1], [1, 0]],
+        "matrices": [[[[1, 0]]], [[[1, 0]]]], "coefficients": [[0.6, 0], [0.4, 0]],
+    },
+    "NonUnitary": {"kind": "bqst", "dim": 2, "unitary": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "cost"])
+@pytest.mark.parametrize("name", sorted(REJECTED_AT_LOAD))
+def test_cost_rejects_what_run_rejects(tmp_path, capsys, command, name):
+    path = write_problem(tmp_path, "bad.json", REJECTED_AT_LOAD[name])
+    assert main([command, path]) == 2
+    assert f"error: {name}:" in capsys.readouterr().err
+
+
+def test_run_assembles_a_group_target_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    assemble = groupform.assemble
+    monkeypatch.setattr(groupform, "assemble", lambda *args: calls.append(1) or assemble(*args))
+    path = write_problem(tmp_path, "g.json", z2_group_doc())
+    assert main(["run", path]) == 0
+    assert len(calls) == 1
 
 
 def test_gen_is_deterministic_and_valid(tmp_path, capsys):

@@ -6,11 +6,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qremote import cli, entcost, locc, qcore, wang
+from qremote import cli, entcost, groupform, locc, qcore, wang
 from qremote.errors import DimensionMismatch, NonUnitary
 from qremote.qcore import StateVector
 
-from util import random_state, stacked_rank
+from util import (
+    block_cost_row,
+    bqst_cost_row,
+    klein_character_rep,
+    random_state,
+    stacked_rank,
+    unit_program,
+)
 
 
 def test_operator_rank_examples():
@@ -71,8 +78,6 @@ def test_partial_entanglement_counts_nonzero_coefficients():
 def test_empty_resource_or_block_list_is_a_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         entcost.feasibility_test(1, 0)
-    with pytest.raises(DimensionMismatch):
-        entcost.compare_costs([], 2)
 
 
 def test_feasibility_monotone_in_rank():
@@ -113,8 +118,8 @@ def test_cost_report_verdict_is_the_feasibility_test():
 
 
 def test_compare_costs_diagonal_qubit():
-    blocks = wang.diagonal_partition(2).blocks
-    comparison = entcost.compare_costs(blocks, 2)
+    p = wang.diagonal_partition(2)
+    comparison = entcost.compare_costs("wang", unit_program(p), p.blocks)
     wang_row, bqst_row = comparison.rows
     assert wang_row.ebits == pytest.approx(1.0)
     assert bqst_row.ebits == pytest.approx(2.0)
@@ -123,7 +128,8 @@ def test_compare_costs_diagonal_qubit():
 
 def test_compare_costs_full_qubit_group_has_no_saving():
     # n = 4 controlled parameters on one qubit (the full single-qubit family)
-    comparison = entcost.compare_costs([np.eye(2)] * 4, 2, protocol="group")
+    program = groupform.group_program(groupform.pauli_rep(), [1, 0, 0, 0])
+    comparison = entcost.compare_costs("group", program, [np.eye(2)] * 4)
     wang_row, bqst_row = comparison.rows
     assert wang_row.ebits == pytest.approx(2.0)
     assert bqst_row.ebits == pytest.approx(2.0)
@@ -133,8 +139,8 @@ def test_compare_costs_full_qubit_group_has_no_saving():
 def test_multiqubit_diagonal_family_halves_the_cost():
     for n_qubits in (1, 2, 3):
         dim = 2**n_qubits
-        blocks = wang.diagonal_partition(dim).blocks
-        comparison = entcost.compare_costs(blocks, dim)
+        p = wang.diagonal_partition(dim)
+        comparison = entcost.compare_costs("wang", unit_program(p), p.blocks)
         wang_row, bqst_row = comparison.rows
         assert wang_row.ebits == pytest.approx(float(n_qubits))
         assert bqst_row.ebits == pytest.approx(2.0 * n_qubits)
@@ -144,13 +150,14 @@ def test_multiqubit_diagonal_family_halves_the_cost():
 def test_wang_row_matches_consumed_resource_rank():
     rng = np.random.default_rng(5)
     p = wang.random_partition(5, 3, rng)
-    comparison = entcost.compare_costs(p.blocks, p.dim)
+    comparison = entcost.compare_costs("wang", unit_program(p), p.blocks)
     resource = locc.maximally_entangled(p.n)
     assert comparison.rows[0].schmidt_rank == qcore.schmidt(resource, [0]).rank
 
 
 def test_render_cost_table_alignment():
-    comparison = entcost.compare_costs(wang.diagonal_partition(2).blocks, 2)
+    p = wang.diagonal_partition(2)
+    comparison = entcost.compare_costs("wang", unit_program(p), p.blocks)
     text = cli.render_cost_table(comparison.rows)
     lines = text.splitlines()
     assert lines[0].startswith("protocol")
@@ -173,7 +180,8 @@ def test_teleport_report_is_the_bqst_cost_row():
     rng = np.random.default_rng(9)
     for dim in (2, 3):
         _, report = entcost.bqst_teleport(qcore.random_unitary(dim, rng), random_state(dim, rng))
-        row = entcost.compare_costs(wang.diagonal_partition(dim).blocks, dim).rows[1]
+        p = wang.diagonal_partition(dim)
+        row = entcost.compare_costs("wang", unit_program(p), p.blocks).rows[1]
         assert report.controlled_parameters == dim * dim
         assert dataclasses.replace(report, controlled_parameters=dim) == row
 
@@ -194,3 +202,26 @@ def test_teleport_rejects_nonunitary():
     rng = np.random.default_rng(8)
     with pytest.raises(NonUnitary):
         entcost.bqst_teleport(np.ones((2, 2)), random_state(2, rng))
+
+
+def test_program_cost_equals_the_closed_forms():
+    # each row is read off its program, so compare it exactly with the
+    # formulas it replaced: (n, log2 n, log2 n, log2 n) and (D^2, 2 log2 D, ...)
+    rng = np.random.default_rng(13)
+    for dim in range(1, 9):
+        for n in range(1, dim + 1):
+            p = wang.random_partition(dim, n, rng)
+            row = entcost.program_cost("wang", wang.wang_program(p, wang.random_phases(n, rng)), n)
+            assert row == block_cost_row("wang", n, n)
+    reps = [groupform.cyclic_character_rep(3), groupform.cyclic_character_rep(5),
+            klein_character_rep(), groupform.pauli_rep(), groupform.dihedral3_rep()]
+    for rep in reps:
+        n = rep.group.order
+        program = groupform.group_program(rep, np.eye(n)[rep.group.identity])
+        assert entcost.program_cost("group", program, n) == block_cost_row("group", n, n)
+    for dim in range(1, 6):
+        program = entcost.bqst_program(qcore.random_unitary(dim, rng))
+        assert entcost.program_cost("bqst", program, dim * dim) == bqst_cost_row(dim, dim * dim)
+        svd = wang.svd_program(wang.svd_remote(qcore.random_unitary(dim, rng)))
+        assert entcost.program_cost("wang", svd, dim) == block_cost_row("wang", dim, dim)
+

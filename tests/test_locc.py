@@ -181,3 +181,34 @@ def test_validator_rejects_foreign_factors():
     bad = Transcript(events=(LocalOpEvent(BOB, "P", (0,)),), probability=1.0)
     with pytest.raises(LocalityViolation):
         validate_transcript(bad, locc.PROTOCOL_OWNERS)
+
+
+def test_prepare_appends_one_maximally_entangled_pair_per_two_factors():
+    rng = np.random.default_rng(12)
+    psi = random_state(3, rng)
+    pair = locc.maximally_entangled(3)
+    program = entcost.bqst_program(qcore.random_unitary(3, rng))
+    initial = locc.prepare(program, psi)
+    assert initial.factor_dims == program.dims == (3,) * 5
+    expected = qcore.tensor(qcore.tensor(psi, pair), pair)
+    np.testing.assert_array_equal(initial.amplitudes, expected.amplitudes)
+
+
+@pytest.mark.parametrize("runner", ["wang", "group", "bqst", "svd", "trace"])
+def test_a_wrong_size_input_is_rejected_before_the_executor(monkeypatch, runner):
+    def unreachable(*args):
+        raise AssertionError("run_protocol was reached")
+
+    monkeypatch.setattr(locc, "run_protocol", unreachable)
+    p = wang.diagonal_partition(3)
+    phases = wang.Phases(np.ones(3))
+    psi = qcore.ket(0, 2)   # every register below has dimension 3 or 4
+    calls = {
+        "wang": lambda: wang.run_wang(p, phases, psi),
+        "group": lambda: groupform.run_group_protocol(groupform.dihedral3_rep(), np.eye(6)[0], psi),
+        "bqst": lambda: entcost.bqst_teleport(np.eye(3), psi),
+        "svd": lambda: wang.run_svd_remote(wang.svd_remote(np.eye(3)), psi),
+        "trace": lambda: wang.trace_branch(p, phases, psi, 0, 0),
+    }
+    with pytest.raises(DimensionMismatch, match="input dimensions"):
+        calls[runner]()

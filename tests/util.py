@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from qremote import groupform, locc, qcore
+from qremote import entcost, groupform, locc, qcore, wang
 from qremote.errors import (
     DimensionMismatch,
     IncompleteBlocks,
@@ -39,6 +39,25 @@ def kron_sum(left, right):
     # entry ((r, c), (s, t)) = sum_i a[i, r, c] b[i, s, t], regrouped to ((r, s), (c, t))
     terms = a.reshape(n, -1).T @ b.reshape(n, -1)
     return terms.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
+
+
+def unit_program(p):
+    """wang_program of the partition with every coefficient 1."""
+    return wang.wang_program(p, wang.Phases(np.ones(p.n)))
+
+
+def block_cost_row(protocol, n, params):
+    """Closed form of a block or group cost row: a rank-n pair, one outcome
+    of log2 n bits each way."""
+    bits = math.log2(n)
+    return entcost.CostReport(protocol, n, params, bits, bits, bits)
+
+
+def bqst_cost_row(dim, params):
+    """Closed form of the bqst cost row: two rank-dim pairs, two outcomes of
+    log2 dim bits each way."""
+    bits = 2 * math.log2(dim)
+    return entcost.CostReport("bqst", dim * dim, params, bits, bits, bits)
 
 
 def shift_matrix(n):
