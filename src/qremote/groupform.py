@@ -247,9 +247,12 @@ def z_gate(g: int, order: int) -> np.ndarray:
     """Z(g)|f> = (1/sqrt|G|) <g|F|f>^{-1} |f> for the Fourier matrix F.
 
     Every entry of F has modulus 1/sqrt|G|, so Z(g) is diagonal unimodular;
-    run_protocol checks it as it checks every operator it builds.
+    run_protocol checks it as it checks every operator it builds. Row g of
+    F is computed alone, with the operations qcore.fourier_matrix applies to
+    it, so it is bitwise equal to fourier_matrix(order)[g].
     """
-    return np.diag(1.0 / (math.sqrt(order) * qcore.fourier_matrix(order)[g, :]))
+    row = np.exp(2j * np.pi * (g * np.arange(order)) / order) / math.sqrt(order)
+    return np.diag(1.0 / (math.sqrt(order) * row))
 
 
 def assemble(rep: ProjectiveRep, coefficients) -> np.ndarray:

@@ -189,8 +189,8 @@ class Branch:
         index: list[int | slice] = [slice(None)] * len(self.factor_dims)
         for s, k in self._measured():
             index[s.target] = k
-        full = np.zeros(math.prod(self.factor_dims), dtype=complex)
-        full.reshape(self.factor_dims)[tuple(index)] = self.output.tensor_form()
+        full = np.zeros(self.factor_dims, dtype=complex)
+        full[tuple(index)] = self.output.tensor_form()
         full.setflags(write=False)   # frozen here, so StateVector need not copy it
         return StateVector(full, self.factor_dims)
 

@@ -44,8 +44,8 @@ class StateVector:
 
     def __post_init__(self):
         amps = _freeze(self.amplitudes).reshape(-1)
-        dims = tuple(int(d) for d in self.factor_dims)
-        if any(d < 1 for d in dims):
+        dims = tuple(map(int, self.factor_dims))
+        if min(dims, default=1) < 1:
             raise DimensionMismatch(f"factor dims must be positive, got {dims}")
         if amps.size != math.prod(dims):
             raise DimensionMismatch(
@@ -290,16 +290,23 @@ def shift_powers(n: int) -> np.ndarray:
 
 def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:
     """Weight of |vec> on one factor: 1 iff that factor holds vec exactly,
-    disentangled from the rest and up to global phase."""
+    disentangled from the rest and up to global phase. A vec whose norm is
+    not finite raises NonFinite."""
     (factor,) = _check_targets(state.factor_dims, [factor])
     vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if vec.size != state.factor_dims[factor]:
+    d = state.factor_dims[factor]
+    if vec.size != d:
         raise DimensionMismatch(
             f"vector of size {vec.size} does not fit factor {factor}"
         )
-    moved = np.moveaxis(state.tensor_form(), factor, 0)
-    rest = np.tensordot(vec.conj(), moved, axes=(0, 0))
-    return float(np.linalg.norm(rest))
+    # vdot sets no floating-point flags; a finite |vec|^2 also bounds the
+    # product below, so it cannot overflow
+    if not math.isfinite(np.vdot(vec, vec).real):
+        raise NonFinite(f"vector on factor {factor} has a non-finite norm")
+    # (before, d, after) -> (before * after, d): a view for a first or last factor
+    split = state.amplitudes.reshape(math.prod(state.factor_dims[:factor]), d, -1)
+    rest = split.swapaxes(1, 2).reshape(-1, d) @ vec.conj()
+    return math.sqrt(np.vdot(rest, rest).real)
 
 
 def factor_state(state: StateVector, factor: int) -> StateVector:

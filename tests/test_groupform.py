@@ -232,6 +232,15 @@ def test_hadamard_expansion_builds_unitary_steps():
         assert np.abs(op.conj().T @ op - np.eye(op.shape[0])).max() <= 1e-9
 
 
+def test_z_gate_is_bitwise_the_fourier_row_form():
+    # z_gate computes row g of F alone; it must match the full matrix's row bit for bit
+    for n in range(1, 33):
+        f = qcore.fourier_matrix(n)
+        for g in range(n):
+            expected = np.diag(1.0 / (np.sqrt(n) * f[g, :]))
+            assert groupform.z_gate(g, n).tobytes() == expected.tobytes(), (g, n)
+
+
 def test_alice_side_group_operators_ignore_the_coefficients():
     # the "partially unknown" property: Alice's P, F and every U(h^-1) are
     # built from the representation alone, never from Bob's c(f)

@@ -1,6 +1,8 @@
 """State and operator primitives: tensor products, local application,
 exhaustive measurement, Schmidt decomposition, Fourier/shift gates."""
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from qremote.qcore import StateVector
 
 from util import (
     basis_state,
+    dense_factor_overlap,
     fidelity,
     klein_character_rep,
     kron_sum,
@@ -265,6 +268,60 @@ def test_factor_overlap_and_extraction():
     )
     with pytest.raises(ValueError):
         qcore.factor_state(bell, 0)
+
+
+def test_factor_overlap_matches_dense_oracle_on_every_factor():
+    rng = np.random.default_rng(61)
+    for count in range(1, 6):
+        for _ in range(4):
+            dims = tuple(int(d) for d in rng.integers(1, 5, size=count))
+            parts = [random_state(d, rng) for d in dims]
+            product = parts[0]
+            for part in parts[1:]:
+                product = qcore.tensor(product, part)
+            entangled = StateVector(random_state(math.prod(dims), rng).amplitudes, dims)
+            for f, d in enumerate(dims):
+                # the factor's own state, and a vector of norm != 1
+                for vec in (parts[f].amplitudes, 2.5 * random_state(d, rng).amplitudes):
+                    for state in (product, entangled):
+                        got = qcore.factor_overlap(state, vec, f)
+                        assert abs(got - dense_factor_overlap(state, vec, f)) <= 1e-12
+                assert qcore.factor_overlap(product, parts[f].amplitudes, f) == pytest.approx(
+                    1.0, abs=1e-12
+                )
+
+
+def test_factor_overlap_rejects_a_bad_factor_or_vector():
+    s = StateVector(random_state(24, np.random.default_rng(62)).amplitudes, (2, 3, 4))
+    for factor in (-1, 3):
+        with pytest.raises(DimensionMismatch):
+            qcore.factor_overlap(s, np.ones(2), factor)
+    for factor, size in ((0, 3), (1, 2), (2, 24)):
+        with pytest.raises(DimensionMismatch):
+            qcore.factor_overlap(s, np.ones(size), factor)
+    # a vector of non-finite norm (nan, inf, or one that overflows |vec|^2) is
+    # named, on a first and a last factor, with no numpy warning
+    for factor, d in ((0, 2), (2, 4)):
+        for bad in (np.nan, np.inf, 1e200):
+            vec = np.zeros(d, dtype=complex)
+            vec[-1] = bad
+            with pytest.raises(NonFinite):
+                qcore.factor_overlap(s, vec, factor)
+
+
+def test_factor_overlap_copies_no_state_on_a_first_or_last_factor():
+    # 32 768 amplitudes hold 512 kB; an eighth of that rules out any full copy
+    rng = np.random.default_rng(63)
+    s = StateVector(random_state(32**3, rng).amplitudes, (32, 32, 32))
+    vec = random_state(32, rng).amplitudes
+    for factor in (0, 2):
+        tracemalloc.start()
+        try:
+            qcore.factor_overlap(s, vec, factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000, (factor, peak)
 
 
 def test_state_vector_invariants():

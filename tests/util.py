@@ -166,6 +166,14 @@ def basis_state(indices, dims):
     return qcore.StateVector(amps, dims)
 
 
+def dense_factor_overlap(state, vec, factor):
+    """|(<vec| (x) I) state|, contracted over the factor moved to the front:
+    the oracle for qcore.factor_overlap."""
+    moved = np.moveaxis(state.tensor_form(), factor, 0)
+    rest = np.tensordot(np.conj(vec), moved, axes=(0, 0))
+    return float(np.linalg.norm(rest))
+
+
 def schmidt_reconstruct(form):
     """Rebuild sum_i h_i |l_i>|r_i> and restore the original factor order."""
     matrix = (form.left_basis * form.coefficients) @ form.right_basis.conj().T
