@@ -188,7 +188,7 @@ def cmd_run(args) -> int:
     problem = load_problem(args.file, args.input)
     threshold = 1.0 - args.tol
     branches = locc.run_protocol(problem.program, locc.prepare(problem.program, problem.input))
-    fids = [float(abs(np.vdot(problem.expected, b.output.amplitudes))) for b in branches]
+    fids = [float(abs(np.vdot(problem.expected, b.amplitudes))) for b in branches]
     min_fid = min(fids)
     ok = min_fid >= threshold
     first_transcript = locc.transcript_lines(branches[0].transcript)

@@ -145,7 +145,10 @@ def bqst_program(unitary: np.ndarray) -> Program:
     shifts = qcore.shift_powers(dim)
     labels = np.eye(dim)[:, None] * np.eye(dim)   # |i><i|
     f_inv = qcore.fourier_matrix(dim).conj().T
-    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    # clocks[p] = Z^p = diag_k e^{2 pi i p k / dim}
+    clocks = np.zeros((dim, dim, dim), dtype=complex)
+    grid = np.arange(dim)
+    clocks[:, grid, grid] = np.exp(2j * np.pi * np.outer(grid, grid) / dim)
     return Program(
         owners=(ALICE, ALICE, BOB, BOB, ALICE),
         steps=(
@@ -156,7 +159,7 @@ def bqst_program(unitary: np.ndarray) -> Program:
             MeasureStep(ALICE, 0, "p", send_to=BOB),
             MeasureStep(ALICE, 1, "q", send_to=BOB),
             ConditionalStep(BOB, "X^q", lambda q: shifts[q], (2,), "q"),
-            ConditionalStep(BOB, "Z^p", lambda p: np.linalg.matrix_power(clock, p), (2,), "p"),
+            ConditionalStep(BOB, "Z^p", lambda p: clocks[p], (2,), "p"),
             # the remote operation
             LocalStep(BOB, "U", u, (2,)),
             # Bob -> Alice
@@ -165,7 +168,7 @@ def bqst_program(unitary: np.ndarray) -> Program:
             MeasureStep(BOB, 2, "r", send_to=ALICE),
             MeasureStep(BOB, 3, "s", send_to=ALICE),
             ConditionalStep(ALICE, "X^s", lambda s: shifts[s], (4,), "s"),
-            ConditionalStep(ALICE, "Z^r", lambda r: np.linalg.matrix_power(clock, r), (4,), "r"),
+            ConditionalStep(ALICE, "Z^r", lambda r: clocks[r], (4,), "r"),
         ),
         dims=(dim,) * 5,
     )

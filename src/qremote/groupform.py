@@ -122,12 +122,12 @@ def dihedral3() -> FiniteGroup:
 @dataclass(frozen=True)
 class ProjectiveRep:
     group: FiniteGroup
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray            # read-only (|G|, D, D) stack, U(f) at [f]
     mu: np.ndarray                  # factor system, mu[f, g]
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
 
 def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
@@ -162,9 +162,9 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
     stack = np.stack(mats)
     if not np.isfinite(stack).all() or (mu is not None and not np.isfinite(mu).all()):
         raise NonFinite("representation matrices and factor system must be finite")
-    for f, m in enumerate(mats):
-        if not qcore.is_unitary(m):
-            raise NonUnitary(f"representation matrix {group.names[f]} is not unitary")
+    bad = np.flatnonzero(~(qcore.unitarity_defect(stack) <= qcore.NORM_TOL))
+    if len(bad):
+        raise NonUnitary(f"representation matrix {group.names[bad[0]]} is not unitary")
     derive = mu is None
     if derive:
         mu = np.empty((n, n), dtype=complex)
@@ -205,7 +205,7 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
     w, _, vh = np.linalg.svd(stack)
     exact = w @ vh
     exact.setflags(write=False)
-    return ProjectiveRep(group, tuple(exact), mu / np.abs(mu))
+    return ProjectiveRep(group, exact, mu / np.abs(mu))
 
 
 def cyclic_character_rep(n: int) -> ProjectiveRep:
@@ -243,16 +243,21 @@ def dihedral3_rep() -> ProjectiveRep:
 
 # --- protocol operators -------------------------------------------------------
 
-def z_gate(g: int, order: int) -> np.ndarray:
-    """Z(g)|f> = (1/sqrt|G|) <g|F|f>^{-1} |f> for the Fourier matrix F.
+def z_gate(g, order: int) -> np.ndarray:
+    """Z(g)|f> = (1/sqrt|G|) <g|F|f>^{-1} |f> for the Fourier matrix F; for
+    an array of g, the stack of the Z(g).
 
     Every entry of F has modulus 1/sqrt|G|, so Z(g) is diagonal unimodular;
-    run_protocol checks it as it checks every operator it builds. Row g of
-    F is computed alone, with the operations qcore.fourier_matrix applies to
-    it, so it is bitwise equal to fourier_matrix(order)[g].
+    run_protocol checks it as it checks every operator it builds. Rows g of
+    F are computed alone, with the operations qcore.fourier_matrix applies
+    to them, so each is bitwise equal to fourier_matrix(order)[g]. The
+    diagonal is written into zeros, so no -0.0 appears off it.
     """
-    row = np.exp(2j * np.pi * (g * np.arange(order)) / order) / math.sqrt(order)
-    return np.diag(1.0 / (math.sqrt(order) * row))
+    rows = np.exp(2j * np.pi * np.multiply.outer(g, np.arange(order)) / order) / math.sqrt(order)
+    out = np.zeros(rows.shape + (order,), dtype=complex)
+    diagonal = np.arange(order)
+    out[..., diagonal, diagonal] = 1.0 / (math.sqrt(order) * rows)
+    return out
 
 
 def assemble(rep: ProjectiveRep, coefficients) -> np.ndarray:
@@ -299,7 +304,7 @@ def group_program(rep: ProjectiveRep, coefficients) -> Program:
         owners=locc.PROTOCOL_OWNERS,
         steps=(
             # P = sum_f U(f) (x) |f><f| on (A, a): entangles the group label
-            CouplingStep(ALICE, "P", labels, np.stack(mats), 1, 0),
+            CouplingStep(ALICE, "P", labels, mats, 1, 0),
             LocalStep(ALICE, "F", qcore.fourier_matrix(n), (1,)),
             MeasureStep(ALICE, 1, "g", send_to=BOB),
             ConditionalStep(BOB, "Z(g)", lambda g: z_gate(g, n), (2,), "g"),
@@ -350,27 +355,40 @@ def block_decomposition(rep: ProjectiveRep, dims) -> BlockDecomposition:
         )
     offsets = tuple(int(o) for o in np.concatenate(([0], np.cumsum(dims)[:-1])))
     decomp = BlockDecomposition(rep, dims, offsets)
-    for f, m in enumerate(rep.matrices):
-        _check_block_diagonal(m, decomp, f"U({rep.group.names[f]})")
+    spill = _spill(rep.matrices, decomp)
+    bad = np.flatnonzero(spill > qcore.NORM_TOL)
+    if len(bad):
+        f = bad[0]
+        raise NotBlockDiagonal(
+            f"U({rep.group.names[f]}) has weight {spill[f]:.3e} outside the declared blocks"
+        )
     return decomp
 
 
-def _check_block_diagonal(matrix: np.ndarray, decomp: BlockDecomposition, label: str) -> None:
-    mask = np.ones(matrix.shape, dtype=bool)
+def _weights(decomp: BlockDecomposition) -> np.ndarray:
+    """W with d_b/|G| on each declared block b and 0 off the blocks."""
+    w = np.zeros((decomp.rep.dim, decomp.rep.dim))
     for d, o in zip(decomp.dims, decomp.offsets):
-        mask[o : o + d, o : o + d] = False
-    spill = np.abs(matrix[mask]).max() if mask.any() else 0.0
-    if spill > qcore.NORM_TOL:
-        raise NotBlockDiagonal(
-            f"{label} has weight {spill:.3e} outside the declared blocks"
-        )
+        w[o : o + d, o : o + d] = d / decomp.rep.group.order
+    return w
+
+
+def _spill(stack: np.ndarray, decomp: BlockDecomposition) -> np.ndarray:
+    """Largest entry outside the declared blocks of each matrix in a
+    (..., D, D) stack, all in one operation."""
+    outside = _weights(decomp) == 0
+    if not outside.any():
+        return np.zeros(stack.shape[:-2])
+    return np.abs(stack[..., outside]).max(axis=-1)
 
 
 def coefficients_from_unitary(unitary: np.ndarray, decomp: BlockDecomposition) -> np.ndarray:
     """Recover c(f) with sum_f c(f) U(f) equal to the given block-diagonal matrix.
 
     c(f) = sum_blocks (d/|G|) sum_{jk} conj(D_block(f)_{jk}) R_block_{jk},
-    the orthogonality relations of irreducible blocks applied blockwise.
+    the orthogonality relations of irreducible blocks applied blockwise, as
+    one contraction of the representation stack with W * target, where W
+    carries d/|G| on each block and 0 off the blocks.
     """
     rep = decomp.rep
     target = np.asarray(unitary, dtype=complex)
@@ -378,14 +396,7 @@ def coefficients_from_unitary(unitary: np.ndarray, decomp: BlockDecomposition) -
         raise DimensionMismatch(
             f"matrix shape {target.shape} does not match the representation"
         )
-    _check_block_diagonal(target, decomp, "target")
-    order = rep.group.order
-    coeffs = np.zeros(order, dtype=complex)
-    for f, m in enumerate(rep.matrices):
-        acc = 0.0 + 0.0j
-        for d, o in zip(decomp.dims, decomp.offsets):
-            block_rep = m[o : o + d, o : o + d]
-            block_target = target[o : o + d, o : o + d]
-            acc += (d / order) * np.sum(block_rep.conj() * block_target)
-        coeffs[f] = acc
-    return coeffs
+    spill = _spill(target, decomp)
+    if spill > qcore.NORM_TOL:
+        raise NotBlockDiagonal(f"target has weight {spill:.3e} outside the declared blocks")
+    return np.einsum("fjk,jk->f", rep.matrices.conj(), _weights(decomp) * target)

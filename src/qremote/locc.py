@@ -12,16 +12,20 @@ one array over the factors not yet measured. A measurement splits each row
 into one row per outcome above PROB_FLOOR and drops the measured axis; the
 outcome goes into a column, and a later step on that factor is a
 DimensionMismatch. A local step is one matrix product over all rows. A
-conditioned step builds and checks its operator once per distinct outcome
-value and gathers it per row. A coupling step sum_i P_i (x) V_i, the
-opening step of every protocol here, holds its terms: qcore.certify_coupling
-checks them in O(n d^3) work instead of a dense unitarity check on the
-(d_c d_t)-square sum, and the step is applied as two products, one per
-term stack, without forming that sum. A branch stores its outcomes,
-probability and output (its row) and shares the run's operator-free
-record of the steps; its transcript, outcomes and full state (each
-measured factor back in its outcome's basis state) are derived from these
-on each read.
+conditioned step calls its build once, with the distinct payloads its
+message carries on the surviving rows, checks the returned operator stack
+with one batched unitarity product, and gathers it per row. A coupling
+step sum_i P_i (x) V_i, the opening step of every protocol here, holds its
+terms: qcore.certify_coupling checks them in O(n d^3) work instead of a
+dense unitarity check on the (d_c d_t)-square sum, and the step is applied
+as two products, one per term stack, without forming that sum. One gate
+closes the run: the probability pruned below PROB_FLOOR, added up
+measurement by measurement, must stay within NORM_TOL, and every row of
+the final array must have norm 1 within NORM_TOL, checked in one pass. A
+branch stores its outcomes, probability and amplitudes (a read-only view
+of its row) and shares the run's operator-free record of the steps; its
+output, transcript, outcomes and full state (each measured factor back in
+its outcome's basis state) are derived from these on each read.
 
 A Program declares its registers, dims: the input at factor 0, then a
 maximally entangled pair on each of (1, 2), (3, 4), ... prepare checks the
@@ -42,7 +46,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, LocalityViolation, MissingClassicalDependency
+from .errors import (
+    DimensionMismatch, LocalityViolation, MissingClassicalDependency, NonFinite, NotNormalized,
+)
 from . import qcore
 from .qcore import StateVector
 
@@ -75,11 +81,13 @@ class LocalStep:
 
 @dataclass(frozen=True)
 class ConditionalStep:
-    """Unitary whose matrix depends on a classical message received earlier."""
+    """Unitary whose matrix depends on a classical message received earlier.
+    build maps a 1-D int array of k distinct payloads to the (k, d, d)
+    stack of their operators."""
 
     party: Party
     label: str
-    build: Callable[[int], np.ndarray]
+    build: Callable[[np.ndarray], np.ndarray]
     targets: tuple[int, ...]
     message: str
 
@@ -155,12 +163,13 @@ class Branch:
     """One measurement branch over registers of factor_dims. steps is the
     run's record of the program (a LocalOpEvent per operator step, each
     MeasureStep as is), row one outcome per MeasureStep in program order,
-    and output the state of the unmeasured factors in factor order."""
+    and amplitudes the state of the unmeasured factors in factor order, one
+    axis per factor: a read-only view of the run's checked output array."""
 
     steps: tuple[LocalOpEvent | MeasureStep, ...]
     row: tuple[int, ...]
     probability: float
-    output: StateVector
+    amplitudes: np.ndarray
     factor_dims: tuple[int, ...]
 
     def _measured(self):
@@ -183,14 +192,20 @@ class Branch:
         return Transcript(tuple(events), self.probability)
 
     @property
+    def output(self) -> StateVector:
+        """The state of the unmeasured factors, built on each read."""
+        return StateVector(self.amplitudes, self.amplitudes.shape)
+
+    @property
     def state(self) -> StateVector:
-        """The full register state, built on each read: the output at the
-        unmeasured factors, each outcome's basis state at its measured one."""
+        """The full register state, built on each read: the amplitudes at
+        the unmeasured factors, each outcome's basis state at its measured
+        one."""
         index: list[int | slice] = [slice(None)] * len(self.factor_dims)
         for s, k in self._measured():
             index[s.target] = k
         full = np.zeros(self.factor_dims, dtype=complex)
-        full[tuple(index)] = self.output.tensor_form()
+        full[tuple(index)] = self.amplitudes
         full.setflags(write=False)   # frozen here, so StateVector need not copy it
         return StateVector(full, self.factor_dims)
 
@@ -290,6 +305,7 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
     live = list(range(len(dims)))         # factor on each axis after the first
     prob = np.ones(1)
     outcomes = np.zeros((1, 0), dtype=int)   # one column per measurement
+    pruned = []                              # mass dropped at each measurement
     inbox: dict[Party, dict[str, int]] = {ALICE: {}, BOB: {}}   # tag -> column
 
     def axes(targets) -> list[int]:
@@ -306,7 +322,9 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
             moved = np.moveaxis(batch, axis, 1)
             slabs = moved.reshape(moved.shape[:2] + (-1,))
             p = np.einsum("bkr,bkr->bk", slabs.conj(), slabs).real
-            rows, ks = np.nonzero(p > qcore.PROB_FLOOR)
+            kept_mask = p > qcore.PROB_FLOOR
+            pruned.append(prob @ np.where(kept_mask, 0.0, p).sum(axis=1))
+            rows, ks = np.nonzero(kept_mask)
             kept = p[rows, ks]
             batch = moved[rows, ks] / np.sqrt(kept).reshape((-1,) + (1,) * (moved.ndim - 2))
             prob = prob[rows] * kept
@@ -324,32 +342,78 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
         elif isinstance(step, CouplingStep):
             apply = _coupling(step, dims)
         else:
-            if step.message not in inbox[step.party]:
-                raise MissingClassicalDependency(
-                    f"{step.party.value} step {step.label!r} needs message "
-                    f"{step.message!r} before it runs"
-                )
-            # one operator per distinct outcome value, gathered per branch
-            values, index = np.unique(
-                outcomes[:, inbox[step.party][step.message]], return_inverse=True
-            )
-            apply = partial(np.matmul, np.stack([
-                qcore.local_unitary(step.build(int(v)), dims, step.targets) for v in values
-            ])[index])
+            apply = partial(np.matmul, _conditioned(step, dims, inbox, outcomes))
         front = range(1, len(targets) + 1)
         moved = np.moveaxis(batch, targets, front)
         out = apply(moved.reshape(len(moved), math.prod(dims[t] for t in step.targets), -1))
         batch = np.moveaxis(out.reshape(moved.shape), front, targets)
 
+    final = _checked_output(program, batch, outcomes, pruned)
     steps = tuple(
         s if isinstance(s, MeasureStep) else LocalOpEvent(
             s.party, s.label, s.targets, s.message if isinstance(s, ConditionalStep) else None)
         for s in program.steps
     )
     return [
-        Branch(steps, tuple(row), p, StateVector(amps, amps.shape), dims)
-        for amps, row, p in zip(batch, outcomes.tolist(), prob.tolist())
+        Branch(steps, tuple(row), p, amps, dims)
+        for amps, row, p in zip(final, outcomes.tolist(), prob.tolist())
     ]
+
+
+def _conditioned(
+    step: ConditionalStep, dims: tuple[int, ...], inbox, outcomes: np.ndarray
+) -> np.ndarray:
+    """The step's operator for each row: one build over the distinct
+    payloads of its message on the surviving rows, checked as one stack by
+    qcore.local_unitary and gathered per row."""
+    if step.message not in inbox[step.party]:
+        raise MissingClassicalDependency(
+            f"{step.party.value} step {step.label!r} needs message "
+            f"{step.message!r} before it runs"
+        )
+    values, index = np.unique(outcomes[:, inbox[step.party][step.message]], return_inverse=True)
+    ops = np.asarray(step.build(values))
+    if ops.ndim != 3 or len(ops) != len(values):
+        raise DimensionMismatch(
+            f"step {step.label!r} built shape {ops.shape} for {len(values)} payloads"
+        )
+    ops = qcore.local_unitary(
+        ops, dims, step.targets, lambda i: f"step {step.label!r} at {step.message}={values[i]}"
+    )
+    return ops[index]
+
+
+def _checked_output(program: Program, batch: np.ndarray, outcomes: np.ndarray, pruned):
+    """The run's gate: batch frozen once and returned, after checking that
+    the probability pruned below PROB_FLOOR, added up over the measurements,
+    stays within NORM_TOL (NotNormalized names the measurement that passes
+    it) and that every row has norm 1 within NORM_TOL, in one pass
+    (NonFinite or NotNormalized names the first row at fault by its
+    outcomes)."""
+    lost = np.cumsum(pruned)
+    over = np.flatnonzero(lost > qcore.NORM_TOL)
+    if len(over):
+        step = [s for s in program.steps if isinstance(s, MeasureStep)][over[0]]
+        raise NotNormalized(
+            f"measurement {step.message!r} of factor {step.target} brings the "
+            f"probability pruned below {qcore.PROB_FLOOR} to {lost[over[0]]:.3e}, "
+            f"beyond {qcore.NORM_TOL}"
+        )
+    final = batch if batch.flags.owndata else batch.copy()
+    final.setflags(write=False)
+    rows = final.reshape(len(final), -1)
+    # a non-finite norm is named below, not warned about
+    with np.errstate(all="ignore"):
+        norms = np.sqrt(np.einsum("br,br->b", rows.conj(), rows).real)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= qcore.NORM_TOL))
+    if len(bad):
+        i = int(bad[0])
+        where = f"output of the branch with outcomes {tuple(outcomes[i].tolist())}"
+        norm = float(norms[i])
+        if not math.isfinite(norm):
+            raise NonFinite(f"{where} has norm {norm}, which is not finite")
+        raise NotNormalized(f"{where} has norm {norm!r}, deviating from 1 beyond {qcore.NORM_TOL}")
+    return final
 
 
 def transcript_lines(transcript: Transcript) -> list[str]:

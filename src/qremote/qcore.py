@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -105,13 +106,20 @@ def tensor(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def unitarity_defect(stack: np.ndarray) -> np.ndarray:
+    """Largest entry of |U^dag U - I| for each matrix U of a (..., d, d)
+    stack, from one batched product; nan where U is not finite."""
+    d = stack.shape[-1]
+    gram = stack.conj().swapaxes(-1, -2) @ stack
+    gram.reshape(gram.shape[:-2] + (d * d,))[..., :: d + 1] -= 1
+    return np.abs(gram).max(axis=(-2, -1))
+
+
 def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(
-        np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= NORM_TOL
-    )
+    return bool(unitarity_defect(m) <= NORM_TOL)
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -200,22 +208,34 @@ def _check_targets(dims: tuple[int, ...], targets) -> tuple[int, ...]:
     return targets
 
 
-def local_unitary(op: np.ndarray, dims: tuple[int, ...], targets) -> np.ndarray:
-    """op as a complex matrix, checked to be a unitary on the target factors."""
+def local_unitary(
+    op: np.ndarray, dims: tuple[int, ...], targets, name: Callable[[int], str] | None = None
+) -> np.ndarray:
+    """op, one matrix or a (k, d, d) stack of them, as complex and checked
+    to be unitary on the target factors by one unitarity_defect. NonUnitary
+    names the first matrix at fault: name(i) for matrix i of a stack."""
     targets = _check_targets(dims, targets)
     op = np.asarray(op, dtype=complex)
     d_op = math.prod(dims[t] for t in targets)
-    if op.shape != (d_op, d_op):
+    if op.ndim not in (2, 3) or op.shape[-2:] != (d_op, d_op):
         raise DimensionMismatch(
             f"operator shape {op.shape} does not match target dims product {d_op}"
         )
-    if not is_unitary(op):
-        raise NonUnitary(f"operator on factors {targets} is not unitary")
+    defect = unitarity_defect(op).reshape(-1)
+    bad = np.flatnonzero(~(defect <= NORM_TOL))   # nan is at fault too
+    if len(bad):
+        i = int(bad[0])
+        what = "operator" if name is None else name(i)
+        raise NonUnitary(
+            f"{what} on factors {targets} is not unitary (defect {defect[i]:.3e})"
+        )
     return op
 
 
 def apply_local(op: np.ndarray, state: StateVector, targets) -> StateVector:
     """Apply a unitary to the designated factors, leaving the others untouched."""
+    if np.ndim(op) != 2:
+        raise DimensionMismatch(f"apply_local takes one matrix, not shape {np.shape(op)}")
     op = local_unitary(op, state.factor_dims, targets)
     targets = _check_targets(state.factor_dims, targets)
     k = len(targets)

@@ -203,9 +203,10 @@ def phase_gate(phases: Phases) -> np.ndarray:
     return np.diag(phases.values)
 
 
-def recovery(p: BlockPartition, m: int) -> np.ndarray:
-    """R_m = sum_j e^{-2 pi i m j / N} A_j."""
-    phases = np.exp(-2j * np.pi * m * np.arange(p.n) / p.n)
+def recovery(p: BlockPartition, m) -> np.ndarray:
+    """R_m = sum_j e^{-2 pi i m j / N} A_j; for an array of m, the stack of
+    the R_m, one contraction over j."""
+    phases = np.exp(-2j * np.pi * np.multiply.outer(m, np.arange(p.n)) / p.n)
     return np.tensordot(phases, p.blocks, axes=1)
 
 

@@ -10,6 +10,8 @@ rest on locc.Branch.state, which derives that state from the output.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from qremote import qcore
 from qremote.errors import MissingClassicalDependency
 from qremote.locc import (
@@ -57,7 +59,7 @@ def run_reference(program, initial):
             else:
                 if step.message not in inbox[step.party]:
                     raise MissingClassicalDependency(step.label)
-                op = step.build(inbox[step.party][step.message])
+                op = step.build(np.array([inbox[step.party][step.message]]))[0]
                 event = LocalOpEvent(step.party, step.label, step.targets, step.message)
             nxt = qcore.apply_local(op, state, step.targets)
             execute(i + 1, nxt, prob, events + [event], inbox)

@@ -76,6 +76,25 @@ def test_near_unitary_group_matrices_run(tmp_path, capsys):
     assert "result: OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("u1, code, error", [
+    # X mixes the two declared 1x1 blocks; Z keeps to them
+    ([[[0, 0], [1, 0]], [[1, 0], [0, 0]]], 2,
+     "error: NotBlockDiagonal: U(1) has weight 1.000e+00 outside the declared blocks\n"),
+    ([[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], 0, ""),
+])
+def test_declared_blocks_are_checked_on_every_matrix(tmp_path, capsys, u1, code, error):
+    doc = {
+        "kind": "group", "order": 2, "cayley": [[0, 1], [1, 0]],
+        "matrices": [matrix_to_json(np.eye(2)), u1],
+        "coefficients": [[1, 0], [0, 0]], "blocks": [1, 1],
+    }
+    path = write_problem(tmp_path, "blocks.json", doc)
+    assert main(["run", path]) == code
+    captured = capsys.readouterr()
+    assert captured.err == error
+    assert ("result: OK" in captured.out) == (code == 0)
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -2,6 +2,7 @@
 executor, its operator checks, and outcome probabilities that do not depend
 on the input."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -121,11 +122,11 @@ def test_unsent_outcome_is_used_by_its_own_party():
     rng = np.random.default_rng(0)
     amps = rng.normal(size=12) + 1j * rng.normal(size=12)
     initial = qcore.StateVector(amps / np.linalg.norm(amps), (2, 2, 3))
-    z = np.diag([1.0, -1.0]).astype(complex)
+    z_powers = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
     program = Program((ALICE, ALICE, BOB), (
         LocalStep(ALICE, "H", HADAMARD, (0,)),
         MeasureStep(ALICE, 0, "x", send_to=None),
-        ConditionalStep(ALICE, "Z^x", lambda x: np.linalg.matrix_power(z, x), (1,), "x"),
+        ConditionalStep(ALICE, "Z^x", lambda x: z_powers[x], (1,), "x"),
         LocalStep(BOB, "X", shift_matrix(3), (2,)),
     ))
     branches = assert_matches_reference(program, initial)
@@ -137,7 +138,7 @@ def test_a_step_on_a_measured_factor_is_a_dimension_mismatch():
     initial = qcore.tensor(qcore.ket(0, 2), qcore.ket(0, 3))
     for step in (
         LocalStep(ALICE, "H", HADAMARD, (0,)),
-        ConditionalStep(ALICE, "Z^x", lambda x: np.eye(2), (0,), "x"),
+        ConditionalStep(ALICE, "Z^x", lambda x: np.eye(2)[None].repeat(len(x), 0), (0,), "x"),
         MeasureStep(ALICE, 0, "y"),
     ):
         program = Program((ALICE, BOB), (MeasureStep(ALICE, 0, "x"), step))
@@ -148,33 +149,50 @@ def test_a_step_on_a_measured_factor_is_a_dimension_mismatch():
 def test_zero_probability_outcome_is_pruned():
     amps = np.zeros((2, 3), dtype=complex)
     amps[0, 0] = amps[1, 2] = 1 / np.sqrt(2)    # factor 1 never holds |1>
+    received = []
+
+    def build(b):
+        # not unitary for the pruned outcome, so it must never be built
+        received.append(b.tolist())
+        return HADAMARD * np.where(b == 1, 2, 1)[:, None, None]
+
     program = Program((ALICE, BOB), (
         MeasureStep(BOB, 1, "b", send_to=ALICE),
-        # not unitary for the pruned outcome, so it must never be built
-        ConditionalStep(ALICE, "X^b", lambda b: HADAMARD if b != 1 else 2 * HADAMARD, (0,), "b"),
+        ConditionalStep(ALICE, "X^b", build, (0,), "b"),
     ))
     branches = assert_matches_reference(program, qcore.StateVector(amps.reshape(-1), (2, 3)))
     assert [b.outcomes["b"] for b in branches] == [0, 2]
+    # once for the batched run, then once per branch for the reference
+    assert received == [[0, 2], [0], [2]]
+
+
+# what each executor error names: the foreign factor, the missing message,
+# and the step with the payload whose operator is not unitary
+NAMED = {
+    LocalityViolation: "factor 0 owned by alice",
+    MissingClassicalDependency: "needs message 'x'",
+    NonUnitary: "step 'V_x' at x=1 ",
+}
 
 
 @pytest.mark.parametrize("program, error", [
     (Program((ALICE, BOB), (
         MeasureStep(ALICE, 0, "x", send_to=BOB),
-        ConditionalStep(BOB, "H", lambda x: HADAMARD, (0,), "x"),
+        ConditionalStep(BOB, "H", lambda x: HADAMARD[None].repeat(len(x), 0), (0,), "x"),
     )), LocalityViolation),
     (Program((ALICE, BOB), (
         MeasureStep(ALICE, 0, "x"),
-        ConditionalStep(BOB, "X^x", lambda x: np.eye(3), (1,), "x"),
+        ConditionalStep(BOB, "X^x", lambda x: np.eye(3)[None].repeat(len(x), 0), (1,), "x"),
     )), MissingClassicalDependency),
     (Program((ALICE, BOB), (
         LocalStep(ALICE, "H", HADAMARD, (0,)),
         MeasureStep(ALICE, 0, "x", send_to=BOB),
-        ConditionalStep(BOB, "V_x", lambda x: np.eye(3) if x == 0 else 2 * np.eye(3), (1,), "x"),
+        ConditionalStep(BOB, "V_x", lambda x: np.eye(3) * (1 + x)[:, None, None], (1,), "x"),
     )), NonUnitary),
 ])
 def test_bad_conditional_step_raises_in_both_executors(program, error):
     initial = qcore.tensor(qcore.ket(0, 2), qcore.ket(0, 3))
-    with pytest.raises(error):
+    with pytest.raises(error, match=re.escape(NAMED[error])):
         locc.run_protocol(program, initial)
     with pytest.raises(error):
         run_reference(program, initial)
@@ -183,30 +201,42 @@ def test_bad_conditional_step_raises_in_both_executors(program, error):
 # --- checks counted --------------------------------------------------------------
 
 def test_unitarity_is_checked_once_per_distinct_matrix(monkeypatch):
+    # each conditioned step calls build once, with exactly the distinct
+    # payloads of its surviving rows, and checks the stack it returns with
+    # one batched product; the coupling is certified from its terms
     rng = np.random.default_rng(5)
     dim, n = 6, 4
     program = wang.wang_program(wang.random_partition(dim, n, rng), wang.random_phases(n, rng))
-    initial = wang_initial(random_state(dim, rng), n)
-    checked, certified = [], []
-    is_unitary, certify_coupling = qcore.is_unitary, qcore.certify_coupling
+    built, checked, certified = [], [], []
 
-    def counting(m):
-        checked.append(m)
-        return is_unitary(m)
+    def recording(step):
+        def build(payloads):
+            built.append((step.label, payloads.tolist()))
+            return step.build(payloads)
+        return dataclasses.replace(step, build=build)
+
+    unitarity_defect, certify_coupling = qcore.unitarity_defect, qcore.certify_coupling
+
+    def defect(stack):
+        checked.append(stack.shape)
+        return unitarity_defect(stack)
 
     def certifying(projectors, unitaries, label):
         certified.append(label)
         return certify_coupling(projectors, unitaries, label)
 
-    monkeypatch.setattr(qcore, "is_unitary", counting)
+    monkeypatch.setattr(qcore, "unitarity_defect", defect)
     monkeypatch.setattr(qcore, "certify_coupling", certifying)
-    locc.run_protocol(program, initial)
-    # C and F once each, X^l once per l, R_m once per m; the coupling P is
-    # certified from its terms, and no dense check sees a matrix larger
-    # than one register
-    assert len(checked) == 2 + n + n
+    steps = tuple(
+        recording(s) if isinstance(s, ConditionalStep) else s for s in program.steps
+    )
+    initial = wang_initial(random_state(dim, rng), n)
+    locc.run_protocol(Program(program.owners, steps, program.dims), initial)
+    assert built == [("X^l", list(range(n))), ("R_m", list(range(n)))]
+    # C and F as one matrix each, X^l and R_m as one stack each, in program
+    # order: every check run_protocol makes, is_unitary included, is listed
+    assert checked == [(n, n, n), (n, n), (n, n), (n, dim, dim)]
     assert certified == ["P"]
-    assert max(len(m) for m in checked) <= max(dim, n)
     # one certificate per coupling in the other protocols too
     rep, c, psi = group_setup("dihedral3", rng)
     groupform.run_group_protocol(rep, c, psi)

@@ -23,6 +23,7 @@ from util import (
     random_block_diagonal_unitary,
     random_diag_phases,
     random_state,
+    reference_coefficients_from_unitary,
     step_operators,
 )
 
@@ -233,12 +234,16 @@ def test_hadamard_expansion_builds_unitary_steps():
 
 
 def test_z_gate_is_bitwise_the_fourier_row_form():
-    # z_gate computes row g of F alone; it must match the full matrix's row bit for bit
+    # z_gate computes row g of F alone; it must match the full matrix's row
+    # bit for bit, and so must each matrix of the stack for all g at once
     for n in range(1, 33):
         f = qcore.fourier_matrix(n)
+        stack = groupform.z_gate(np.arange(n), n)
+        assert stack.shape == (n, n, n)
         for g in range(n):
             expected = np.diag(1.0 / (np.sqrt(n) * f[g, :]))
             assert groupform.z_gate(g, n).tobytes() == expected.tobytes(), (g, n)
+            assert stack[g].tobytes() == expected.tobytes(), (g, n)
 
 
 def test_alice_side_group_operators_ignore_the_coefficients():
@@ -406,6 +411,31 @@ def test_round_trip_on_random_block_diagonal_unitaries():
             assert np.abs(reassembled - target).max() <= 1e-9
 
 
+NAMED_REPS = (
+    (lambda: groupform.cyclic_character_rep(3), (1, 1, 1)),
+    (lambda: groupform.cyclic_character_rep(5), (1,) * 5),
+    (klein_character_rep, (1, 1, 1, 1)),
+    (groupform.pauli_rep, (2,)),
+    (groupform.dihedral3_rep, (1, 1, 2)),
+)
+
+
+@pytest.mark.parametrize("make, dims", NAMED_REPS)
+def test_coefficients_match_the_blockwise_oracle(make, dims):
+    # one contraction against the per-element, per-block sum, on every U(f)
+    # of the rep and on seeded block-diagonal targets
+    rep = make()
+    decomp = groupform.block_decomposition(rep, dims)
+    rng = np.random.default_rng(len(dims) * 7 + rep.group.order)
+    targets = list(rep.matrices) + [random_block_diagonal_unitary(decomp, rng) for _ in range(10)]
+    for target in targets:
+        np.testing.assert_allclose(
+            groupform.coefficients_from_unitary(target, decomp),
+            reference_coefficients_from_unitary(target, decomp),
+            rtol=0, atol=1e-12,
+        )
+
+
 def test_multiplicity_violations_rejected():
     with pytest.raises(MultiplicityNotOne):
         groupform.block_decomposition(groupform.pauli_rep(), (1, 1))
@@ -415,8 +445,11 @@ def test_multiplicity_violations_rejected():
 
 def test_block_structure_violations_rejected():
     # splitting the 2-dim irrep of the triangle rep leaks weight off-diagonal
-    with pytest.raises(NotBlockDiagonal):
-        groupform.block_decomposition(groupform.dihedral3_rep(), (2, 1, 1))
+    # in every U(f) but U(e); the first named is U(r), a rotation by 2 pi/3,
+    # with sin(2 pi/3) off the blocks
+    for dims in ((2, 1, 1), (1, 2, 1)):
+        with pytest.raises(NotBlockDiagonal, match=r"^U\(r\) has weight 8\.660e-01 outside"):
+            groupform.block_decomposition(groupform.dihedral3_rep(), dims)
     rep = klein_character_rep()
     decomp = groupform.block_decomposition(rep, (1, 1, 1, 1))
     rng = np.random.default_rng(7)

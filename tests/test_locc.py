@@ -2,13 +2,16 @@
 locality and classical-dependency enforcement."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 from qremote import entcost, groupform, locc, qcore, wang
-from qremote.errors import DimensionMismatch, LocalityViolation, MissingClassicalDependency
+from qremote.errors import (
+    DimensionMismatch, LocalityViolation, MissingClassicalDependency, NonFinite, NotNormalized,
+)
 from qremote.locc import (
     ALICE,
     BOB,
@@ -65,11 +68,11 @@ def test_locality_is_enforced():
 
 def test_conditional_step_requires_delivered_message():
     s = qcore.tensor(qcore.ket(0, 2), qcore.ket(0, 2))
-    x = shift_matrix(2)
+    shifts = qcore.shift_powers(2)
     # no measurement produced the message at all
     program = Program(
         owners=(ALICE, BOB),
-        steps=(ConditionalStep(BOB, "X^l", lambda l: np.linalg.matrix_power(x, l), (1,), "l"),),
+        steps=(ConditionalStep(BOB, "X^l", lambda l: shifts[l], (1,), "l"),),
     )
     with pytest.raises(MissingClassicalDependency):
         locc.run_protocol(program, s)
@@ -78,7 +81,7 @@ def test_conditional_step_requires_delivered_message():
         owners=(ALICE, BOB),
         steps=(
             MeasureStep(ALICE, 0, "l", send_to=None),
-            ConditionalStep(BOB, "X^l", lambda l: np.linalg.matrix_power(x, l), (1,), "l"),
+            ConditionalStep(BOB, "X^l", lambda l: shifts[l], (1,), "l"),
         ),
     )
     with pytest.raises(MissingClassicalDependency):
@@ -158,11 +161,59 @@ def test_branch_states_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         branches = wang.run_wang(p, wang.random_phases(3, rng), random_state(3, rng))
-        output = weakref.ref(branches[0].output)
-        del branches
+        # every branch holds a read-only row of one shared output array
+        shared = branches[0].amplitudes.base
+        assert shared.shape == (9, 3) and not shared.flags.writeable
+        for i, b in enumerate(branches):
+            assert b.amplitudes.base is shared and not b.amplitudes.flags.writeable
+            np.testing.assert_array_equal(b.amplitudes, shared[i])
+        output = weakref.ref(shared)
+        del branches, b, shared
         assert output() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("scale, error, message", [
+    (2.0, NotNormalized, "norm 2.0"),
+    (np.nan, NonFinite, "norm nan"),
+])
+def test_the_run_gate_names_the_row_of_a_bad_output(monkeypatch, scale, error, message):
+    # R_m for m = 1 scales the output after its check; the first branch it
+    # reaches is (l, m) = (0, 1)
+    local_unitary = qcore.local_unitary
+
+    def scaled(op, *args):
+        op = local_unitary(op, *args)
+        if op.ndim == 3 and op.shape[1] == 3:
+            op = op * np.where(np.arange(len(op)) == 1, scale, 1.0)[:, None, None]
+        return op
+
+    monkeypatch.setattr(qcore, "local_unitary", scaled)
+    rng = np.random.default_rng(7)
+    p = wang.random_partition(3, 2, rng)
+    with pytest.raises(error, match=re.escape(f"outcomes (0, 1) has {message}")):
+        wang.run_wang(p, wang.random_phases(2, rng), random_state(3, rng))
+
+
+def spread_state(small):
+    """A (4000,) state: `small` amplitudes of probability 0.99e-12, below
+    PROB_FLOOR, and the rest of the norm on |0>."""
+    amps = np.zeros(4000, dtype=complex)
+    amps[1 : small + 1] = np.sqrt(0.99e-12)
+    amps[0] = np.sqrt(1 - small * 0.99e-12)
+    return qcore.StateVector(amps, (4000,))
+
+
+def test_pruned_mass_beyond_the_tolerance_is_named():
+    program = Program((ALICE,), (MeasureStep(ALICE, 0, "x"),))
+    # 3999 x 0.99e-12 = 3.959e-9 would vanish with its rows
+    with pytest.raises(NotNormalized, match=r"measurement 'x' of factor 0 .* to 3\.959e-09"):
+        locc.run_protocol(program, spread_state(3999))
+    # 505 x 0.99e-12 = 5.0e-10 is within NORM_TOL and still runs
+    branches = locc.run_protocol(program, spread_state(505))
+    assert [b.row for b in branches] == [(0,)]
+    assert branches[0].probability == pytest.approx(1 - 505 * 0.99e-12, abs=1e-15)
 
 
 def test_validator_rejects_out_of_order_use():

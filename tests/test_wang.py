@@ -240,6 +240,16 @@ def test_controlled_shift_equals_the_kron_sum():
         np.testing.assert_array_equal(controlled_shift(p), oracle)
 
 
+def test_recovery_over_an_array_of_outcomes_stacks_each_r_m():
+    rng = np.random.default_rng(8)
+    for dim, n in ((1, 1), (2, 2), (5, 3), (8, 8)):
+        p = wang.random_partition(dim, n, rng)
+        stack = wang.recovery(p, np.arange(n))
+        assert stack.shape == (n, dim, dim)
+        for m in range(n):
+            np.testing.assert_allclose(stack[m], wang.recovery(p, m), rtol=0, atol=1e-12)
+
+
 def test_recovery_with_no_outcome_maps_u_to_v():
     rng = np.random.default_rng(2)
     u_basis, v_basis = qcore.random_unitary(5, rng), qcore.random_unitary(5, rng)

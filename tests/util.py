@@ -83,7 +83,7 @@ def step_operators(program, outcomes):
         elif isinstance(step, locc.CouplingStep):
             ops[step.label] = coupling_matrix(step)
         elif isinstance(step, locc.ConditionalStep):
-            ops[step.label] = step.build(outcomes[step.message])
+            ops[step.label] = step.build(np.array([outcomes[step.message]]))[0]
     return ops
 
 
@@ -229,3 +229,20 @@ def random_block_diagonal_unitary(decomp, rng):
     for d, o in zip(decomp.dims, decomp.offsets):
         out[o : o + d, o : o + d] = qcore.random_unitary(d, rng)
     return out
+
+
+def reference_coefficients_from_unitary(unitary, decomp):
+    """c(f) = sum_blocks (d/|G|) sum_{jk} conj(D_block(f)_{jk}) R_block_{jk},
+    summed block by block and element by element: the oracle for
+    groupform.coefficients_from_unitary."""
+    rep = decomp.rep
+    order = rep.group.order
+    coeffs = np.zeros(order, dtype=complex)
+    for f, m in enumerate(rep.matrices):
+        acc = 0.0 + 0.0j
+        for d, o in zip(decomp.dims, decomp.offsets):
+            block_rep = m[o : o + d, o : o + d]
+            block_target = unitary[o : o + d, o : o + d]
+            acc += (d / order) * np.sum(block_rep.conj() * block_target)
+        coeffs[f] = acc
+    return coeffs
