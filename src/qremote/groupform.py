@@ -299,12 +299,11 @@ def group_program(rep: ProjectiveRep, coefficients) -> Program:
     mix = mixer(rep, coefficients)
     inverses = rep.group.inverses
     mats = rep.matrices
-    labels = np.eye(n)[:, None] * np.eye(n)   # |f><f|
     return Program(
         owners=locc.PROTOCOL_OWNERS,
         steps=(
             # P = sum_f U(f) (x) |f><f| on (A, a): entangles the group label
-            CouplingStep(ALICE, "P", labels, mats, 1, 0),
+            CouplingStep(ALICE, "P", np.eye(n), np.arange(n), mats, 1, 0),
             LocalStep(ALICE, "F", qcore.fourier_matrix(n), (1,)),
             MeasureStep(ALICE, 1, "g", send_to=BOB),
             ConditionalStep(BOB, "Z(g)", lambda g: z_gate(g, n), (2,), "g"),

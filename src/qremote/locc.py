@@ -12,20 +12,20 @@ one array over the factors not yet measured. A measurement splits each row
 into one row per outcome above PROB_FLOOR and drops the measured axis; the
 outcome goes into a column, and a later step on that factor is a
 DimensionMismatch. A local step is one matrix product over all rows. A
-conditioned step calls its build once, with the distinct payloads its
-message carries on the surviving rows, checks the returned operator stack
-with one batched unitarity product, and gathers it per row. A coupling
-step sum_i P_i (x) V_i, the opening step of every protocol here, holds its
-terms: qcore.certify_coupling checks them in O(n d^3) work instead of a
-dense unitarity check on the (d_c d_t)-square sum, and the step is applied
-as two products, one per term stack, without forming that sum. One gate
-closes the run: the probability pruned below PROB_FLOOR, added up
-measurement by measurement, must stay within NORM_TOL, and every row of
-the final array must have norm 1 within NORM_TOL, checked in one pass. A
-branch stores its outcomes, probability and amplitudes (a read-only view
-of its row) and shares the run's operator-free record of the steps; its
-output, transcript, outcomes and full state (each measured factor back in
-its outcome's basis state) are derived from these on each read.
+conditioned step groups the rows by the payload its message carries, builds
+and checks its operator stack once, and applies each operator to its group
+with one product. A coupling step sum_i P_i (x) V_i, the opening step of
+every protocol here, holds the basis B that diagonalises every P_i, the
+term owning each column of B, and the V_i: qcore.certify_coupling bounds
+the dense unitarity check from the defects of B and the V_i, and the step
+is three products, none larger than the rows. One gate closes the run:
+the probability pruned below PROB_FLOOR, added up measurement by
+measurement, must stay within NORM_TOL, and every row of the final array
+must have norm 1 within NORM_TOL, checked in one pass. A branch stores
+its outcomes, probability and amplitudes (a read-only view of its row) and
+shares the run's operator-free record of the steps; its output,
+transcript, outcomes and full state (each measured factor back in its
+outcome's basis state) are derived from these on each read.
 
 A Program declares its registers, dims: the input at factor 0, then a
 maximally entangled pair on each of (1, 2), (3, 4), ... prepare checks the
@@ -104,13 +104,17 @@ class MeasureStep:
 
 @dataclass(frozen=True)
 class CouplingStep:
-    """Controlled coupling sum_i P_i (x) V_i applied by one party: the
-    projectors P_i, an (n, d_c, d_c) stack, act on the control factor and
-    the unitaries V_i, an (n, d_t, d_t) stack, on the target factor."""
+    """Controlled coupling sum_i P_i (x) V_i applied by one party, with the
+    projectors P_i on the control factor and the unitaries V_i, an
+    (n, d_t, d_t) stack, on the target factor. The projectors are given in
+    the basis that diagonalises them all: basis is a d_c x d_c unitary B and
+    owner holds one term index in [0, n) per column of B, so that
+    P_i = B diag(owner == i) B^dag."""
 
     party: Party
     label: str
-    projectors: np.ndarray
+    basis: np.ndarray
+    owner: np.ndarray
     unitaries: np.ndarray
     control: int
     target: int
@@ -257,34 +261,27 @@ def _check_locality(owners, party: Party, targets) -> None:
 
 
 def _coupling(step: CouplingStep, dims: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """Certify the terms of sum_i P_i (x) V_i (qcore.certify_coupling) and
-    return its action on rows of shape (branch, d_1 d_2, rest), where d_1
-    and d_2 are the dimensions of step.targets, first and second. The sum
-    is never formed: one product applies the term stack on the second
-    target, and one more contracts the first target's stack with the result
-    over the term index."""
-    projectors = np.asarray(step.projectors, dtype=complex)
+    """Certify sum_i P_i (x) V_i from its basis, owners and unitaries
+    (qcore.certify_coupling) and return its action on rows of shape
+    (branch, d_c d_t, rest), control first. The sum is never formed:
+    B^dag turns the control into the eigenbasis, where column k carries
+    V_{owner[k]} on the target, and B turns it back."""
+    basis = np.asarray(step.basis, dtype=complex)
     unitaries = np.asarray(step.unitaries, dtype=complex)
-    n, d_c, d_t = len(projectors), dims[step.control], dims[step.target]
-    shapes = (projectors.shape, unitaries.shape)
-    if not n or step.control == step.target or shapes != ((n, d_c, d_c), (n, d_t, d_t)):
+    n, d_c, d_t = len(unitaries), dims[step.control], dims[step.target]
+    shapes = (basis.shape, unitaries.shape)
+    if not n or step.control == step.target or shapes != ((d_c, d_c), (n, d_t, d_t)):
         raise DimensionMismatch(
-            f"coupling {step.label!r} has terms {projectors.shape} and "
+            f"coupling {step.label!r} has basis {basis.shape} and terms "
             f"{unitaries.shape} for factors {step.control} and {step.target}"
         )
-    qcore.certify_coupling(projectors, unitaries, step.label)
-    first, second = (
-        (projectors, unitaries) if step.control < step.target else (unitaries, projectors)
-    )
-    d_1, d_2 = first.shape[-1], second.shape[-1]
-    tall = second.reshape(n * d_2, d_2)                    # rows (i, l)
-    wide = first.transpose(1, 2, 0).reshape(d_1, d_1 * n)  # columns (j, i)
+    owner = qcore.certify_coupling(basis, step.owner, unitaries, step.label)
+    adjoint, stack = basis.conj().T, unitaries[owner]   # stack: (d_c, d_t, d_t)
 
     def apply(rows: np.ndarray) -> np.ndarray:
-        # y[b, j, i, l, r] = sum_k second[i, l, k] rows[b, j, k, r]
-        y = tall @ rows.reshape(len(rows) * d_1, d_2, -1)
-        # out[b, m, l, r] = sum_{j, i} first[i, m, j] y[b, j, i, l, r]
-        return wide @ y.reshape(len(rows), d_1 * n, -1)
+        y = adjoint @ rows.reshape(len(rows), d_c, -1)
+        y = stack @ y.reshape(len(rows), d_c, d_t, -1)
+        return basis @ y.reshape(len(rows), d_c, -1)
 
     return apply
 
@@ -336,16 +333,18 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
                 inbox[step.send_to][step.message] = outcomes.shape[1] - 1
             continue
         _check_locality(owners, step.party, step.targets)
-        targets = axes(step.targets)
+        # a coupling acts on its rows control first
+        order = (step.control, step.target) if isinstance(step, CouplingStep) else step.targets
+        targets = axes(order)
         if isinstance(step, LocalStep):
             apply = partial(np.matmul, qcore.local_unitary(step.matrix, dims, step.targets))
         elif isinstance(step, CouplingStep):
             apply = _coupling(step, dims)
         else:
-            apply = partial(np.matmul, _conditioned(step, dims, inbox, outcomes))
+            apply = _conditioned(step, dims, inbox, outcomes)
         front = range(1, len(targets) + 1)
         moved = np.moveaxis(batch, targets, front)
-        out = apply(moved.reshape(len(moved), math.prod(dims[t] for t in step.targets), -1))
+        out = apply(moved.reshape(len(moved), math.prod(dims[t] for t in order), -1))
         batch = np.moveaxis(out.reshape(moved.shape), front, targets)
 
     final = _checked_output(program, batch, outcomes, pruned)
@@ -362,16 +361,24 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
 
 def _conditioned(
     step: ConditionalStep, dims: tuple[int, ...], inbox, outcomes: np.ndarray
-) -> np.ndarray:
-    """The step's operator for each row: one build over the distinct
-    payloads of its message on the surviving rows, checked as one stack by
-    qcore.local_unitary and gathered per row."""
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The step's action on rows of shape (branch, d, rest). One stable
+    argsort of the message's column groups the rows by payload and yields
+    the distinct payloads, built once and checked as one stack by
+    qcore.local_unitary. Each operator acts on its group with one product,
+    scattered back to the rows' places: no operator is copied per row."""
     if step.message not in inbox[step.party]:
         raise MissingClassicalDependency(
             f"{step.party.value} step {step.label!r} needs message "
             f"{step.message!r} before it runs"
         )
-    values, index = np.unique(outcomes[:, inbox[step.party][step.message]], return_inverse=True)
+    column = outcomes[:, inbox[step.party][step.message]]
+    order = np.argsort(column, kind="stable")
+    grouped = column[order]
+    first = np.ones(len(grouped), dtype=bool)   # where each payload's group starts
+    np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    values = grouped[starts]
     ops = np.asarray(step.build(values))
     if ops.ndim != 3 or len(ops) != len(values):
         raise DimensionMismatch(
@@ -380,7 +387,17 @@ def _conditioned(
     ops = qcore.local_unitary(
         ops, dims, step.targets, lambda i: f"step {step.label!r} at {step.message}={values[i]}"
     )
-    return ops[index]
+    bounds = [*starts.tolist(), len(column)]
+
+    def apply(rows: np.ndarray) -> np.ndarray:
+        sorted_rows = rows[order]
+        out = np.empty_like(sorted_rows)
+        for op, a, b in zip(ops, bounds, bounds[1:]):
+            np.matmul(op, sorted_rows[a:b], out=out[a:b])
+        sorted_rows[order] = out   # the buffer is free now: scatter into it
+        return sorted_rows
+
+    return apply
 
 
 def _checked_output(program: Program, batch: np.ndarray, outcomes: np.ndarray, pruned):

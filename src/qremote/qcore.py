@@ -122,77 +122,53 @@ def is_unitary(m: np.ndarray) -> bool:
     return bool(unitarity_defect(m) <= NORM_TOL)
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix in a stack."""
-    return np.sqrt(np.einsum("...ab,...ab->...", stack.conj(), stack).real)
+def certify_coupling(basis: np.ndarray, owner, unitaries: np.ndarray, label: str) -> np.ndarray:
+    """Certify the coupling W = sum_i P_i (x) V_i, P_i = B diag(owner == i)
+    B^dag, and return owner as an int array. owner must hold d_c integers in
+    [0, n), else DimensionMismatch. NonUnitary, naming the label and either
+    the basis or the term at fault, is raised unless the dense check
+    |W^dag W - I| <= NORM_TOL (largest entry) is sure to pass.
 
+    The work is one unitarity_defect on B (d_c x d_c) and one on the V_i
+    that owner uses: delta_B and delta_V are their largest entries of
+    |X^dag X - I|. With ||.|| the operator norm, ||X^dag X - I|| <= d delta
+    for a d x d matrix X, so e = d_c delta_B bounds ||B^dag B - I||, which
+    is also ||B B^dag - I||, and u = d_t delta_V bounds ||V_i^dag V_i - I||
+    for every used V_i. W = (B (x) I) L (B^dag (x) I) with L the block
+    diagonal of the V_{owner[k]}, k over the columns of B, so
+    ||L^dag L - I|| <= u, ||L||^2 <= 1 + u and ||B||^2 <= 1 + e. Expanding,
 
-def certify_coupling(projectors: np.ndarray, unitaries: np.ndarray, label: str) -> None:
-    """Certify the coupling W = sum_i P_i (x) V_i from its n terms: raise
-    NonUnitary, naming the label and the term at fault, unless the dense
-    check |W^dag W - I| <= NORM_TOL (largest entry) is sure to pass.
+        W^dag W - I = (B B^dag - I) (x) I + (B (x) I)(L^dag L - I)(B^dag (x) I)
+                      + (B (x) I) L^dag ((B^dag B - I) (x) I) L (B^dag (x) I),
 
-    The work is O(n d^3): one product per term on each side and three
-    Frobenius norms, each bounding the operator norm ||.||:
-    F = |[P_i^dag P_i - P_i]_i| and U = |[V_i^dag V_i - I]_i| over the
-    stacks, s = |sum_i P_i - I|. Derivation, with f_i the share of term i
-    in F (so sum_i f_i <= sqrt(n) F by Cauchy-Schwarz):
-    - F_i = P_i^dag P_i - P_i. As P_i^dag P_i is Hermitian,
-      P_i - P_i^dag = F_i^dag - F_i; ||P_i||^2 <= ||P_i|| + f_i gives
-      ||P_i|| <= 1 + f_i; and P_i^2 - P_i = F_i + (F_i^dag - F_i) P_i.
-    - T_i = (P_i + P_i^dag)/2 is Hermitian, and T_i^2 - T_i is the
-      Hermitian part of P_i^2 - P_i less ((P_i - P_i^dag)/2)^2, so
-      ||T_i^2 - T_i|| <= eta_i = 3 f_i + 3 f_i^2. For eta_i <= 1/4 each
-      eigenvalue of T_i lies within 2 eta_i of 0 or 1, so the spectral
-      projector Q_i of T_i onto its eigenvalues above 1/2 has
-      ||P_i - Q_i|| <= f_i + 2 eta_i = 7 f_i + 6 f_i^2, and these sum to
-      at most a = 7 sqrt(n) F + 6 F^2.
-    - The polar unitary O_i of V_i has ||V_i - O_i|| <= U, since each
-      singular value has |sigma - 1| <= |sigma^2 - 1|.
-    - ||sum_i Q_i - I|| <= r = s + a. For d_c r < 1 the ranks of the Q_i
-      sum to d_c, so sum_i Q_i = B B^dag for a square B whose columns are
-      orthonormal bases of the ranges, and W_0 = sum_i Q_i (x) O_i is
-      (B (x) I) L (B^dag (x) I) with L block diagonal and unitary. So the
-      singular values of W_0 lie in [1 - r, 1 + r], and
-      ||W_0^dag W_0 - I|| <= 2 r + r^2.
-    - The same factorisation gives ||W - W_0|| <= w = (1 + U) a + (1 + r) U,
-      and W^dag W - W_0^dag W_0 = W^dag (W - W_0) + (W - W_0)^dag W_0.
-
-    Together: every entry of W^dag W - I is at most
-    bound = 2 r + r^2 + w (2 + 2 r + w), to first order
-    2 s + 28 sqrt(n) F + 2 U. The gate is bound <= NORM_TOL, so it never
-    accepts a coupling the dense check rejects. It implies the premises:
-    bound >= 2 r >= 4 eta_i, and d_c r < 1 for every d_c below 2e9.
+    so ||W^dag W - I|| <= bound = e + (1 + e)(u + (1 + u) e). The largest
+    entry of a matrix is at most its operator norm, so the gate
+    bound <= NORM_TOL never accepts a coupling the dense check rejects.
     """
-    n, d_c, d_t = len(projectors), projectors.shape[-1], unitaries.shape[-1]
-    projective = projectors.conj().transpose(0, 2, 1) @ projectors - projectors
-    isometric = unitaries.conj().transpose(0, 2, 1) @ unitaries
-    isometric.reshape(n, -1)[:, :: d_t + 1] -= 1
-    excess = projectors.sum(axis=0)
-    excess.reshape(-1)[:: d_c + 1] -= 1
-    f, u, s = (math.sqrt(np.vdot(x, x).real) for x in (projective, isometric, excess))
-    a = 7 * math.sqrt(n) * f + 6 * f * f
-    r = s + a
-    w = (1 + u) * a + (1 + r) * u
-    bound = 2 * r + r * r + w * (2 + 2 * r + w)
+    n, d_c, d_t = len(unitaries), len(basis), unitaries.shape[-1]
+    owner = np.asarray(owner)
+    if owner.shape != (d_c,) or owner.dtype.kind not in "iu":
+        raise DimensionMismatch(
+            f"coupling {label!r} needs {d_c} integer owners, got shape "
+            f"{owner.shape} of {owner.dtype}"
+        )
+    if not 0 <= owner.min() <= owner.max() < n:
+        raise DimensionMismatch(f"coupling {label!r} has owners outside [0, {n})")
+    owner = owner.astype(int, copy=False)
+    used = np.flatnonzero(np.bincount(owner, minlength=n))
+    basis_defect = float(unitarity_defect(basis))
+    term_defects = unitarity_defect(unitaries[used])
+    e, u = d_c * basis_defect, d_t * float(term_defects.max())
+    bound = e + (1 + e) * (u + (1 + u) * e)
     if bound <= NORM_TOL:
-        return
-    # failure path: name the term with the largest first-order share
-    shares = np.concatenate(
-        (28 * _frobenius(projective), 2 * _frobenius(isometric), [2 * s])
-    )
-    k = int(shares.argmax())
-    if k < n:
-        fault = f"term {k}: P is not an orthogonal projector"
-    elif k < 2 * n:
-        fault = f"term {k - n}: V is not unitary"
+        return owner
+    if e > u or not math.isfinite(e):
+        fault = f"the basis has defect {basis_defect:.3e}"
     else:
-        overlap = _frobenius(excess @ projectors)
-        i = int(overlap.argmax())
-        fault = f"sum_i P_i - I, with {overlap[i]:.3e} of it on the range of term {i}"
+        k = int(term_defects.argmax())
+        fault = f"term {used[k]}: V is not unitary (defect {term_defects[k]:.3e})"
     raise NonUnitary(
-        f"coupling {label!r} is not unitary: bound {bound:.3e} > {NORM_TOL}; "
-        f"the largest share {shares[k]:.3e} is {fault}"
+        f"coupling {label!r} is not unitary: bound {bound:.3e} > {NORM_TOL}; {fault}"
     )
 
 

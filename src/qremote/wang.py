@@ -215,11 +215,17 @@ def wang_program(p: BlockPartition, phases: Phases) -> Program:
     if len(phases) != p.n:
         raise DimensionMismatch(f"{len(phases)} coefficients for {p.n} blocks")
     shifts = qcore.shift_powers(p.n)
+    # P_i = B diag(owner == i) B^dag, read off the eigenvectors B and the
+    # rounded eigenvalues of sum_i i A_i^dag A_i
+    rows = p.blocks.reshape(-1, p.dim)   # row (i, a) is row a of A_i
+    weights = np.repeat(np.arange(p.n), p.dim)[:, None]
+    values, basis = np.linalg.eigh(rows.conj().T @ (weights * rows))
+    owner = np.rint(values).astype(int)
     return Program(
         owners=locc.PROTOCOL_OWNERS,
         steps=(
             # P = sum_i P_i (x) X^i on (A, a): shifts the ancilla by the block index
-            CouplingStep(ALICE, "P", projectors(p), shifts, 0, 1),
+            CouplingStep(ALICE, "P", basis, owner, shifts, 0, 1),
             MeasureStep(ALICE, 1, "l", send_to=BOB),
             ConditionalStep(BOB, "X^l", lambda l: shifts[l], (2,), "l"),
             LocalStep(BOB, "C", phase_gate(phases), (2,)),

@@ -3,8 +3,9 @@
 It walks the branch tree depth first, one full state per node, through
 qcore.apply_local and qcore.measure_computational. It is slow and simple,
 so the batched executor is checked against it. A coupling step is applied
-as its dense sum_i P_i (x) V_i, so apply_local checks its unitarity as one
-matrix. Each branch keeps the full state it reached, so the check does not
+as its dense sum_i P_i (x) V_i, each P_i = B diag(owner == i) B^dag formed
+from the step's basis and owners, so apply_local checks its unitarity as
+one matrix. Each branch keeps the full state it reached, so the check does not
 rest on locc.Branch.state, which derives that state from the output.
 """
 

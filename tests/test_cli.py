@@ -63,6 +63,23 @@ def test_near_tolerance_phases_run(tmp_path, capsys):
     assert "result: OK" in capsys.readouterr().out
 
 
+def test_a_partition_accepted_near_its_tolerance_runs(tmp_path, capsys):
+    # A_1 = |1><1| + 9e-10 |0><1| overlaps A_0 = |0><0| by 9e-10, inside
+    # NORM_TOL, so validation accepts it and stores the exact member; the
+    # coupling gate, bounded from that member's eigenbasis, then passes too
+    a0 = np.diag([1.0, 0.0])
+    a1 = np.array([[0.0, 9e-10], [0.0, 1.0]])
+    assert np.abs(a0.conj().T @ a1).max() == 9e-10
+    doc = {
+        "kind": "wang", "dim": 2,
+        "blocks": [matrix_to_json(a0), matrix_to_json(a1)],
+        "phases": vector_to_json(np.array([1.0, 1j])),
+    }
+    path = write_problem(tmp_path, "near.json", doc)
+    assert main(["run", path]) == 0
+    assert "result: OK" in capsys.readouterr().out
+
+
 def test_near_unitary_group_matrices_run(tmp_path, capsys):
     # U(1) = diag(1 + 4.5e-10, -1 + 4.5e-10) passes validation (residual
     # 9e-10), and the run uses its polar factor Z, so the coupling is exact

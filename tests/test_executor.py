@@ -4,6 +4,7 @@ on the input."""
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from qremote.locc import (
 
 from reference_executor import run_reference
 from util import (
-    klein_character_rep, kron_sum, random_block_diagonal_unitary, random_state, shift_matrix,
+    coupling_matrix, klein_character_rep, random_block_diagonal_unitary, random_state,
+    shift_matrix,
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -166,6 +168,90 @@ def test_zero_probability_outcome_is_pruned():
     assert received == [[0, 2], [0], [2]]
 
 
+def gathered(step, inbox, outcomes):
+    """The conditioned step as the per-row operator gather: ops[index] @ rows."""
+    values, index = np.unique(
+        outcomes[:, inbox[step.party][step.message]], return_inverse=True
+    )
+    ops = np.asarray(step.build(values), dtype=complex)
+    return lambda rows: ops[index] @ rows
+
+
+def pruned_program():
+    """Factor 1 never holds |1>, and factor 2 holds only |0> once factor 1
+    holds |2>: the rows (b, c) = (0, 0), (0, 1), (2, 0) survive, so the
+    payloads of b group two rows and one, and those of c two rows apart and
+    one. Each payload's operator is distinct."""
+    amps = np.zeros((2, 3, 2), dtype=complex)
+    amps[0, 0, 0] = amps[0, 0, 1] = 0.5
+    amps[1, 2, 0] = 1 / np.sqrt(2)
+
+    def phased(k):
+        return HADAMARD @ np.stack([np.diag([1, np.exp(1j * (v + 1))]) for v in k])
+
+    program = Program((ALICE, BOB, BOB), (
+        MeasureStep(BOB, 1, "b", send_to=ALICE),
+        MeasureStep(BOB, 2, "c", send_to=ALICE),
+        ConditionalStep(ALICE, "V_b", phased, (0,), "b"),
+        ConditionalStep(ALICE, "V_c", lambda k: phased(k + 3), (0,), "c"),
+    ))
+    return program, qcore.StateVector(amps.reshape(-1), (2, 3, 2))
+
+
+def grouped_apply_cases():
+    rng = np.random.default_rng(13)
+    p = wang.random_partition(6, 4, rng)
+    wang_case = wang.wang_program(p, wang.random_phases(4, rng))
+    rep, c, psi = group_setup("dihedral3", rng)
+    group_case = groupform.group_program(rep, c)
+    bqst_case = entcost.bqst_program(qcore.random_unitary(3, rng))
+    return {
+        "wang": (wang_case, locc.prepare(wang_case, random_state(6, rng))),
+        "group": (group_case, locc.prepare(group_case, psi)),
+        "bqst": (bqst_case, locc.prepare(bqst_case, random_state(3, rng))),
+        "pruned": pruned_program(),
+    }
+
+
+@pytest.mark.parametrize("case", ["wang", "group", "bqst", "pruned"])
+def test_the_grouped_apply_matches_the_gather(monkeypatch, case):
+    program, initial = grouped_apply_cases()[case]
+    conditioned = locc._conditioned
+    sizes = []
+
+    def checking(step, dims, inbox, outcomes):
+        grouped, want = conditioned(step, dims, inbox, outcomes), gathered(step, inbox, outcomes)
+        sizes.append(np.unique(outcomes[:, inbox[step.party][step.message]], return_counts=True)[1])
+
+        def apply(rows):
+            got = grouped(rows)
+            np.testing.assert_allclose(got, want(rows), rtol=0, atol=1e-12)
+            return got
+        return apply
+
+    monkeypatch.setattr(locc, "_conditioned", checking)
+    assert_matches_reference(program, initial)
+    assert len(sizes) == sum(isinstance(s, ConditionalStep) for s in program.steps)
+    if case == "pruned":
+        assert [x.tolist() for x in sizes] == [[2, 1], [2, 1]]
+
+
+def test_a_wang_32_run_peaks_below_eight_initial_states():
+    # the coupling and each conditioned step hold a few arrays the size of
+    # the rows, never one per term or one operator per row
+    rng = np.random.default_rng(12)
+    program = wang.wang_program(wang.random_partition(32, 32, rng), wang.random_phases(32, rng))
+    initial = locc.prepare(program, random_state(32, rng))
+    tracemalloc.start()
+    try:
+        branches = locc.run_protocol(program, initial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(branches) == 1024
+    assert peak <= 8 * initial.amplitudes.nbytes
+
+
 # what each executor error names: the foreign factor, the missing message,
 # and the step with the payload whose operator is not unitary
 NAMED = {
@@ -203,7 +289,7 @@ def test_bad_conditional_step_raises_in_both_executors(program, error):
 def test_unitarity_is_checked_once_per_distinct_matrix(monkeypatch):
     # each conditioned step calls build once, with exactly the distinct
     # payloads of its surviving rows, and checks the stack it returns with
-    # one batched product; the coupling is certified from its terms
+    # one batched product; the coupling is certified from its basis and terms
     rng = np.random.default_rng(5)
     dim, n = 6, 4
     program = wang.wang_program(wang.random_partition(dim, n, rng), wang.random_phases(n, rng))
@@ -221,9 +307,9 @@ def test_unitarity_is_checked_once_per_distinct_matrix(monkeypatch):
         checked.append(stack.shape)
         return unitarity_defect(stack)
 
-    def certifying(projectors, unitaries, label):
+    def certifying(basis, owner, unitaries, label):
         certified.append(label)
-        return certify_coupling(projectors, unitaries, label)
+        return certify_coupling(basis, owner, unitaries, label)
 
     monkeypatch.setattr(qcore, "unitarity_defect", defect)
     monkeypatch.setattr(qcore, "certify_coupling", certifying)
@@ -233,9 +319,10 @@ def test_unitarity_is_checked_once_per_distinct_matrix(monkeypatch):
     initial = wang_initial(random_state(dim, rng), n)
     locc.run_protocol(Program(program.owners, steps, program.dims), initial)
     assert built == [("X^l", list(range(n))), ("R_m", list(range(n)))]
-    # C and F as one matrix each, X^l and R_m as one stack each, in program
-    # order: every check run_protocol makes, is_unitary included, is listed
-    assert checked == [(n, n, n), (n, n), (n, n), (n, dim, dim)]
+    # the certificate's basis and term stack, then C and F as one matrix
+    # each, X^l and R_m as one stack each, in program order: every check
+    # run_protocol makes, is_unitary included, is listed
+    assert checked == [(dim, dim), (n, n, n), (n, n, n), (n, n), (n, n), (n, dim, dim)]
     assert certified == ["P"]
     # one certificate per coupling in the other protocols too
     rep, c, psi = group_setup("dihedral3", rng)
@@ -263,36 +350,30 @@ def test_runners_slice_the_output_instead_of_factoring(monkeypatch):
 # --- the coupling certificate -------------------------------------------------
 
 def wang_coupling(dim, n, rng):
-    """The projector and shift stacks of a random partition's P step."""
-    step = wang.wang_program(wang.random_partition(dim, n, rng), wang.random_phases(n, rng)).steps[0]
-    return np.array(step.projectors), np.array(step.unitaries)
+    """The P step of a random partition's program."""
+    return wang.wang_program(wang.random_partition(dim, n, rng), wang.random_phases(n, rng)).steps[0]
 
 
 def broken_coupling(fault, rng):
-    projectors, shifts = wang_coupling(4, 3, rng)
-    if fault == "oblique":
-        # P_1 + t P_1 X (I - P_1) is idempotent but not Hermitian
-        x = rng.normal(size=(4, 4))
-        projectors[1] += 1e-3 * projectors[1] @ x @ (np.eye(4) - projectors[1])
-    elif fault == "nonunitary":
-        shifts[2] *= 1 + 1e-3
-    else:
-        # P_0 grows by a direction shared by the ranges of P_1 and P_2: still
-        # a projector, but the terms overlap and sum past I, most on P_0
-        x1, x2 = (p @ random_state(4, rng).amplitudes for p in projectors[1:])
-        x = x1 / np.linalg.norm(x1) + x2 / np.linalg.norm(x2)
-        projectors[0] += np.outer(x, x.conj()) / 2
-    return projectors, shifts
+    """The P step of a random (4, 3) partition with its basis, or its V_2,
+    pushed 1e-3 off unitarity."""
+    step = wang_coupling(4, 3, rng)
+    if fault == "basis":
+        basis = step.basis.copy()
+        basis[:, 1] *= 1 + 1e-3
+        return dataclasses.replace(step, basis=basis)
+    shifts = step.unitaries.copy()
+    shifts[2] *= 1 + 1e-3
+    return dataclasses.replace(step, unitaries=shifts)
 
 
 @pytest.mark.parametrize("fault, message", [
-    ("oblique", "term 1: P is not an orthogonal projector"),
+    ("basis", "the basis has defect"),
     ("nonunitary", "term 2: V is not unitary"),
-    ("overlap", "of it on the range of term 0"),
 ])
 def test_a_broken_coupling_names_its_step_and_term(fault, message):
-    projectors, shifts = broken_coupling(fault, np.random.default_rng(9))
-    program = Program((ALICE, ALICE), (CouplingStep(ALICE, "P", projectors, shifts, 0, 1),))
+    step = broken_coupling(fault, np.random.default_rng(9))
+    program = Program((ALICE, ALICE), (step,))
     initial = qcore.tensor(random_state(4, np.random.default_rng(1)), qcore.ket(0, 3))
     with pytest.raises(NonUnitary, match=f"coupling 'P' .*{re.escape(message)}"):
         locc.run_protocol(program, initial)
@@ -300,52 +381,74 @@ def test_a_broken_coupling_names_its_step_and_term(fault, message):
         run_reference(program, initial)
 
 
-@pytest.mark.parametrize("projectors, unitaries, control, target, error", [
-    (np.eye(4)[None], np.eye(4)[None], 0, 0, DimensionMismatch),   # one factor twice
-    (np.eye(3)[None], np.eye(3)[None], 0, 1, DimensionMismatch),   # P_i do not fit factor 0
-    (np.eye(4)[None], np.eye(3)[[0, 0]], 0, 1, DimensionMismatch),  # 1 projector, 2 unitaries
-    (np.zeros((0, 4, 4)), np.zeros((0, 3, 3)), 0, 1, DimensionMismatch),   # no terms
-    (np.eye(4)[None], np.eye(2)[None], 0, 2, LocalityViolation),   # factor 2 is Bob's
+def test_a_term_no_column_owns_is_not_certified():
+    # blocks (I, 0): V_1 never acts, so W = I (x) V_0 is unitary however far
+    # V_1 is from it, and the certificate does not look at V_1
+    p = wang.validate_partition([np.eye(2), np.zeros((2, 2))])
+    step = wang.wang_program(p, wang.Phases(np.ones(2))).steps[0]
+    assert step.owner.tolist() == [0, 0]
+    shifts = step.unitaries.copy()
+    shifts[1] *= 2
+    owner = qcore.certify_coupling(step.basis, step.owner, shifts, "P")
+    assert owner.tolist() == [0, 0]
+    assert qcore.is_unitary(coupling_matrix(dataclasses.replace(step, unitaries=shifts)))
+
+
+E4, E3 = np.eye(4), np.eye(3)
+
+
+@pytest.mark.parametrize("basis, owner, unitaries, control, target, error", [
+    pytest.param(E4, [0] * 4, E4[None], 0, 0, DimensionMismatch, id="one-factor-twice"),
+    pytest.param(E3, [0] * 3, E3[None], 0, 1, DimensionMismatch, id="basis-off-factor-0"),
+    pytest.param(E4, [0] * 4, np.eye(2)[None], 0, 1, DimensionMismatch, id="terms-off-factor-1"),
+    pytest.param(E4, [0] * 4, np.zeros((0, 3, 3)), 0, 1, DimensionMismatch, id="no-terms"),
+    pytest.param(E4, [0] * 3, E3[None], 0, 1, DimensionMismatch, id="owner-short"),
+    pytest.param(E4, [0, 0, 0, 1], E3[None], 0, 1, DimensionMismatch, id="owner-past-last-term"),
+    pytest.param(E4, [0, 0, 0, -1], E3[None], 0, 1, DimensionMismatch, id="owner-negative"),
+    pytest.param(E4, [0.0] * 4, E3[None], 0, 1, DimensionMismatch, id="owner-not-integer"),
+    pytest.param(E4, [0] * 4, np.eye(2)[None], 0, 2, LocalityViolation, id="factor-2-is-bobs"),
 ])
-def test_a_malformed_coupling_is_rejected_by_name(projectors, unitaries, control, target, error):
-    step = CouplingStep(ALICE, "P", projectors, unitaries, control, target)
+def test_a_malformed_coupling_is_rejected_by_name(basis, owner, unitaries, control, target, error):
+    step = CouplingStep(ALICE, "P", basis, np.array(owner), unitaries, control, target)
     initial = qcore.tensor(qcore.tensor(qcore.ket(0, 4), qcore.ket(0, 3)), qcore.ket(0, 2))
-    with pytest.raises(error):
+    match = "coupling 'P'" if error is DimensionMismatch else "factor 2 owned by bob"
+    with pytest.raises(error, match=match):
         locc.run_protocol(Program((ALICE, ALICE, BOB), (step,)), initial)
 
 
 def perturbed_coupling(kind, rng):
-    """A wang coupling at D = 2..8 with one perturbation of size 1e-13 to 3e-8."""
+    """A wang P step at D = 2..8 with its basis or one V_i perturbed by
+    1e-13 to 3e-8."""
     dim = int(rng.integers(2, 9))
-    projectors, shifts = wang_coupling(dim, int(rng.integers(1, dim + 1)), rng)
+    step = wang_coupling(dim, int(rng.integers(1, dim + 1)), rng)
+    basis, shifts = step.basis.copy(), step.unitaries.copy()
     eps = 10.0 ** rng.uniform(-13, np.log10(3e-8))
-    i = int(rng.integers(len(projectors)))
     noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    if kind == "hermitian":       # Hermitian noise on one projector
-        projectors[i] += eps * (noise + noise.conj().T) / 2
-    elif kind == "shrunk":
-        projectors[i] *= 1 - eps
-    elif kind == "rotated":       # an exact projector turned off its block
+    if kind == "noisy":           # complex noise on the basis
+        basis += eps * noise
+    elif kind == "shrunk":        # one column of the basis shortened
+        basis[:, int(rng.integers(dim))] *= 1 - eps
+    elif kind == "rotated":       # the basis turned by a unitary near I
         w, v = np.linalg.eigh((noise + noise.conj().T) / 2)
-        turn = (v * np.exp(1j * eps * w)) @ v.conj().T
-        projectors[i] = turn @ projectors[i] @ turn.conj().T
-    else:                         # one shift pushed off unitarity
+        basis = (v * np.exp(1j * eps * w)) @ v.conj().T @ basis
+    else:                         # one used shift pushed off unitarity
         n = len(shifts)
+        i = int(rng.choice(step.owner))
         shifts[i] += eps * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return projectors, shifts
+    return dataclasses.replace(step, basis=basis, unitaries=shifts)
 
 
 def test_the_certificate_never_accepts_what_the_dense_check_rejects():
     rng = np.random.default_rng(10)
     verdicts = set()
-    for kind in ("hermitian", "shrunk", "rotated", "nonunitary") * 250:
-        projectors, shifts = perturbed_coupling(kind, rng)
+    for kind in ("noisy", "shrunk", "rotated", "nonunitary") * 250:
+        step = perturbed_coupling(kind, rng)
         try:
-            qcore.certify_coupling(projectors, shifts, "P")
+            qcore.certify_coupling(step.basis, step.owner, step.unitaries, "P")
             certified = True
         except NonUnitary:
             certified = False
-        verdicts.add((certified, qcore.is_unitary(kron_sum(projectors, shifts))))
+        verdicts.add((certified, qcore.is_unitary(coupling_matrix(step))))
     assert (True, False) not in verdicts
     assert {(True, True), (False, False)} <= verdicts
 

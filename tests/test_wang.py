@@ -237,7 +237,9 @@ def test_controlled_shift_equals_the_kron_sum():
             np.kron(proj, np.linalg.matrix_power(shift, i))
             for i, proj in enumerate(wang.projectors(p))
         )
-        np.testing.assert_array_equal(controlled_shift(p), oracle)
+        # the step holds each P_i as B diag(owner == i) B^dag, equal to
+        # A_i^dag A_i up to rounding
+        np.testing.assert_allclose(controlled_shift(p), oracle, rtol=0, atol=1e-12)
 
 
 def test_recovery_over_an_array_of_outcomes_stacks_each_r_m():

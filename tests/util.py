@@ -65,12 +65,21 @@ def shift_matrix(n):
     return qcore.shift_powers(n)[1 % n]
 
 
+def coupling_projectors(step):
+    """The stack of P_i = B diag(owner == i) B^dag of a coupling step, one
+    per unitary V_i."""
+    basis = np.asarray(step.basis, dtype=complex)
+    owner = np.asarray(step.owner)
+    masks = owner == np.arange(len(step.unitaries))[:, None]   # (n, d_c)
+    return (basis * masks[:, None, :]) @ basis.conj().T
+
+
 def coupling_matrix(step):
     """The dense sum_i P_i (x) V_i of a coupling step, over step.targets
     (its two factors in ascending order)."""
     if step.control < step.target:
-        return kron_sum(step.projectors, step.unitaries)
-    return kron_sum(step.unitaries, step.projectors)
+        return kron_sum(coupling_projectors(step), step.unitaries)
+    return kron_sum(step.unitaries, coupling_projectors(step))
 
 
 def step_operators(program, outcomes):
