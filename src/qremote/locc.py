@@ -11,21 +11,26 @@ run_protocol advances all branches together. Their states are the rows of
 one array over the factors not yet measured. A measurement splits each row
 into one row per outcome above PROB_FLOOR and drops the measured axis; the
 outcome goes into a column, and a later step on that factor is a
-DimensionMismatch. A local step is one matrix product over all rows. A
-conditioned step groups the rows by the payload its message carries, builds
-and checks its operator stack once, and applies each operator to its group
-with one product. A coupling step sum_i P_i (x) V_i, the opening step of
+DimensionMismatch; the outcome probabilities are summed from the real and
+imaginary parts of the rows, so no conjugated copy is made. A local step is
+one matrix product over all rows. A conditioned step gathers the rows by the
+payload its message carries (one copy of the rows in every protocol here),
+builds and checks its operator stack once, and applies each operator to its
+group with one product. A coupling step sum_i P_i (x) V_i, the opening step of
 every protocol here, holds the basis B that diagonalises every P_i, the
 term owning each column of B, and the V_i: qcore.certify_coupling bounds
 the dense unitarity check from the defects of B and the V_i, and the step
 is three products, none larger than the rows. One gate closes the run:
 the probability pruned below PROB_FLOOR, added up measurement by
 measurement, must stay within NORM_TOL, and every row of the final array
-must have norm 1 within NORM_TOL, checked in one pass. A branch stores
+must have norm 1 within NORM_TOL, checked in one pass; the final array is
+frozen in place, and copied only if it is a strided view. A branch stores
 its outcomes, probability and amplitudes (a read-only view of its row) and
-shares the run's operator-free record of the steps; its output,
-transcript, outcomes and full state (each measured factor back in its
-outcome's basis state) are derived from these on each read.
+shares the run's operator-free record of the steps and of the measured
+factors; its output, transcript and outcomes are derived from these on each
+read. Its full state is a qcore.StateVector that stores the row as is and
+labels each measured factor with its outcome's basis state, so reading it
+copies no amplitudes; the zero-filled dense vector is built only if read.
 
 A Program declares its registers, dims: the input at factor 0, then a
 maximally entangled pair on each of (1, 2), (3, 4), ... prepare checks the
@@ -167,14 +172,17 @@ class Branch:
     """One measurement branch over registers of factor_dims. steps is the
     run's record of the program (a LocalOpEvent per operator step, each
     MeasureStep as is), row one outcome per MeasureStep in program order,
-    and amplitudes the state of the unmeasured factors in factor order, one
-    axis per factor: a read-only view of the run's checked output array."""
+    measured the factor each MeasureStep targets, in the same order, and
+    amplitudes the state of the unmeasured factors in factor order, one
+    axis per factor: a read-only view of the run's checked output array.
+    steps and measured are shared by every branch of the run."""
 
     steps: tuple[LocalOpEvent | MeasureStep, ...]
     row: tuple[int, ...]
     probability: float
     amplitudes: np.ndarray
     factor_dims: tuple[int, ...]
+    measured: tuple[int, ...]
 
     def _measured(self):
         """(MeasureStep, outcome) pairs in program order."""
@@ -202,16 +210,11 @@ class Branch:
 
     @property
     def state(self) -> StateVector:
-        """The full register state, built on each read: the amplitudes at
-        the unmeasured factors, each outcome's basis state at its measured
-        one."""
-        index: list[int | slice] = [slice(None)] * len(self.factor_dims)
-        for s, k in self._measured():
-            index[s.target] = k
-        full = np.zeros(self.factor_dims, dtype=complex)
-        full[tuple(index)] = self.amplitudes
-        full.setflags(write=False)   # frozen here, so StateVector need not copy it
-        return StateVector(full, self.factor_dims)
+        """The full register state, built on each read without copying the
+        amplitudes: they are stored for the unmeasured factors, and each
+        measured factor is a basis label, in its outcome's basis state.
+        Its dense form is built only if read."""
+        return StateVector(self.amplitudes, self.factor_dims, [*zip(self.measured, self.row)])
 
     @property
     def outcomes(self) -> dict[str, int]:
@@ -263,7 +266,7 @@ def _check_locality(owners, party: Party, targets) -> None:
 def _coupling(step: CouplingStep, dims: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
     """Certify sum_i P_i (x) V_i from its basis, owners and unitaries
     (qcore.certify_coupling) and return its action on rows of shape
-    (branch, d_c d_t, rest), control first. The sum is never formed:
+    (branch, d_c, d_t, *rest), control first. The sum is never formed:
     B^dag turns the control into the eigenbasis, where column k carries
     V_{owner[k]} on the target, and B turns it back."""
     basis = np.asarray(step.basis, dtype=complex)
@@ -316,14 +319,13 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
         if isinstance(step, MeasureStep):
             _check_locality(owners, step.party, (step.target,))
             (axis,) = axes((step.target,))
-            moved = np.moveaxis(batch, axis, 1)
-            slabs = moved.reshape(moved.shape[:2] + (-1,))
-            p = np.einsum("bkr,bkr->bk", slabs.conj(), slabs).real
+            p = _weights(batch, axis)
             kept_mask = p > qcore.PROB_FLOOR
             pruned.append(prob @ np.where(kept_mask, 0.0, p).sum(axis=1))
             rows, ks = np.nonzero(kept_mask)
             kept = p[rows, ks]
-            batch = moved[rows, ks] / np.sqrt(kept).reshape((-1,) + (1,) * (moved.ndim - 2))
+            batch = np.moveaxis(batch, axis, 1)[rows, ks]
+            batch /= np.sqrt(kept).reshape((-1,) + (1,) * (batch.ndim - 1))
             prob = prob[rows] * kept
             outcomes = np.column_stack((outcomes[rows], ks))
             live.remove(step.target)
@@ -337,15 +339,15 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
         order = (step.control, step.target) if isinstance(step, CouplingStep) else step.targets
         targets = axes(order)
         if isinstance(step, LocalStep):
-            apply = partial(np.matmul, qcore.local_unitary(step.matrix, dims, step.targets))
+            apply = partial(_local, qcore.local_unitary(step.matrix, dims, step.targets))
         elif isinstance(step, CouplingStep):
             apply = _coupling(step, dims)
         else:
             apply = _conditioned(step, dims, inbox, outcomes)
         front = range(1, len(targets) + 1)
         moved = np.moveaxis(batch, targets, front)
-        out = apply(moved.reshape(len(moved), math.prod(dims[t] for t in order), -1))
-        batch = np.moveaxis(out.reshape(moved.shape), front, targets)
+        batch = np.moveaxis(apply(moved).reshape(moved.shape), front, targets)
+        del apply, moved   # the step's operators and the old batch end with the step
 
     final = _checked_output(program, batch, outcomes, pruned)
     steps = tuple(
@@ -353,16 +355,30 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
             s.party, s.label, s.targets, s.message if isinstance(s, ConditionalStep) else None)
         for s in program.steps
     )
+    measured = tuple(s.target for s in program.steps if isinstance(s, MeasureStep))
     return [
-        Branch(steps, tuple(row), p, amps, dims)
+        Branch(steps, tuple(row), p, amps, dims, measured)
         for amps, row, p in zip(final, outcomes.tolist(), prob.tolist())
     ]
+
+
+def _weights(batch: np.ndarray, axis: int) -> np.ndarray:
+    """|amplitude|^2 summed over every axis but the branch and the given
+    one, from the real and imaginary views: no copy of the batch."""
+    axes, re, im = list(range(batch.ndim)), batch.real, batch.imag
+    return np.einsum(re, axes, re, axes, [0, axis]) + np.einsum(im, axes, im, axes, [0, axis])
+
+
+def _local(op: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """op on rows of shape (branch, *target dims, *rest)."""
+    return op @ moved.reshape(len(moved), len(op), -1)
 
 
 def _conditioned(
     step: ConditionalStep, dims: tuple[int, ...], inbox, outcomes: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The step's action on rows of shape (branch, d, rest). One stable
+    """The step's action on rows of shape (branch, *target dims, *rest),
+    as (branch, d, rest) with d the targets' product. One stable
     argsort of the message's column groups the rows by payload and yields
     the distinct payloads, built once and checked as one stack by
     qcore.local_unitary. Each operator acts on its group with one product,
@@ -388,9 +404,12 @@ def _conditioned(
         ops, dims, step.targets, lambda i: f"step {step.label!r} at {step.message}={values[i]}"
     )
     bounds = [*starts.tolist(), len(column)]
+    d = len(ops[0])
 
-    def apply(rows: np.ndarray) -> np.ndarray:
-        sorted_rows = rows[order]
+    def apply(moved: np.ndarray) -> np.ndarray:
+        # the gather keeps the moved layout, so it is the only copy of the
+        # rows unless the axes after the targets cannot merge into one
+        sorted_rows = moved[order].reshape(len(order), d, -1)
         out = np.empty_like(sorted_rows)
         for op, a, b in zip(ops, bounds, bounds[1:]):
             np.matmul(op, sorted_rows[a:b], out=out[a:b])
@@ -416,12 +435,17 @@ def _checked_output(program: Program, batch: np.ndarray, outcomes: np.ndarray, p
             f"probability pruned below {qcore.PROB_FLOOR} to {lost[over[0]]:.3e}, "
             f"beyond {qcore.NORM_TOL}"
         )
-    final = batch if batch.flags.owndata else batch.copy()
+    # a copy only of a strided view: other memory is the run's own or the
+    # frozen input's, and is frozen in place
+    final = np.ascontiguousarray(batch)
+    if final.base is not None:
+        final.base.setflags(write=False)
     final.setflags(write=False)
-    rows = final.reshape(len(final), -1)
+    # each row's real and imaginary parts, interleaved: a view, not a copy
+    parts = final.reshape(len(final), -1).view(float)
     # a non-finite norm is named below, not warned about
     with np.errstate(all="ignore"):
-        norms = np.sqrt(np.einsum("br,br->b", rows.conj(), rows).real)
+        norms = np.sqrt(np.einsum("br,br->b", parts, parts))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= qcore.NORM_TOL))
     if len(bad):
         i = int(bad[0])

@@ -10,7 +10,7 @@ throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,46 +24,87 @@ PROB_FLOOR = 1e-12  # measurement branches below this probability are dropped
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    """Read-only complex copy. An array that is already read-only and owns
-    its memory is kept as is: whoever froze it has given up writing to it."""
+    """Read-only complex copy. A read-only, C-contiguous complex array whose
+    memory belongs to a read-only array is kept as is: whoever froze that
+    memory has given up writing to it."""
     if (
         isinstance(arr, np.ndarray) and arr.dtype == complex
-        and arr.flags.owndata and not arr.flags.writeable
+        and not arr.flags.writeable and arr.flags.c_contiguous
     ):
-        return arr
+        owner = arr if arr.base is None else arr.base
+        if isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            return arr
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True)
 class StateVector:
-    """Normalized amplitude vector over an ordered product of subsystems."""
+    """Normalized amplitude vector over an ordered product of subsystems.
 
-    amplitudes: np.ndarray
-    factor_dims: tuple[int, ...]
+    basis holds (factor, k) pairs: each named factor is in its basis state
+    |k>, and amplitudes passed in cover only the other factors, in factor
+    order. They are kept as stored, one axis per such factor; their norm is
+    the norm of the whole state, so the norm check runs on them alone. The
+    dense amplitudes, every factor's axis flattened, are built once, on
+    first read, with zeros off the basis states. Instances are immutable.
+    """
 
-    def __post_init__(self):
-        amps = _freeze(self.amplitudes).reshape(-1)
-        dims = tuple(map(int, self.factor_dims))
+    __slots__ = ("factor_dims", "basis", "stored", "_norm", "_dense")
+
+    def __init__(self, amplitudes: np.ndarray, factor_dims, basis=()):
+        amps = _freeze(amplitudes).reshape(-1)
+        # from a list: tuple(map(...)) builds a tuple by resizing, which is slower
+        dims = tuple([int(d) for d in factor_dims])
         if min(dims, default=1) < 1:
             raise DimensionMismatch(f"factor dims must be positive, got {dims}")
-        if amps.size != math.prod(dims):
-            raise DimensionMismatch(
-                f"{amps.size} amplitudes do not fill factors {dims}"
-            )
+        basis = tuple(basis)
+        live = list(dims)   # a basis factor's entry becomes 0
+        for f, k in basis:
+            if not (0 <= f < len(dims) and live[f] and 0 <= k < dims[f]):
+                raise DimensionMismatch(
+                    f"basis state {k} of factor {f} is out of range or repeats a factor of {dims}"
+                )
+            live[f] = 0
+        live = [d for d in live if d]
+        if amps.size != math.prod(live):
+            where = f" outside basis {basis}" if basis else ""
+            raise DimensionMismatch(f"{amps.size} amplitudes do not fill factors {dims}{where}")
         # vdot sets no floating-point flags: an overflow is NonFinite, not a warning
         norm = math.sqrt(np.vdot(amps, amps).real)
         if not math.isfinite(norm):
             raise NonFinite(f"state norm {norm} is not finite")
         if abs(norm - 1.0) > NORM_TOL:
             raise NotNormalized(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "factor_dims", dims)
+        init = object.__setattr__
+        init(self, "factor_dims", dims)
+        init(self, "basis", basis)
+        init(self, "stored", amps.reshape(live))
+        init(self, "_norm", norm)
+        init(self, "_dense", None if basis else amps)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense, read-only amplitudes over every factor, flattened."""
+        if self._dense is None:
+            full = np.zeros(self.factor_dims, dtype=complex)
+            index: list[int | slice] = [slice(None)] * len(self.factor_dims)
+            for f, k in self.basis:
+                index[f] = k
+            full[tuple(index)] = self.stored
+            full.setflags(write=False)
+            object.__setattr__(self, "_dense", full.reshape(-1))
+        return self._dense
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.size
+        return math.prod(self.factor_dims)
 
     def tensor_form(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per factor."""
@@ -173,7 +214,7 @@ def certify_coupling(basis: np.ndarray, owner, unitaries: np.ndarray, label: str
 
 
 def _check_targets(dims: tuple[int, ...], targets) -> tuple[int, ...]:
-    targets = tuple(int(t) for t in targets)
+    targets = tuple([int(t) for t in targets])
     if len(set(targets)) != len(targets):
         raise DimensionMismatch(f"repeated target factors {targets}")
     for t in targets:
@@ -286,8 +327,10 @@ def shift_powers(n: int) -> np.ndarray:
 
 def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:
     """Weight of |vec> on one factor: 1 iff that factor holds vec exactly,
-    disentangled from the rest and up to global phase. A vec whose norm is
-    not finite raises NonFinite."""
+    disentangled from the rest and up to global phase. It is read off the
+    stored amplitudes, never the dense form: a basis factor in |k> gives
+    |vec[k]| times their norm. A vec whose norm is not finite raises
+    NonFinite."""
     (factor,) = _check_targets(state.factor_dims, [factor])
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     d = state.factor_dims[factor]
@@ -299,9 +342,14 @@ def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:
     # product below, so it cannot overflow
     if not math.isfinite(np.vdot(vec, vec).real):
         raise NonFinite(f"vector on factor {factor} has a non-finite norm")
-    # (before, d, after) -> (before * after, d): a view for a first or last factor
-    split = state.amplitudes.reshape(math.prod(state.factor_dims[:factor]), d, -1)
-    rest = split.swapaxes(1, 2).reshape(-1, d) @ vec.conj()
+    axis = factor   # the factor's axis among the stored ones
+    for f, k in state.basis:
+        if f == factor:
+            return float(abs(vec[k])) * state._norm
+        axis -= f < factor
+    stored = state.stored
+    # (before, d, after) is a view of the stored amplitudes for any factor
+    rest = vec.conj() @ stored.reshape(math.prod(stored.shape[:axis]), d, -1)
     return math.sqrt(np.vdot(rest, rest).real)
 
 

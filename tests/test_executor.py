@@ -169,12 +169,13 @@ def test_zero_probability_outcome_is_pruned():
 
 
 def gathered(step, inbox, outcomes):
-    """The conditioned step as the per-row operator gather: ops[index] @ rows."""
+    """The conditioned step as the per-row operator gather: ops[index] @ rows,
+    on rows (branch, *target dims, *rest) taken as (branch, d, rest)."""
     values, index = np.unique(
         outcomes[:, inbox[step.party][step.message]], return_inverse=True
     )
     ops = np.asarray(step.build(values), dtype=complex)
-    return lambda rows: ops[index] @ rows
+    return lambda rows: ops[index] @ rows.reshape(len(rows), ops.shape[-1], -1)
 
 
 def pruned_program():
@@ -236,20 +237,40 @@ def test_the_grouped_apply_matches_the_gather(monkeypatch, case):
         assert [x.tolist() for x in sizes] == [[2, 1], [2, 1]]
 
 
-def test_a_wang_32_run_peaks_below_eight_initial_states():
-    # the coupling and each conditioned step hold a few arrays the size of
-    # the rows, never one per term or one operator per row
+def wang_32_peak(steps):
+    """tracemalloc peak of run_protocol over the given steps on a wang
+    (32, 32) initial state, in units of that state's 512 kB, and the
+    branch count."""
     rng = np.random.default_rng(12)
     program = wang.wang_program(wang.random_partition(32, 32, rng), wang.random_phases(32, rng))
     initial = locc.prepare(program, random_state(32, rng))
+    program = Program(program.owners, program.steps if steps is None else steps, program.dims)
     tracemalloc.start()
     try:
         branches = locc.run_protocol(program, initial)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(branches) == 1024
-    assert peak <= 8 * initial.amplitudes.nbytes
+    return peak / initial.amplitudes.nbytes, len(branches)
+
+
+def test_a_wang_32_run_peaks_below_four_and_a_half_initial_states():
+    # the coupling and each conditioned step hold a few arrays the size of
+    # the rows, never one per term or one operator per row, and no step's
+    # operators outlive it
+    peak, count = wang_32_peak(None)
+    assert count == 1024
+    assert peak <= 4.5
+
+
+@pytest.mark.parametrize("steps, bound", [
+    ((), 1 / 8),                              # the frozen input is not copied
+    ((MeasureStep(ALICE, 1, "a"),), 1.5),     # only the gather of the kept rows
+], ids=["no-steps", "one-measurement"])
+def test_the_run_gate_copies_no_rows(steps, bound):
+    peak, count = wang_32_peak(steps)
+    assert count == 32 ** len(steps)
+    assert peak <= bound
 
 
 # what each executor error names: the foreign factor, the missing message,

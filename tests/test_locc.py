@@ -24,7 +24,9 @@ from qremote.locc import (
     Transcript,
 )
 
-from util import random_state, shift_matrix, validate_transcript
+from util import (
+    dense_factor_overlap, random_state, shift_matrix, validate_transcript, zero_filled_state,
+)
 
 
 def test_maximally_entangled_small_cases():
@@ -153,6 +155,44 @@ def test_runs_and_branch_reads_build_no_transcript(monkeypatch):
             # one record per run, holding no operator
             assert b.steps is branches[0].steps
             assert all(isinstance(s, (LocalOpEvent, MeasureStep)) for s in b.steps)
+
+
+def branch_runs(runner, rng):
+    """The branches of one run of each protocol, or every traced stage."""
+    p = wang.random_partition(5, 3, rng)
+    phases, psi = wang.random_phases(3, rng), random_state(5, rng)
+    c = np.zeros(4, dtype=complex)
+    c[1] = c[2] = 1 / np.sqrt(2)
+    runs = {
+        "wang": lambda: wang.run_wang(p, phases, psi),
+        "group": lambda: groupform.run_group_protocol(groupform.pauli_rep(), c, random_state(2, rng)),
+        "bqst": lambda: entcost.bqst_teleport(qcore.random_unitary(3, rng), random_state(3, rng))[0],
+        "svd": lambda: wang.run_svd_remote(
+            wang.svd_remote(qcore.random_unitary(3, rng)), random_state(3, rng)
+        ),
+        "trace": lambda: [
+            stage for l, m in ((0, 0), (1, 2)) for stage in wang.trace_branch(p, phases, psi, l, m)
+        ],
+    }
+    return runs[runner]()
+
+
+@pytest.mark.parametrize("runner", ["wang", "group", "bqst", "svd", "trace"])
+def test_branch_state_is_the_zero_filled_reference(runner):
+    rng = np.random.default_rng(17)
+    for b in branch_runs(runner, rng):
+        state, want = b.state, zero_filled_state(b)
+        assert state.factor_dims == want.factor_dims
+        assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+        # the branch's row is stored as is, the measured factors as labels
+        assert np.shares_memory(state.stored, b.amplitudes)
+        assert [f for f, _ in state.basis] == [
+            s.target for s in b.steps if isinstance(s, MeasureStep)
+        ]
+        for f, d in enumerate(b.factor_dims):
+            vec = 2.5 * random_state(d, rng).amplitudes
+            got = qcore.factor_overlap(state, vec, f)
+            assert abs(got - dense_factor_overlap(want, vec, f)) <= 1e-12
 
 
 def test_branch_states_are_freed_without_the_cycle_collector():

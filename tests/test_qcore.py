@@ -1,6 +1,7 @@
 """State and operator primitives: tensor products, local application,
 exhaustive measurement, Schmidt decomposition, Fourier/shift gates."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -309,12 +310,12 @@ def test_factor_overlap_rejects_a_bad_factor_or_vector():
                 qcore.factor_overlap(s, vec, factor)
 
 
-def test_factor_overlap_copies_no_state_on_a_first_or_last_factor():
+def test_factor_overlap_copies_no_state_on_any_factor():
     # 32 768 amplitudes hold 512 kB; an eighth of that rules out any full copy
     rng = np.random.default_rng(63)
     s = StateVector(random_state(32**3, rng).amplitudes, (32, 32, 32))
     vec = random_state(32, rng).amplitudes
-    for factor in (0, 2):
+    for factor in (0, 1, 2):
         tracemalloc.start()
         try:
             qcore.factor_overlap(s, vec, factor)
@@ -322,6 +323,74 @@ def test_factor_overlap_copies_no_state_on_a_first_or_last_factor():
         finally:
             tracemalloc.stop()
         assert peak < 64_000, (factor, peak)
+
+
+def test_factor_overlap_reads_a_basis_factor_off_its_label():
+    # factor 1 in |2>: the state is the dense vector with zeros elsewhere
+    rng = np.random.default_rng(64)
+    rest = random_state(8, rng).amplitudes
+    s = StateVector(rest, (2, 3, 4), [(1, 2)])
+    dense = StateVector(s.amplitudes, (2, 3, 4))
+    assert s.stored.shape == (2, 4)
+    for f, d in enumerate(s.factor_dims):
+        for vec in (2.5 * random_state(d, rng).amplitudes, np.eye(d)[-1]):
+            got = qcore.factor_overlap(s, vec, f)
+            assert abs(got - dense_factor_overlap(dense, vec, f)) <= 1e-12
+    assert qcore.factor_overlap(s, np.eye(3)[2], 1) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_an_embedded_state_is_the_zero_filled_dense_vector():
+    amps = np.array([0.6, 0.8j], dtype=complex)
+    s = StateVector(amps, (3, 2, 2), [(2, 1), (0, 0)])
+    want = np.zeros((3, 2, 2), dtype=complex)
+    want[0, :, 1] = amps
+    assert s.basis == ((2, 1), (0, 0)) and s.dim == 12
+    assert s.amplitudes.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(s.tensor_form(), want)
+    # built once, on first read, and read-only
+    assert s.amplitudes is s.amplitudes and not s.amplitudes.flags.writeable
+    # every factor measured: one stored amplitude
+    point = StateVector(np.array([1j]), (2, 3), [(0, 1), (1, 2)])
+    assert point.stored.shape == () and point.amplitudes[5] == 1j
+
+
+@pytest.mark.parametrize("basis, size", [
+    ([(3, 0)], 24),             # no factor 3
+    ([(-1, 0)], 24),            # nor factor -1
+    ([(0, 0), (0, 1)], 12),     # factor 0 twice
+    ([(1, 3)], 8),              # factor 1 has no |3>
+    ([(2, -1)], 6),             # nor any |-1>
+    ([(1, 0)], 24),             # amplitudes for factor 1 too
+    ([(1, 0), (2, 0)], 1),      # too few for factor 0
+], ids=["factor-3", "factor-minus-1", "factor-0-twice", "k-3-of-3", "k-minus-1",
+        "amplitudes-for-all", "too-few-amplitudes"])
+def test_a_bad_basis_is_a_dimension_mismatch(basis, size):
+    amps = np.zeros(size, dtype=complex)
+    amps[0] = 1.0
+    with pytest.raises(DimensionMismatch):
+        StateVector(amps, (2, 3, 4), basis)
+
+
+@pytest.mark.parametrize("amp, error", [
+    (2.0, NotNormalized), (np.nan, NonFinite), (np.inf, NonFinite), (1e308, NonFinite),
+])
+def test_an_embedded_state_is_normalised_on_its_stored_amplitudes(amp, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            StateVector(np.array([amp, 0.0, 0.0]), (2, 3), [(0, 1)])
+
+
+def test_a_state_is_immutable():
+    plain = StateVector(np.array([0.0, 1.0]), (2,))
+    embedded = StateVector(np.array([0.0, 1.0]), (2, 3), [(1, 0)])
+    for s in (plain, embedded):
+        for name in ("amplitudes", "factor_dims", "basis", "stored", "_dense"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(s, name)
+        assert not s.stored.flags.writeable and not s.amplitudes.flags.writeable
 
 
 def test_state_vector_invariants():

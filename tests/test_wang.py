@@ -337,6 +337,21 @@ def test_run_wang_branches_hold_only_their_outputs():
     assert held < 1_000_000
 
 
+def test_gating_every_wang_32_branch_builds_no_full_state():
+    # a full branch state holds 32 * 32 * 32 amplitudes, 512 kB
+    p, phases, psi = _random_setup(32, 32, np.random.default_rng(12))
+    expected = wang.assemble(p, phases) @ psi.amplitudes
+    branches = wang.run_wang(p, phases, psi)
+    tracemalloc.start()
+    try:
+        weights = [qcore.factor_overlap(b.state, expected, 0) for b in branches]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(weights) == 1024 and min(weights) >= 1 - 1e-9
+    assert peak < 64_000
+
+
 def test_resource_rank_and_final_disentanglement():
     rng = np.random.default_rng(8)
     p, phases, psi = _random_setup(5, 4, rng)

@@ -175,6 +175,19 @@ def basis_state(indices, dims):
     return qcore.StateVector(amps, dims)
 
 
+def zero_filled_state(branch):
+    """The branch's full register state as one dense vector: zeros, then its
+    amplitudes written at each measured factor's outcome, found by walking
+    its steps. The reference for locc.Branch.state."""
+    index = [slice(None)] * len(branch.factor_dims)
+    measures = (s for s in branch.steps if isinstance(s, locc.MeasureStep))
+    for s, k in zip(measures, branch.row, strict=True):
+        index[s.target] = k
+    full = np.zeros(branch.factor_dims, dtype=complex)
+    full[tuple(index)] = branch.amplitudes
+    return qcore.StateVector(full.reshape(-1), branch.factor_dims)
+
+
 def dense_factor_overlap(state, vec, factor):
     """|(<vec| (x) I) state|, contracted over the factor moved to the front:
     the oracle for qcore.factor_overlap."""
