@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,7 +38,11 @@ def pair_to_complex(pair) -> complex:
     # exact types, so bool (a subclass of int) is rejected
     if type(re) not in (int, float) or type(im) not in (int, float):
         raise MalformedProblem(f"[re, im] entries must be JSON numbers, got {pair!r}")
-    return complex(re, im)
+    try:
+        return complex(re, im)
+    except OverflowError as exc:
+        # an integer past the float range, as the literal 1e400 reads as inf
+        raise NonFinite("problem values must be finite numbers") from exc
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -94,13 +97,14 @@ class Problem:
 
 @contextlib.contextmanager
 def _document_shape():
-    """Reads of the problem document only: a missing key or a wrong JSON type
-    becomes MalformedProblem. Library calls stay outside, keeping their names."""
+    """Reads of the problem document only: a missing key, a wrong JSON type or
+    an integer past the range of its array becomes MalformedProblem. Library
+    calls stay outside, keeping their names."""
     try:
         yield
     except KeyError as exc:
         raise MalformedProblem(f"problem file has no {exc} key") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedProblem(f"problem value has the wrong JSON type or form: {exc}") from exc
 
 
@@ -228,12 +232,12 @@ def cmd_run(args) -> int:
 
 def _phase_label(numerator: int, denominator: int) -> str:
     """exp(i*pi * numerator/denominator) as text, empty for phase 0."""
-    frac = Fraction(numerator, denominator)
-    if frac == 0:
+    if numerator == 0:
         return ""
-    if frac.denominator == 1:
-        return f"exp({frac.numerator}i*pi)*"
-    return f"exp({frac.numerator}i*pi/{frac.denominator})*"
+    g = math.gcd(numerator, denominator)
+    if denominator == g:
+        return f"exp({numerator // g}i*pi)*"
+    return f"exp({numerator // g}i*pi/{denominator // g})*"
 
 
 def _cell_label(actual: np.ndarray, expected: np.ndarray, label: str) -> str:

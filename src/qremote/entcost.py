@@ -143,7 +143,7 @@ def bqst_program(unitary: np.ndarray) -> Program:
         raise NonUnitary("bqst needs a unitary operation")
     dim = u.shape[0]
     shifts = qcore.shift_powers(dim)
-    basis, owner = np.eye(dim), np.arange(dim)   # |i><i| owns column i of I
+    basis = np.eye(dim)   # column i of I carries X^i
     f_inv = qcore.fourier_matrix(dim).conj().T
     # clocks[p] = Z^p = diag_k e^{2 pi i p k / dim}
     clocks = np.zeros((dim, dim, dim), dtype=complex)
@@ -154,21 +154,21 @@ def bqst_program(unitary: np.ndarray) -> Program:
         steps=(
             # Alice -> Bob
             # CX^-1 = sum_i |i><i| (x) X^i
-            CouplingStep(ALICE, "CX^-1", basis, owner, shifts, 0, 1),
+            CouplingStep(ALICE, "CX^-1", basis, shifts, 0, 1),
             LocalStep(ALICE, "F^-1", f_inv, (0,)),
             MeasureStep(ALICE, 0, "p", send_to=BOB),
             MeasureStep(ALICE, 1, "q", send_to=BOB),
-            ConditionalStep(BOB, "X^q", lambda q: shifts[q], (2,), "q"),
-            ConditionalStep(BOB, "Z^p", lambda p: clocks[p], (2,), "p"),
+            ConditionalStep(BOB, "X^q", shifts, (2,), "q"),
+            ConditionalStep(BOB, "Z^p", clocks, (2,), "p"),
             # the remote operation
             LocalStep(BOB, "U", u, (2,)),
             # Bob -> Alice
-            CouplingStep(BOB, "CX^-1", basis, owner, shifts, 2, 3),
+            CouplingStep(BOB, "CX^-1", basis, shifts, 2, 3),
             LocalStep(BOB, "F^-1", f_inv, (2,)),
             MeasureStep(BOB, 2, "r", send_to=ALICE),
             MeasureStep(BOB, 3, "s", send_to=ALICE),
-            ConditionalStep(ALICE, "X^s", lambda s: shifts[s], (4,), "s"),
-            ConditionalStep(ALICE, "Z^r", lambda r: clocks[r], (4,), "r"),
+            ConditionalStep(ALICE, "X^s", shifts, (4,), "s"),
+            ConditionalStep(ALICE, "Z^r", clocks, (4,), "r"),
         ),
         dims=(dim,) * 5,
     )

@@ -248,7 +248,7 @@ def z_gate(g, order: int) -> np.ndarray:
     an array of g, the stack of the Z(g).
 
     Every entry of F has modulus 1/sqrt|G|, so Z(g) is diagonal unimodular;
-    run_protocol checks it as it checks every operator it builds. Rows g of
+    run_protocol checks it as it checks every operator a step holds. Rows g of
     F are computed alone, with the operations qcore.fourier_matrix applies
     to them, so each is bitwise equal to fourier_matrix(order)[g]. The
     diagonal is written into zeros, so no -0.0 appears off it.
@@ -303,13 +303,13 @@ def group_program(rep: ProjectiveRep, coefficients) -> Program:
         owners=locc.PROTOCOL_OWNERS,
         steps=(
             # P = sum_f U(f) (x) |f><f| on (A, a): entangles the group label
-            CouplingStep(ALICE, "P", np.eye(n), np.arange(n), mats, 1, 0),
+            CouplingStep(ALICE, "P", np.eye(n), mats, 1, 0),
             LocalStep(ALICE, "F", qcore.fourier_matrix(n), (1,)),
             MeasureStep(ALICE, 1, "g", send_to=BOB),
-            ConditionalStep(BOB, "Z(g)", lambda g: z_gate(g, n), (2,), "g"),
+            ConditionalStep(BOB, "Z(g)", z_gate(np.arange(n), n), (2,), "g"),
             LocalStep(BOB, "M", mix, (2,)),
             MeasureStep(BOB, 2, "h", send_to=ALICE),
-            ConditionalStep(ALICE, "U(h^-1)", lambda h: mats[inverses[h]], (0,), "h"),
+            ConditionalStep(ALICE, "U(h^-1)", mats[inverses], (0,), "h"),
         ),
         dims=(rep.dim, n, n),
     )

@@ -12,15 +12,16 @@ one array over the factors not yet measured. A measurement splits each row
 into one row per outcome above PROB_FLOOR and drops the measured axis; the
 outcome goes into a column, and a later step on that factor is a
 DimensionMismatch; the outcome probabilities are summed from the real and
-imaginary parts of the rows, so no conjugated copy is made. A local step is
-one matrix product over all rows. A conditioned step gathers the rows by the
-payload its message carries (one copy of the rows in every protocol here),
-builds and checks its operator stack once, and applies each operator to its
-group with one product. A coupling step sum_i P_i (x) V_i, the opening step of
-every protocol here, holds the basis B that diagonalises every P_i, the
-term owning each column of B, and the V_i: qcore.certify_coupling bounds
-the dense unitarity check from the defects of B and the V_i, and the step
-is three products, none larger than the rows. One gate closes the run:
+imaginary parts of the rows, so no conjugated copy is made. A step holds
+every operator it applies, built with the program. A local step is one
+matrix product over all rows. A conditioned step holds a table indexed by
+payload; it gathers the rows by the payload its message carries (one copy
+of the rows in every protocol here), checks the entries they reach as one
+stack, and applies each to its group with one product. A coupling step
+sum_k B|k><k|B^dag (x) V_k, the opening step of every protocol here, holds
+B and one V_k per column of B: qcore.certify_coupling bounds the dense
+unitarity check from their defects, and the step is three products, none
+larger than the rows. One gate closes the run:
 the probability pruned below PROB_FLOOR, added up measurement by
 measurement, must stay within NORM_TOL, and every row of the final array
 must have norm 1 within NORM_TOL, checked in one pass; the final array is
@@ -86,13 +87,13 @@ class LocalStep:
 
 @dataclass(frozen=True)
 class ConditionalStep:
-    """Unitary whose matrix depends on a classical message received earlier.
-    build maps a 1-D int array of k distinct payloads to the (k, d, d)
-    stack of their operators."""
+    """Unitary whose matrix depends on a classical message received earlier:
+    unitaries is a (payloads, d, d) table, and payload k applies
+    unitaries[k]."""
 
     party: Party
     label: str
-    build: Callable[[np.ndarray], np.ndarray]
+    unitaries: np.ndarray
     targets: tuple[int, ...]
     message: str
 
@@ -109,17 +110,14 @@ class MeasureStep:
 
 @dataclass(frozen=True)
 class CouplingStep:
-    """Controlled coupling sum_i P_i (x) V_i applied by one party, with the
-    projectors P_i on the control factor and the unitaries V_i, an
-    (n, d_t, d_t) stack, on the target factor. The projectors are given in
-    the basis that diagonalises them all: basis is a d_c x d_c unitary B and
-    owner holds one term index in [0, n) per column of B, so that
-    P_i = B diag(owner == i) B^dag."""
+    """Controlled coupling W = sum_k B|k><k|B^dag (x) V_k applied by one
+    party: basis is a d_c x d_c unitary B on the control factor, and
+    unitaries the (d_c, d_t, d_t) stack of the V_k on the target factor,
+    one per column of B."""
 
     party: Party
     label: str
     basis: np.ndarray
-    owner: np.ndarray
     unitaries: np.ndarray
     control: int
     target: int
@@ -264,22 +262,21 @@ def _check_locality(owners, party: Party, targets) -> None:
 
 
 def _coupling(step: CouplingStep, dims: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """Certify sum_i P_i (x) V_i from its basis, owners and unitaries
+    """Certify sum_k B|k><k|B^dag (x) V_k from its basis and unitaries
     (qcore.certify_coupling) and return its action on rows of shape
     (branch, d_c, d_t, *rest), control first. The sum is never formed:
     B^dag turns the control into the eigenbasis, where column k carries
-    V_{owner[k]} on the target, and B turns it back."""
+    V_k on the target, and B turns it back."""
     basis = np.asarray(step.basis, dtype=complex)
-    unitaries = np.asarray(step.unitaries, dtype=complex)
-    n, d_c, d_t = len(unitaries), dims[step.control], dims[step.target]
-    shapes = (basis.shape, unitaries.shape)
-    if not n or step.control == step.target or shapes != ((d_c, d_c), (n, d_t, d_t)):
+    stack = np.asarray(step.unitaries, dtype=complex)
+    d_c, d_t = dims[step.control], dims[step.target]
+    if step.control == step.target or (basis.shape, stack.shape) != ((d_c, d_c), (d_c, d_t, d_t)):
         raise DimensionMismatch(
             f"coupling {step.label!r} has basis {basis.shape} and terms "
-            f"{unitaries.shape} for factors {step.control} and {step.target}"
+            f"{stack.shape} for factors {step.control} and {step.target}"
         )
-    owner = qcore.certify_coupling(basis, step.owner, unitaries, step.label)
-    adjoint, stack = basis.conj().T, unitaries[owner]   # stack: (d_c, d_t, d_t)
+    qcore.certify_coupling(basis, stack, step.label)
+    adjoint = basis.conj().T
 
     def apply(rows: np.ndarray) -> np.ndarray:
         y = adjoint @ rows.reshape(len(rows), d_c, -1)
@@ -347,7 +344,7 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
         front = range(1, len(targets) + 1)
         moved = np.moveaxis(batch, targets, front)
         batch = np.moveaxis(apply(moved).reshape(moved.shape), front, targets)
-        del apply, moved   # the step's operators and the old batch end with the step
+        del apply, moved   # the old batch and any operator copy end with the step
 
     final = _checked_output(program, batch, outcomes, pruned)
     steps = tuple(
@@ -378,10 +375,12 @@ def _conditioned(
     step: ConditionalStep, dims: tuple[int, ...], inbox, outcomes: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The step's action on rows of shape (branch, *target dims, *rest),
-    as (branch, d, rest) with d the targets' product. One stable
-    argsort of the message's column groups the rows by payload and yields
-    the distinct payloads, built once and checked as one stack by
-    qcore.local_unitary. Each operator acts on its group with one product,
+    as (branch, d, rest) with d the targets' product. One stable argsort
+    of the message's column groups the rows by payload, and one bincount
+    sizes the groups. qcore.local_unitary checks the entries of the
+    payloads that reach the step as one stack: the table itself when every
+    payload does, else only those entries, so a pruned payload's entry is
+    never checked. Each operator acts on its group with one product,
     scattered back to the rows' places: no operator is copied per row."""
     if step.message not in inbox[step.party]:
         raise MissingClassicalDependency(
@@ -390,21 +389,20 @@ def _conditioned(
         )
     column = outcomes[:, inbox[step.party][step.message]]
     order = np.argsort(column, kind="stable")
-    grouped = column[order]
-    first = np.ones(len(grouped), dtype=bool)   # where each payload's group starts
-    np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    values = grouped[starts]
-    ops = np.asarray(step.build(values))
-    if ops.ndim != 3 or len(ops) != len(values):
+    counts = np.bincount(column)
+    values = np.flatnonzero(counts)
+    table = np.asarray(step.unitaries)
+    if table.ndim != 3 or len(table) < len(counts):
         raise DimensionMismatch(
-            f"step {step.label!r} built shape {ops.shape} for {len(values)} payloads"
+            f"step {step.label!r} has table shape {table.shape} for payloads "
+            f"up to {len(counts) - 1}"
         )
     ops = qcore.local_unitary(
-        ops, dims, step.targets, lambda i: f"step {step.label!r} at {step.message}={values[i]}"
+        table if len(values) == len(table) else table[values], dims, step.targets,
+        lambda i: f"step {step.label!r} at {step.message}={values[i]}",
     )
-    bounds = [*starts.tolist(), len(column)]
-    d = len(ops[0])
+    bounds = np.concatenate(([0], np.cumsum(counts[values]))).tolist()
+    d = ops.shape[-1]
 
     def apply(moved: np.ndarray) -> np.ndarray:
         # the gather keeps the moved layout, so it is the only copy of the

@@ -163,21 +163,21 @@ def is_unitary(m: np.ndarray) -> bool:
     return bool(unitarity_defect(m) <= NORM_TOL)
 
 
-def certify_coupling(basis: np.ndarray, owner, unitaries: np.ndarray, label: str) -> np.ndarray:
-    """Certify the coupling W = sum_i P_i (x) V_i, P_i = B diag(owner == i)
-    B^dag, and return owner as an int array. owner must hold d_c integers in
-    [0, n), else DimensionMismatch. NonUnitary, naming the label and either
-    the basis or the term at fault, is raised unless the dense check
-    |W^dag W - I| <= NORM_TOL (largest entry) is sure to pass.
+def certify_coupling(basis: np.ndarray, unitaries: np.ndarray, label: str) -> None:
+    """Certify the coupling W = sum_k B|k><k|B^dag (x) V_k, one V_k of the
+    (d_c, d_t, d_t) stack unitaries per column of the d_c x d_c basis B.
+    NonUnitary, naming the label and either the basis or the term at fault,
+    is raised unless the dense check |W^dag W - I| <= NORM_TOL (largest
+    entry) is sure to pass.
 
-    The work is one unitarity_defect on B (d_c x d_c) and one on the V_i
-    that owner uses: delta_B and delta_V are their largest entries of
-    |X^dag X - I|. With ||.|| the operator norm, ||X^dag X - I|| <= d delta
-    for a d x d matrix X, so e = d_c delta_B bounds ||B^dag B - I||, which
-    is also ||B B^dag - I||, and u = d_t delta_V bounds ||V_i^dag V_i - I||
-    for every used V_i. W = (B (x) I) L (B^dag (x) I) with L the block
-    diagonal of the V_{owner[k]}, k over the columns of B, so
-    ||L^dag L - I|| <= u, ||L||^2 <= 1 + u and ||B||^2 <= 1 + e. Expanding,
+    The work is one unitarity_defect on B and one on the stack of the V_k:
+    delta_B and delta_V are their largest entries of |X^dag X - I|. With
+    ||.|| the operator norm, ||X^dag X - I|| <= d delta for a d x d matrix
+    X, so e = d_c delta_B bounds ||B^dag B - I||, which is also
+    ||B B^dag - I||, and u = d_t delta_V bounds ||V_k^dag V_k - I|| for
+    every k. W = (B (x) I) L (B^dag (x) I) with L the block diagonal of the
+    V_k, so ||L^dag L - I|| <= u, ||L||^2 <= 1 + u and ||B||^2 <= 1 + e.
+    Expanding,
 
         W^dag W - I = (B B^dag - I) (x) I + (B (x) I)(L^dag L - I)(B^dag (x) I)
                       + (B (x) I) L^dag ((B^dag B - I) (x) I) L (B^dag (x) I),
@@ -186,28 +186,18 @@ def certify_coupling(basis: np.ndarray, owner, unitaries: np.ndarray, label: str
     entry of a matrix is at most its operator norm, so the gate
     bound <= NORM_TOL never accepts a coupling the dense check rejects.
     """
-    n, d_c, d_t = len(unitaries), len(basis), unitaries.shape[-1]
-    owner = np.asarray(owner)
-    if owner.shape != (d_c,) or owner.dtype.kind not in "iu":
-        raise DimensionMismatch(
-            f"coupling {label!r} needs {d_c} integer owners, got shape "
-            f"{owner.shape} of {owner.dtype}"
-        )
-    if not 0 <= owner.min() <= owner.max() < n:
-        raise DimensionMismatch(f"coupling {label!r} has owners outside [0, {n})")
-    owner = owner.astype(int, copy=False)
-    used = np.flatnonzero(np.bincount(owner, minlength=n))
+    d_c, d_t = len(basis), unitaries.shape[-1]
     basis_defect = float(unitarity_defect(basis))
-    term_defects = unitarity_defect(unitaries[used])
+    term_defects = unitarity_defect(unitaries)
     e, u = d_c * basis_defect, d_t * float(term_defects.max())
     bound = e + (1 + e) * (u + (1 + u) * e)
     if bound <= NORM_TOL:
-        return owner
+        return
     if e > u or not math.isfinite(e):
         fault = f"the basis has defect {basis_defect:.3e}"
     else:
         k = int(term_defects.argmax())
-        fault = f"term {used[k]}: V is not unitary (defect {term_defects[k]:.3e})"
+        fault = f"term {k}: V is not unitary (defect {term_defects[k]:.3e})"
     raise NonUnitary(
         f"coupling {label!r} is not unitary: bound {bound:.3e} > {NORM_TOL}; {fault}"
     )

@@ -13,10 +13,11 @@ P_i = A_i^dag A_i and the recovery R_m = sum_j e^{-2 pi i m j / N} A_j.
 Validation stores the class's exact member, so these operators and every
 sum_i c_i A_i are unitary by construction.
 
-wang_program is the one description of the protocol, registers included:
-run_wang executes it, trace_branch is that program cut after each traced
-step, svd_program wraps it in Alice's local factors of an arbitrary unitary,
-and entcost reads its cost row off it.
+wang_program is the one description of the protocol, registers and
+operators included (X^l and R_m as tables indexed by outcome): run_wang
+executes it, trace_branch is that program cut after each traced step,
+svd_program wraps it in Alice's local factors of an arbitrary unitary, and
+entcost reads its cost row off it.
 """
 
 from __future__ import annotations
@@ -215,8 +216,8 @@ def wang_program(p: BlockPartition, phases: Phases) -> Program:
     if len(phases) != p.n:
         raise DimensionMismatch(f"{len(phases)} coefficients for {p.n} blocks")
     shifts = qcore.shift_powers(p.n)
-    # P_i = B diag(owner == i) B^dag, read off the eigenvectors B and the
-    # rounded eigenvalues of sum_i i A_i^dag A_i
+    # column k of the eigenvectors B of sum_i i A_i^dag A_i lies in the
+    # support of block owner[k], its eigenvalue rounded
     rows = p.blocks.reshape(-1, p.dim)   # row (i, a) is row a of A_i
     weights = np.repeat(np.arange(p.n), p.dim)[:, None]
     values, basis = np.linalg.eigh(rows.conj().T @ (weights * rows))
@@ -225,13 +226,13 @@ def wang_program(p: BlockPartition, phases: Phases) -> Program:
         owners=locc.PROTOCOL_OWNERS,
         steps=(
             # P = sum_i P_i (x) X^i on (A, a): shifts the ancilla by the block index
-            CouplingStep(ALICE, "P", basis, owner, shifts, 0, 1),
+            CouplingStep(ALICE, "P", basis, shifts[owner], 0, 1),
             MeasureStep(ALICE, 1, "l", send_to=BOB),
-            ConditionalStep(BOB, "X^l", lambda l: shifts[l], (2,), "l"),
+            ConditionalStep(BOB, "X^l", shifts, (2,), "l"),
             LocalStep(BOB, "C", phase_gate(phases), (2,)),
             LocalStep(BOB, "F", qcore.fourier_matrix(p.n), (2,)),
             MeasureStep(BOB, 2, "m", send_to=ALICE),
-            ConditionalStep(ALICE, "R_m", lambda m: recovery(p, m), (0,), "m"),
+            ConditionalStep(ALICE, "R_m", recovery(p, np.arange(p.n)), (0,), "m"),
         ),
         dims=(p.dim, p.n, p.n),
     )

@@ -3,15 +3,14 @@
 It walks the branch tree depth first, one full state per node, through
 qcore.apply_local and qcore.measure_computational. It is slow and simple,
 so the batched executor is checked against it. A coupling step is applied
-as its dense sum_i P_i (x) V_i, each P_i = B diag(owner == i) B^dag formed
-from the step's basis and owners, so apply_local checks its unitarity as
-one matrix. Each branch keeps the full state it reached, so the check does not
-rest on locc.Branch.state, which derives that state from the output.
+as its dense sum_k B|k><k|B^dag (x) V_k, formed from the step's basis and
+unitaries, so apply_local checks its unitarity as one matrix. A conditioned
+step applies its table's entry for the payload, checked by apply_local.
+Each branch keeps the full state it reached, so the check does not rest on
+locc.Branch.state, which derives that state from the output.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from qremote import qcore
 from qremote.errors import MissingClassicalDependency
@@ -60,7 +59,7 @@ def run_reference(program, initial):
             else:
                 if step.message not in inbox[step.party]:
                     raise MissingClassicalDependency(step.label)
-                op = step.build(np.array([inbox[step.party][step.message]]))[0]
+                op = step.unitaries[inbox[step.party][step.message]]
                 event = LocalOpEvent(step.party, step.label, step.targets, step.message)
             nxt = qcore.apply_local(op, state, step.targets)
             execute(i + 1, nxt, prob, events + [event], inbox)

@@ -248,6 +248,39 @@ def test_document_errors_exit_2_with_the_invariant_named(tmp_path, capsys, kind,
     assert f"error: {name}:" in capsys.readouterr().err
 
 
+BIG = 10 ** 400   # past the float range; a JSON integer has no bound
+OVERSIZED = {
+    # site: (problem kind, keys down to the entry or None for --input, the
+    # entry, commands, error named); the Cayley table is an int64 array
+    "blocks": ("wang", ("blocks", 0, 0, 0), [BIG, 0], ("run", "cost", "trace"), "NonFinite"),
+    "phases": ("wang", ("phases", 1), [0, BIG], ("run",), "NonFinite"),
+    "input": ("bqst", ("input",), [[BIG, 0], [0, 0]], ("run",), "NonFinite"),
+    "--input": ("wang", None, [[0, 0], [0, -BIG]], ("run", "trace"), "NonFinite"),
+    "matrices": ("group", ("matrices", 1, 0, 0), [BIG, 0], ("run", "cost"), "NonFinite"),
+    "coefficients": ("group", ("coefficients", 0), [BIG, 0], ("run",), "NonFinite"),
+    "unitary": ("bqst", ("unitary", 1, 1), [0, BIG], ("run",), "NonFinite"),
+    "cayley": ("group", ("cayley", 1, 0), 2 ** 63, ("run", "cost"), "MalformedProblem"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(OVERSIZED))
+def test_an_integer_past_its_range_exits_2_with_its_error_named(tmp_path, capsys, site):
+    kind, keys, entry, commands, name = OVERSIZED[site]
+    doc, flags = PROBLEM_DOCS[kind](), []
+    if keys is None:
+        flags = ["--input", json.dumps(entry)]
+    else:
+        *outer, last = keys
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = entry
+    path = write_problem(tmp_path, "big.json", doc)
+    for command in commands:
+        assert main([command, *flags, path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name}:")
+
+
 @pytest.mark.parametrize("argv, name", [
     (["trace", "{bqst}"], "UnsupportedProblem"),
     (["trace", "{wang}", "--branch", "1"], "MalformedProblem"),

@@ -128,7 +128,7 @@ def test_unsent_outcome_is_used_by_its_own_party():
     program = Program((ALICE, ALICE, BOB), (
         LocalStep(ALICE, "H", HADAMARD, (0,)),
         MeasureStep(ALICE, 0, "x", send_to=None),
-        ConditionalStep(ALICE, "Z^x", lambda x: z_powers[x], (1,), "x"),
+        ConditionalStep(ALICE, "Z^x", z_powers, (1,), "x"),
         LocalStep(BOB, "X", shift_matrix(3), (2,)),
     ))
     branches = assert_matches_reference(program, initial)
@@ -140,7 +140,7 @@ def test_a_step_on_a_measured_factor_is_a_dimension_mismatch():
     initial = qcore.tensor(qcore.ket(0, 2), qcore.ket(0, 3))
     for step in (
         LocalStep(ALICE, "H", HADAMARD, (0,)),
-        ConditionalStep(ALICE, "Z^x", lambda x: np.eye(2)[None].repeat(len(x), 0), (0,), "x"),
+        ConditionalStep(ALICE, "Z^x", np.eye(2)[None].repeat(2, 0), (0,), "x"),
         MeasureStep(ALICE, 0, "y"),
     ):
         program = Program((ALICE, BOB), (MeasureStep(ALICE, 0, "x"), step))
@@ -148,41 +148,64 @@ def test_a_step_on_a_measured_factor_is_a_dimension_mismatch():
             locc.run_protocol(program, initial)
 
 
-def test_zero_probability_outcome_is_pruned():
+def recorded_checks(monkeypatch):
+    """The list that every stack qcore.unitarity_defect checks is appended to."""
+    checked, unitarity_defect = [], qcore.unitarity_defect
+
+    def defect(stack):
+        checked.append(stack)
+        return unitarity_defect(stack)
+
+    monkeypatch.setattr(qcore, "unitarity_defect", defect)
+    return checked
+
+
+def test_zero_probability_outcome_is_pruned(monkeypatch):
     amps = np.zeros((2, 3), dtype=complex)
     amps[0, 0] = amps[1, 2] = 1 / np.sqrt(2)    # factor 1 never holds |1>
-    received = []
-
-    def build(b):
-        # not unitary for the pruned outcome, so it must never be built
-        received.append(b.tolist())
-        return HADAMARD * np.where(b == 1, 2, 1)[:, None, None]
-
+    # not unitary at the pruned payload 1, so that entry must never be checked
+    table = HADAMARD * np.array([1, 2, 1])[:, None, None]
     program = Program((ALICE, BOB), (
         MeasureStep(BOB, 1, "b", send_to=ALICE),
-        ConditionalStep(ALICE, "X^b", build, (0,), "b"),
+        ConditionalStep(ALICE, "X^b", table, (0,), "b"),
     ))
+    checked = recorded_checks(monkeypatch)
     branches = assert_matches_reference(program, qcore.StateVector(amps.reshape(-1), (2, 3)))
     assert [b.outcomes["b"] for b in branches] == [0, 2]
-    # once for the batched run, then once per branch for the reference
-    assert received == [[0, 2], [0], [2]]
+    # the reached entries as one stack for the batched run, then one entry
+    # per branch for the reference
+    want = [table[[0, 2]], table[0], table[2]]
+    assert [c.tolist() for c in checked] == [w.tolist() for w in want]
+
+
+@pytest.mark.parametrize("table", [
+    pytest.param(HADAMARD[None], id="payload-past-the-end"),
+    pytest.param(HADAMARD, id="two-dimensional"),
+])
+def test_a_table_without_an_operator_per_payload_is_a_dimension_mismatch(table):
+    program = Program((ALICE, BOB), (
+        LocalStep(ALICE, "H", HADAMARD, (0,)),
+        MeasureStep(ALICE, 0, "x", send_to=BOB),
+        ConditionalStep(BOB, "V_x", table, (1,), "x"),
+    ))
+    initial = qcore.tensor(qcore.ket(0, 2), qcore.ket(0, 2))
+    with pytest.raises(DimensionMismatch, match="step 'V_x' has table shape"):
+        locc.run_protocol(program, initial)
 
 
 def gathered(step, inbox, outcomes):
-    """The conditioned step as the per-row operator gather: ops[index] @ rows,
-    on rows (branch, *target dims, *rest) taken as (branch, d, rest)."""
-    values, index = np.unique(
-        outcomes[:, inbox[step.party][step.message]], return_inverse=True
-    )
-    ops = np.asarray(step.build(values), dtype=complex)
-    return lambda rows: ops[index] @ rows.reshape(len(rows), ops.shape[-1], -1)
+    """The conditioned step as the per-row operator gather: table[payload] @
+    rows, on rows (branch, *target dims, *rest) taken as (branch, d, rest)."""
+    ops = np.asarray(step.unitaries, dtype=complex)[outcomes[:, inbox[step.party][step.message]]]
+    return lambda rows: ops @ rows.reshape(len(rows), ops.shape[-1], -1)
 
 
 def pruned_program():
     """Factor 1 never holds |1>, and factor 2 holds only |0> once factor 1
     holds |2>: the rows (b, c) = (0, 0), (0, 1), (2, 0) survive, so the
     payloads of b group two rows and one, and those of c two rows apart and
-    one. Each payload's operator is distinct."""
+    one. Each payload's operator is distinct, and V_b's entry for the
+    unreached payload 1 is never applied."""
     amps = np.zeros((2, 3, 2), dtype=complex)
     amps[0, 0, 0] = amps[0, 0, 1] = 0.5
     amps[1, 2, 0] = 1 / np.sqrt(2)
@@ -193,8 +216,8 @@ def pruned_program():
     program = Program((ALICE, BOB, BOB), (
         MeasureStep(BOB, 1, "b", send_to=ALICE),
         MeasureStep(BOB, 2, "c", send_to=ALICE),
-        ConditionalStep(ALICE, "V_b", phased, (0,), "b"),
-        ConditionalStep(ALICE, "V_c", lambda k: phased(k + 3), (0,), "c"),
+        ConditionalStep(ALICE, "V_b", phased(range(3)), (0,), "b"),
+        ConditionalStep(ALICE, "V_c", phased(range(3, 5)), (0,), "c"),
     ))
     return program, qcore.StateVector(amps.reshape(-1), (2, 3, 2))
 
@@ -212,6 +235,18 @@ def grouped_apply_cases():
         "bqst": (bqst_case, locc.prepare(bqst_case, random_state(3, rng))),
         "pruned": pruned_program(),
     }
+
+
+def test_every_program_holds_arrays_not_callables():
+    programs = [program for program, _ in grouped_apply_cases().values()]
+    u = qcore.random_unitary(3, np.random.default_rng(2))
+    programs.append(wang.svd_program(wang.svd_remote(u)))
+    for program in programs:
+        for step in program.steps:
+            fields = [getattr(step, f.name) for f in dataclasses.fields(step)]
+            assert not any(callable(value) for value in fields), step.label
+            if isinstance(step, (ConditionalStep, CouplingStep)):
+                assert np.asarray(step.unitaries).ndim == 3
 
 
 @pytest.mark.parametrize("case", ["wang", "group", "bqst", "pruned"])
@@ -254,13 +289,13 @@ def wang_32_peak(steps):
     return peak / initial.amplitudes.nbytes, len(branches)
 
 
-def test_a_wang_32_run_peaks_below_four_and_a_half_initial_states():
+def test_a_wang_32_run_peaks_below_three_and_a_half_initial_states():
     # the coupling and each conditioned step hold a few arrays the size of
-    # the rows, never one per term or one operator per row, and no step's
-    # operators outlive it
+    # the rows, never one per term or one operator per row, and every
+    # operator stack is the program's, built before the run
     peak, count = wang_32_peak(None)
     assert count == 1024
-    assert peak <= 4.5
+    assert peak <= 3.5
 
 
 @pytest.mark.parametrize("steps, bound", [
@@ -285,16 +320,16 @@ NAMED = {
 @pytest.mark.parametrize("program, error", [
     (Program((ALICE, BOB), (
         MeasureStep(ALICE, 0, "x", send_to=BOB),
-        ConditionalStep(BOB, "H", lambda x: HADAMARD[None].repeat(len(x), 0), (0,), "x"),
+        ConditionalStep(BOB, "H", HADAMARD[None].repeat(2, 0), (0,), "x"),
     )), LocalityViolation),
     (Program((ALICE, BOB), (
         MeasureStep(ALICE, 0, "x"),
-        ConditionalStep(BOB, "X^x", lambda x: np.eye(3)[None].repeat(len(x), 0), (1,), "x"),
+        ConditionalStep(BOB, "X^x", np.eye(3)[None].repeat(2, 0), (1,), "x"),
     )), MissingClassicalDependency),
     (Program((ALICE, BOB), (
         LocalStep(ALICE, "H", HADAMARD, (0,)),
         MeasureStep(ALICE, 0, "x", send_to=BOB),
-        ConditionalStep(BOB, "V_x", lambda x: np.eye(3) * (1 + x)[:, None, None], (1,), "x"),
+        ConditionalStep(BOB, "V_x", np.eye(3) * np.array([1, 2])[:, None, None], (1,), "x"),
     )), NonUnitary),
 ])
 def test_bad_conditional_step_raises_in_both_executors(program, error):
@@ -308,42 +343,30 @@ def test_bad_conditional_step_raises_in_both_executors(program, error):
 # --- checks counted --------------------------------------------------------------
 
 def test_unitarity_is_checked_once_per_distinct_matrix(monkeypatch):
-    # each conditioned step calls build once, with exactly the distinct
-    # payloads of its surviving rows, and checks the stack it returns with
-    # one batched product; the coupling is certified from its basis and terms
+    # each conditioned step checks the entries of its table that its rows
+    # reach as one stack, and the coupling is certified from its basis and
+    # its stack of column unitaries
     rng = np.random.default_rng(5)
     dim, n = 6, 4
     program = wang.wang_program(wang.random_partition(dim, n, rng), wang.random_phases(n, rng))
-    built, checked, certified = [], [], []
+    certified, certify_coupling = [], qcore.certify_coupling
 
-    def recording(step):
-        def build(payloads):
-            built.append((step.label, payloads.tolist()))
-            return step.build(payloads)
-        return dataclasses.replace(step, build=build)
-
-    unitarity_defect, certify_coupling = qcore.unitarity_defect, qcore.certify_coupling
-
-    def defect(stack):
-        checked.append(stack.shape)
-        return unitarity_defect(stack)
-
-    def certifying(basis, owner, unitaries, label):
+    def certifying(basis, unitaries, label):
         certified.append(label)
-        return certify_coupling(basis, owner, unitaries, label)
+        return certify_coupling(basis, unitaries, label)
 
-    monkeypatch.setattr(qcore, "unitarity_defect", defect)
+    checked = recorded_checks(monkeypatch)
     monkeypatch.setattr(qcore, "certify_coupling", certifying)
-    steps = tuple(
-        recording(s) if isinstance(s, ConditionalStep) else s for s in program.steps
-    )
-    initial = wang_initial(random_state(dim, rng), n)
-    locc.run_protocol(Program(program.owners, steps, program.dims), initial)
-    assert built == [("X^l", list(range(n))), ("R_m", list(range(n)))]
-    # the certificate's basis and term stack, then C and F as one matrix
+    locc.run_protocol(program, wang_initial(random_state(dim, rng), n))
+    # the certificate's basis and column stack, then C and F as one matrix
     # each, X^l and R_m as one stack each, in program order: every check
     # run_protocol makes, is_unitary included, is listed
-    assert checked == [(dim, dim), (n, n, n), (n, n, n), (n, n), (n, n), (n, dim, dim)]
+    shapes = [c.shape for c in checked]
+    assert shapes == [(dim, dim), (dim, n, n), (n, n, n), (n, n), (n, n), (n, dim, dim)]
+    # every payload reaches X^l and R_m, so each table is checked as the
+    # step holds it, not copied for the run
+    tables = [s.unitaries for s in program.steps if isinstance(s, ConditionalStep)]
+    assert checked[2] is tables[0] and checked[5] is tables[1]
     assert certified == ["P"]
     # one certificate per coupling in the other protocols too
     rep, c, psi = group_setup("dihedral3", rng)
@@ -403,34 +426,31 @@ def test_a_broken_coupling_names_its_step_and_term(fault, message):
 
 
 def test_a_term_no_column_owns_is_not_certified():
-    # blocks (I, 0): V_1 never acts, so W = I (x) V_0 is unitary however far
-    # V_1 is from it, and the certificate does not look at V_1
+    # blocks (I, 0): no column of the basis lies in block 1, so every column
+    # carries X^0 and X^1 is not in the step to be certified
     p = wang.validate_partition([np.eye(2), np.zeros((2, 2))])
     step = wang.wang_program(p, wang.Phases(np.ones(2))).steps[0]
-    assert step.owner.tolist() == [0, 0]
-    shifts = step.unitaries.copy()
-    shifts[1] *= 2
-    owner = qcore.certify_coupling(step.basis, step.owner, shifts, "P")
-    assert owner.tolist() == [0, 0]
-    assert qcore.is_unitary(coupling_matrix(dataclasses.replace(step, unitaries=shifts)))
+    np.testing.assert_array_equal(step.unitaries, qcore.shift_powers(2)[[0, 0]])
+    qcore.certify_coupling(step.basis, step.unitaries, "P")
+    assert qcore.is_unitary(coupling_matrix(step))
 
 
 E4, E3 = np.eye(4), np.eye(3)
 
 
-@pytest.mark.parametrize("basis, owner, unitaries, control, target, error", [
-    pytest.param(E4, [0] * 4, E4[None], 0, 0, DimensionMismatch, id="one-factor-twice"),
-    pytest.param(E3, [0] * 3, E3[None], 0, 1, DimensionMismatch, id="basis-off-factor-0"),
-    pytest.param(E4, [0] * 4, np.eye(2)[None], 0, 1, DimensionMismatch, id="terms-off-factor-1"),
-    pytest.param(E4, [0] * 4, np.zeros((0, 3, 3)), 0, 1, DimensionMismatch, id="no-terms"),
-    pytest.param(E4, [0] * 3, E3[None], 0, 1, DimensionMismatch, id="owner-short"),
-    pytest.param(E4, [0, 0, 0, 1], E3[None], 0, 1, DimensionMismatch, id="owner-past-last-term"),
-    pytest.param(E4, [0, 0, 0, -1], E3[None], 0, 1, DimensionMismatch, id="owner-negative"),
-    pytest.param(E4, [0.0] * 4, E3[None], 0, 1, DimensionMismatch, id="owner-not-integer"),
-    pytest.param(E4, [0] * 4, np.eye(2)[None], 0, 2, LocalityViolation, id="factor-2-is-bobs"),
+@pytest.mark.parametrize("basis, unitaries, control, target, error", [
+    pytest.param(E4, E4[None].repeat(4, 0), 0, 0, DimensionMismatch, id="one-factor-twice"),
+    pytest.param(E3, E3[None].repeat(3, 0), 0, 1, DimensionMismatch, id="basis-off-factor-0"),
+    pytest.param(E4, np.eye(2)[None].repeat(4, 0), 0, 1, DimensionMismatch,
+                 id="terms-off-factor-1"),
+    pytest.param(E4, np.zeros((0, 3, 3)), 0, 1, DimensionMismatch, id="no-terms"),
+    pytest.param(E4, E3[None].repeat(3, 0), 0, 1, DimensionMismatch, id="terms-short-of-columns"),
+    pytest.param(E4, E3[None].repeat(5, 0), 0, 1, DimensionMismatch, id="terms-past-columns"),
+    pytest.param(E4, np.eye(2)[None].repeat(4, 0), 0, 2, LocalityViolation,
+                 id="factor-2-is-bobs"),
 ])
-def test_a_malformed_coupling_is_rejected_by_name(basis, owner, unitaries, control, target, error):
-    step = CouplingStep(ALICE, "P", basis, np.array(owner), unitaries, control, target)
+def test_a_malformed_coupling_is_rejected_by_name(basis, unitaries, control, target, error):
+    step = CouplingStep(ALICE, "P", basis, unitaries, control, target)
     initial = qcore.tensor(qcore.tensor(qcore.ket(0, 4), qcore.ket(0, 3)), qcore.ket(0, 2))
     match = "coupling 'P'" if error is DimensionMismatch else "factor 2 owned by bob"
     with pytest.raises(error, match=match):
@@ -438,8 +458,8 @@ def test_a_malformed_coupling_is_rejected_by_name(basis, owner, unitaries, contr
 
 
 def perturbed_coupling(kind, rng):
-    """A wang P step at D = 2..8 with its basis or one V_i perturbed by
-    1e-13 to 3e-8."""
+    """A wang P step at D = 2..8 with its basis or one column's V_k
+    perturbed by 1e-13 to 3e-8."""
     dim = int(rng.integers(2, 9))
     step = wang_coupling(dim, int(rng.integers(1, dim + 1)), rng)
     basis, shifts = step.basis.copy(), step.unitaries.copy()
@@ -452,10 +472,10 @@ def perturbed_coupling(kind, rng):
     elif kind == "rotated":       # the basis turned by a unitary near I
         w, v = np.linalg.eigh((noise + noise.conj().T) / 2)
         basis = (v * np.exp(1j * eps * w)) @ v.conj().T @ basis
-    else:                         # one used shift pushed off unitarity
-        n = len(shifts)
-        i = int(rng.choice(step.owner))
-        shifts[i] += eps * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    else:                         # one column's shift pushed off unitarity
+        n = shifts.shape[-1]
+        k = int(rng.integers(dim))
+        shifts[k] += eps * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return dataclasses.replace(step, basis=basis, unitaries=shifts)
 
 
@@ -465,7 +485,7 @@ def test_the_certificate_never_accepts_what_the_dense_check_rejects():
     for kind in ("noisy", "shrunk", "rotated", "nonunitary") * 250:
         step = perturbed_coupling(kind, rng)
         try:
-            qcore.certify_coupling(step.basis, step.owner, step.unitaries, "P")
+            qcore.certify_coupling(step.basis, step.unitaries, "P")
             certified = True
         except NonUnitary:
             certified = False

@@ -74,7 +74,7 @@ def test_conditional_step_requires_delivered_message():
     # no measurement produced the message at all
     program = Program(
         owners=(ALICE, BOB),
-        steps=(ConditionalStep(BOB, "X^l", lambda l: shifts[l], (1,), "l"),),
+        steps=(ConditionalStep(BOB, "X^l", shifts, (1,), "l"),),
     )
     with pytest.raises(MissingClassicalDependency):
         locc.run_protocol(program, s)
@@ -83,7 +83,7 @@ def test_conditional_step_requires_delivered_message():
         owners=(ALICE, BOB),
         steps=(
             MeasureStep(ALICE, 0, "l", send_to=None),
-            ConditionalStep(BOB, "X^l", lambda l: shifts[l], (1,), "l"),
+            ConditionalStep(BOB, "X^l", shifts, (1,), "l"),
         ),
     )
     with pytest.raises(MissingClassicalDependency):

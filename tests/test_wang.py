@@ -237,8 +237,8 @@ def test_controlled_shift_equals_the_kron_sum():
             np.kron(proj, np.linalg.matrix_power(shift, i))
             for i, proj in enumerate(wang.projectors(p))
         )
-        # the step holds each P_i as B diag(owner == i) B^dag, equal to
-        # A_i^dag A_i up to rounding
+        # the step holds X^i on each column of its basis B in block i's
+        # support, so the columns' B|k><k|B^dag sum to A_i^dag A_i up to rounding
         np.testing.assert_allclose(controlled_shift(p), oracle, rtol=0, atol=1e-12)
 
 

@@ -66,25 +66,24 @@ def shift_matrix(n):
 
 
 def coupling_projectors(step):
-    """The stack of P_i = B diag(owner == i) B^dag of a coupling step, one
-    per unitary V_i."""
+    """The stack of the projectors B|k><k|B^dag of a coupling step, one per
+    column k of its basis B."""
     basis = np.asarray(step.basis, dtype=complex)
-    owner = np.asarray(step.owner)
-    masks = owner == np.arange(len(step.unitaries))[:, None]   # (n, d_c)
-    return (basis * masks[:, None, :]) @ basis.conj().T
+    return np.einsum("ik,jk->kij", basis, basis.conj())
 
 
 def coupling_matrix(step):
-    """The dense sum_i P_i (x) V_i of a coupling step, over step.targets
-    (its two factors in ascending order)."""
+    """The dense sum_k B|k><k|B^dag (x) V_k of a coupling step, over
+    step.targets (its two factors in ascending order)."""
     if step.control < step.target:
         return kron_sum(coupling_projectors(step), step.unitaries)
     return kron_sum(step.unitaries, coupling_projectors(step))
 
 
 def step_operators(program, outcomes):
-    """Label -> matrix of every unitary step, conditioned ones built from the
-    outcome their message carries and couplings as their dense sum."""
+    """Label -> matrix of every unitary step, conditioned ones read from
+    their table at the outcome their message carries and couplings as
+    their dense sum."""
     ops = {}
     for step in program.steps:
         if isinstance(step, locc.LocalStep):
@@ -92,7 +91,7 @@ def step_operators(program, outcomes):
         elif isinstance(step, locc.CouplingStep):
             ops[step.label] = coupling_matrix(step)
         elif isinstance(step, locc.ConditionalStep):
-            ops[step.label] = step.build(np.array([outcomes[step.message]]))[0]
+            ops[step.label] = step.unitaries[outcomes[step.message]]
     return ops
 
 
