@@ -139,6 +139,8 @@ def bqst_program(unitary: np.ndarray) -> Program:
     shift/clock corrections on the far half. The final state lands in a2.
     """
     u = np.asarray(unitary, dtype=complex)
+    if not u.size:
+        raise DimensionMismatch(f"bqst needs at least one level, got shape {u.shape}")
     if not qcore.is_unitary(u):
         raise NonUnitary("bqst needs a unitary operation")
     dim = u.shape[0]

@@ -59,8 +59,8 @@ def finite_group(cayley, names=None) -> FiniteGroup:
     """Validate a Cayley table: permutation rows/columns, associativity and a
     unique identity, which together give inverses."""
     table = np.asarray(cayley, dtype=int)
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise NotAGroup(f"Cayley table must be square, got shape {table.shape}")
+    if table.ndim != 2 or table.shape[0] != table.shape[1] or not table.size:
+        raise NotAGroup(f"Cayley table must be square and non-empty, got shape {table.shape}")
     n = table.shape[0]
     if table.min() < 0 or table.max() >= n:
         raise NotAGroup("Cayley table entries must be element indices")
@@ -331,12 +331,14 @@ class BlockDecomposition:
 
     The basis is the caller's: the representation matrices must already be
     block diagonal with the declared dimensions, one block per inequivalent
-    irreducible, so that sum d^2 = |G|.
+    irreducible, so that sum d^2 = |G|. weights, read-only, is W: d/|G| on
+    each declared block of dimension d and 0 off the blocks.
     """
 
     rep: ProjectiveRep
     dims: tuple[int, ...]
     offsets: tuple[int, ...]
+    weights: np.ndarray
 
 
 def block_decomposition(rep: ProjectiveRep, dims) -> BlockDecomposition:
@@ -353,7 +355,11 @@ def block_decomposition(rep: ProjectiveRep, dims) -> BlockDecomposition:
             f"order {rep.group.order}; the layout is not multiplicity-free"
         )
     offsets = tuple(int(o) for o in np.concatenate(([0], np.cumsum(dims)[:-1])))
-    decomp = BlockDecomposition(rep, dims, offsets)
+    weights = np.zeros((rep.dim, rep.dim))
+    for d, o in zip(dims, offsets):
+        weights[o : o + d, o : o + d] = d / rep.group.order
+    weights.setflags(write=False)
+    decomp = BlockDecomposition(rep, dims, offsets, weights)
     spill = _spill(rep.matrices, decomp)
     bad = np.flatnonzero(spill > qcore.NORM_TOL)
     if len(bad):
@@ -364,18 +370,10 @@ def block_decomposition(rep: ProjectiveRep, dims) -> BlockDecomposition:
     return decomp
 
 
-def _weights(decomp: BlockDecomposition) -> np.ndarray:
-    """W with d_b/|G| on each declared block b and 0 off the blocks."""
-    w = np.zeros((decomp.rep.dim, decomp.rep.dim))
-    for d, o in zip(decomp.dims, decomp.offsets):
-        w[o : o + d, o : o + d] = d / decomp.rep.group.order
-    return w
-
-
 def _spill(stack: np.ndarray, decomp: BlockDecomposition) -> np.ndarray:
     """Largest entry outside the declared blocks of each matrix in a
     (..., D, D) stack, all in one operation."""
-    outside = _weights(decomp) == 0
+    outside = decomp.weights == 0
     if not outside.any():
         return np.zeros(stack.shape[:-2])
     return np.abs(stack[..., outside]).max(axis=-1)
@@ -386,8 +384,7 @@ def coefficients_from_unitary(unitary: np.ndarray, decomp: BlockDecomposition) -
 
     c(f) = sum_blocks (d/|G|) sum_{jk} conj(D_block(f)_{jk}) R_block_{jk},
     the orthogonality relations of irreducible blocks applied blockwise, as
-    one contraction of the representation stack with W * target, where W
-    carries d/|G| on each block and 0 off the blocks.
+    one contraction of the representation stack with decomp.weights * target.
     """
     rep = decomp.rep
     target = np.asarray(unitary, dtype=complex)
@@ -395,7 +392,9 @@ def coefficients_from_unitary(unitary: np.ndarray, decomp: BlockDecomposition) -
         raise DimensionMismatch(
             f"matrix shape {target.shape} does not match the representation"
         )
+    if not np.isfinite(target).all():
+        raise NonFinite("target matrix has a non-finite entry")
     spill = _spill(target, decomp)
     if spill > qcore.NORM_TOL:
         raise NotBlockDiagonal(f"target has weight {spill:.3e} outside the declared blocks")
-    return np.einsum("fjk,jk->f", rep.matrices.conj(), _weights(decomp) * target)
+    return np.einsum("fjk,jk->f", rep.matrices.conj(), decomp.weights * target)

@@ -21,17 +21,18 @@ stack, and applies each to its group with one product. A coupling step
 sum_k B|k><k|B^dag (x) V_k, the opening step of every protocol here, holds
 B and one V_k per column of B: qcore.certify_coupling bounds the dense
 unitarity check from their defects, and the step is three products, none
-larger than the rows. One gate closes the run:
-the probability pruned below PROB_FLOOR, added up measurement by
-measurement, must stay within NORM_TOL, and every row of the final array
-must have norm 1 within NORM_TOL, checked in one pass; the final array is
-frozen in place, and copied only if it is a strided view. A branch stores
-its outcomes, probability and amplitudes (a read-only view of its row) and
-shares the run's operator-free record of the steps and of the measured
-factors; its output, transcript and outcomes are derived from these on each
-read. Its full state is a qcore.StateVector that stores the row as is and
-labels each measured factor with its outcome's basis state, so reading it
-copies no amplitudes; the zero-filled dense vector is built only if read.
+larger than the rows. Each measurement adds the probability it prunes
+below PROB_FLOOR to one running total, and the measurement that takes the
+total past NORM_TOL raises NotNormalized then and there. One gate closes
+the run: every row of the final array must have norm 1 within NORM_TOL,
+checked in one pass; the final array is frozen in place, and copied only
+if it is a strided view. A branch stores its outcomes, probability and
+amplitudes (a read-only view of its row) and shares the run's
+operator-free record of the steps and of the measured factors; its
+output, transcript and outcomes are derived from these on each read. Its
+full state is a qcore.StateVector that stores the row as is and labels
+each measured factor with its outcome's basis state, so reading it copies
+no amplitudes; the zero-filled dense vector is built only if read.
 
 A Program declares its registers, dims: the input at factor 0, then a
 maximally entangled pair on each of (1, 2), (3, 4), ... prepare checks the
@@ -302,7 +303,7 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
     live = list(range(len(dims)))         # factor on each axis after the first
     prob = np.ones(1)
     outcomes = np.zeros((1, 0), dtype=int)   # one column per measurement
-    pruned = []                              # mass dropped at each measurement
+    lost = 0.0                               # mass dropped by the measurements
     inbox: dict[Party, dict[str, int]] = {ALICE: {}, BOB: {}}   # tag -> column
 
     def axes(targets) -> list[int]:
@@ -318,7 +319,13 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
             (axis,) = axes((step.target,))
             p = _weights(batch, axis)
             kept_mask = p > qcore.PROB_FLOOR
-            pruned.append(prob @ np.where(kept_mask, 0.0, p).sum(axis=1))
+            lost += prob @ np.where(kept_mask, 0.0, p).sum(axis=1)
+            if lost > qcore.NORM_TOL:
+                raise NotNormalized(
+                    f"measurement {step.message!r} of factor {step.target} brings the "
+                    f"probability pruned below {qcore.PROB_FLOOR} to {lost:.3e}, "
+                    f"beyond {qcore.NORM_TOL}"
+                )
             rows, ks = np.nonzero(kept_mask)
             kept = p[rows, ks]
             batch = np.moveaxis(batch, axis, 1)[rows, ks]
@@ -346,7 +353,7 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
         batch = np.moveaxis(apply(moved).reshape(moved.shape), front, targets)
         del apply, moved   # the old batch and any operator copy end with the step
 
-    final = _checked_output(program, batch, outcomes, pruned)
+    final = _checked_output(batch, outcomes)
     steps = tuple(
         s if isinstance(s, MeasureStep) else LocalOpEvent(
             s.party, s.label, s.targets, s.message if isinstance(s, ConditionalStep) else None)
@@ -417,22 +424,11 @@ def _conditioned(
     return apply
 
 
-def _checked_output(program: Program, batch: np.ndarray, outcomes: np.ndarray, pruned):
-    """The run's gate: batch frozen once and returned, after checking that
-    the probability pruned below PROB_FLOOR, added up over the measurements,
-    stays within NORM_TOL (NotNormalized names the measurement that passes
-    it) and that every row has norm 1 within NORM_TOL, in one pass
+def _checked_output(batch: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """The run's closing gate: batch frozen once and returned, after
+    checking that every row has norm 1 within NORM_TOL, in one pass
     (NonFinite or NotNormalized names the first row at fault by its
     outcomes)."""
-    lost = np.cumsum(pruned)
-    over = np.flatnonzero(lost > qcore.NORM_TOL)
-    if len(over):
-        step = [s for s in program.steps if isinstance(s, MeasureStep)][over[0]]
-        raise NotNormalized(
-            f"measurement {step.message!r} of factor {step.target} brings the "
-            f"probability pruned below {qcore.PROB_FLOOR} to {lost[over[0]]:.3e}, "
-            f"beyond {qcore.NORM_TOL}"
-        )
     # a copy only of a strided view: other memory is the run's own or the
     # frozen input's, and is frozen in place
     final = np.ascontiguousarray(batch)

@@ -23,6 +23,11 @@ RANK_TOL = 1e-9     # Schmidt coefficients below this do not count toward rank
 PROB_FLOOR = 1e-12  # measurement branches below this probability are dropped
 
 
+def is_index(k, size: int) -> bool:
+    """Whether k is an integer, Python or numpy, in range(size)."""
+    return isinstance(k, (int, np.integer)) and 0 <= k < size
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     """Read-only complex copy. A read-only, C-contiguous complex array whose
     memory belongs to a read-only array is kept as is: whoever froze that
@@ -42,12 +47,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class StateVector:
     """Normalized amplitude vector over an ordered product of subsystems.
 
-    basis holds (factor, k) pairs: each named factor is in its basis state
-    |k>, and amplitudes passed in cover only the other factors, in factor
-    order. They are kept as stored, one axis per such factor; their norm is
-    the norm of the whole state, so the norm check runs on them alone. The
-    dense amplitudes, every factor's axis flattened, are built once, on
-    first read, with zeros off the basis states. Instances are immutable.
+    basis holds (factor, k) pairs of integers: each named factor is in its
+    basis state |k>, and amplitudes passed in cover only the other factors,
+    in factor order. They are kept as stored, one axis per such factor;
+    their norm is the norm of the whole state, so the norm check runs on
+    them alone. The dense amplitudes, every factor's axis flattened, are
+    built once, on first read, with zeros off the basis states. Instances
+    are immutable.
     """
 
     __slots__ = ("factor_dims", "basis", "stored", "_norm", "_dense")
@@ -61,9 +67,10 @@ class StateVector:
         basis = tuple(basis)
         live = list(dims)   # a basis factor's entry becomes 0
         for f, k in basis:
-            if not (0 <= f < len(dims) and live[f] and 0 <= k < dims[f]):
+            if not (is_index(f, len(dims)) and live[f] and is_index(k, dims[f])):
                 raise DimensionMismatch(
-                    f"basis state {k} of factor {f} is out of range or repeats a factor of {dims}"
+                    f"basis state {k!r} of factor {f!r} is not an index in range "
+                    f"or repeats a factor of {dims}"
                 )
             live[f] = 0
         live = [d for d in live if d]
@@ -131,6 +138,9 @@ class SchmidtForm:
 
 
 def ket(index: int, dim: int) -> StateVector:
+    """The basis state |index> of a dim-level register."""
+    if not is_index(index, dim):
+        raise DimensionMismatch(f"basis state {index} is out of range for dimension {dim}")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(amps, (dim,))

@@ -11,7 +11,9 @@ The class conditions make every block a partial isometry, so Alice's
 operators are functions of the blocks themselves: the projectors
 P_i = A_i^dag A_i and the recovery R_m = sum_j e^{-2 pi i m j / N} A_j.
 Validation stores the class's exact member, so these operators and every
-sum_i c_i A_i are unitary by construction.
+sum_i c_i A_i are unitary by construction. It also stores the basis in
+which every P_i is diagonal, the polar factor of the blocks' input
+singular vectors, and that basis is the controlled shift's eigenbasis.
 
 wang_program is the one description of the protocol, registers and
 operators included (X^l and R_m as tables indexed by outcome): run_wang
@@ -43,9 +45,13 @@ from .qcore import StateVector
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Validated block structure {A_i}: the public half of the operation."""
+    """Validated block structure {A_i}: the public half of the operation.
+    Column k of basis lies in the support of block owner[k], so basis^dag
+    P_i basis = diag(owner == i): the eigenbasis of Alice's controlled shift."""
 
     blocks: np.ndarray              # read-only (n, D, D) stack of the exact A_i
+    basis: np.ndarray               # read-only D x D unitary V
+    owner: np.ndarray               # read-only (D,) block of each column of V
 
     @property
     def n(self) -> int:
@@ -87,12 +93,14 @@ def validate_partition(blocks) -> BlockPartition:
     within 1e-8, or if the block ranks do not sum to the dimension.
     The stored blocks are the exact member A_i = W diag(owner == i) V^dag:
     W and V are the polar factors of the kept singular vectors, which no
-    phase or basis choice of the SVD changes.
+    phase or basis choice of the SVD changes. V is stored as the basis.
     """
     mats = tuple(np.asarray(b, dtype=complex) for b in blocks)
     if not mats:
         raise IncompleteBlocks("a partition needs at least one block")
-    dim = mats[0].shape[0]
+    dim = mats[0].shape[0] if mats[0].ndim else 0
+    if not dim:
+        raise DimensionMismatch(f"block 0 has shape {mats[0].shape}, which holds no operator")
     for i, b in enumerate(mats):
         if b.ndim != 2 or b.shape != (dim, dim):
             raise DimensionMismatch(
@@ -142,10 +150,12 @@ def validate_partition(blocks) -> BlockPartition:
     # W^T (outputs) and V^dag (inputs), each replaced by its polar factor
     u, _, uh = np.linalg.svd(np.stack((w.transpose(0, 2, 1)[kept], vh[kept])))
     out_rows, in_rows = u @ uh
-    owned = np.nonzero(kept)[0] == np.arange(len(stack))[:, None]
-    member = (out_rows.T * owned[:, None, :]) @ in_rows
-    member.setflags(write=False)
-    return BlockPartition(member)
+    owner = np.nonzero(kept)[0]
+    member = (out_rows.T * (owner == np.arange(len(stack))[:, None, None])) @ in_rows
+    basis = in_rows.T.conj()
+    for a in (member, basis, owner):
+        a.setflags(write=False)
+    return BlockPartition(member, basis, owner)
 
 
 def diagonal_partition(dim: int) -> BlockPartition:
@@ -216,17 +226,12 @@ def wang_program(p: BlockPartition, phases: Phases) -> Program:
     if len(phases) != p.n:
         raise DimensionMismatch(f"{len(phases)} coefficients for {p.n} blocks")
     shifts = qcore.shift_powers(p.n)
-    # column k of the eigenvectors B of sum_i i A_i^dag A_i lies in the
-    # support of block owner[k], its eigenvalue rounded
-    rows = p.blocks.reshape(-1, p.dim)   # row (i, a) is row a of A_i
-    weights = np.repeat(np.arange(p.n), p.dim)[:, None]
-    values, basis = np.linalg.eigh(rows.conj().T @ (weights * rows))
-    owner = np.rint(values).astype(int)
     return Program(
         owners=locc.PROTOCOL_OWNERS,
         steps=(
-            # P = sum_i P_i (x) X^i on (A, a): shifts the ancilla by the block index
-            CouplingStep(ALICE, "P", basis, shifts[owner], 0, 1),
+            # P = sum_i P_i (x) X^i on (A, a): shifts the ancilla by the block
+            # index, X^owner[k] on column k of the partition's basis
+            CouplingStep(ALICE, "P", p.basis, shifts[p.owner], 0, 1),
             MeasureStep(ALICE, 1, "l", send_to=BOB),
             ConditionalStep(BOB, "X^l", shifts, (2,), "l"),
             LocalStep(BOB, "C", phase_gate(phases), (2,)),
@@ -256,9 +261,10 @@ def trace_branch(
     Stage order: initial, controlled shift, measurement of a plus Bob's X^l,
     phase gate, Fourier plus measurement of b, recovery. Measured stages are
     renormalized, and the last stage is the run_wang branch (l, m). Every
-    in-range (l, m) has probability 1/n^2 whatever the input.
+    in-range (l, m) has probability 1/n^2 whatever the input; a
+    non-integer outcome is out of range.
     """
-    if not (0 <= l < p.n and 0 <= m < p.n):
+    if not (qcore.is_index(l, p.n) and qcore.is_index(m, p.n)):
         raise DimensionMismatch(f"branch ({l},{m}) out of range for {p.n} outcomes")
     program = wang_program(p, phases)
     initial = locc.prepare(program, input_state)
@@ -298,6 +304,8 @@ def svd_remote(unitary: np.ndarray) -> RemoteSvdProgram:
     the identity).
     """
     u_mat = np.asarray(unitary, dtype=complex)
+    if not u_mat.size:
+        raise DimensionMismatch(f"svd_remote needs at least one level, got shape {u_mat.shape}")
     if not qcore.is_unitary(u_mat):
         raise NonUnitary("svd_remote needs a unitary input")
     dim = u_mat.shape[0]

@@ -80,6 +80,13 @@ def test_empty_resource_or_block_list_is_a_dimension_mismatch():
         entcost.feasibility_test(1, 0)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+def test_bqst_of_an_empty_operation_is_a_dimension_mismatch(shape):
+    # a numpy error before
+    with pytest.raises(DimensionMismatch, match="at least one level"):
+        entcost.bqst_program(np.zeros(shape))
+
+
 def test_feasibility_monotone_in_rank():
     rng = np.random.default_rng(3)
     p = wang.random_partition(6, 4, rng)

@@ -61,6 +61,9 @@ def test_bad_cayley_tables_rejected():
     table = np.array([[0, 1, 2], [1, 2, 0], [0, 0, 1]])
     with pytest.raises(NotAGroup, match="row/column 0 of the Cayley table"):
         groupform.finite_group(table)
+    # an empty table, a numpy error before
+    with pytest.raises(NotAGroup, match="non-empty"):
+        groupform.finite_group(np.zeros((0, 0), dtype=int))
 
 
 # --- representations -----------------------------------------------------------
@@ -100,6 +103,18 @@ def test_non_finite_matrices_and_factors_are_named():
     mats[1] = np.where(np.eye(3) > 0, np.inf, 0).astype(complex)
     with pytest.raises(NonFinite):
         groupform.projective_rep(rep.group, mats)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_target_is_named(bad):
+    # NaN coefficients before, and a numpy warning for inf
+    decomp = groupform.block_decomposition(klein_character_rep(), (1, 1, 1, 1))
+    target = np.eye(4, dtype=complex)
+    target[1, 1] = bad
+    with pytest.raises(NonFinite):
+        groupform.coefficients_from_unitary(target, decomp)
+    with pytest.raises(NonFinite):
+        groupform.coefficients_from_unitary(np.full((4, 4), bad), decomp)
 
 
 def test_near_unimodular_factor_is_stored_exactly_and_runs():
@@ -426,6 +441,13 @@ def test_coefficients_match_the_blockwise_oracle(make, dims):
     # of the rep and on seeded block-diagonal targets
     rep = make()
     decomp = groupform.block_decomposition(rep, dims)
+    # W is built once, read-only: entry (j, k) is d/|G| when j and k share
+    # a block of dimension d, else 0
+    block = np.repeat(np.arange(len(dims)), dims)
+    same = block[:, None] == block[None, :]
+    oracle = np.where(same, np.array(dims)[block][:, None] / rep.group.order, 0.0)
+    np.testing.assert_array_equal(decomp.weights, oracle)
+    assert not decomp.weights.flags.writeable
     rng = np.random.default_rng(len(dims) * 7 + rep.group.order)
     targets = list(rep.matrices) + [random_block_diagonal_unitary(decomp, rng) for _ in range(10)]
     for target in targets:

@@ -256,6 +256,20 @@ def test_pruned_mass_beyond_the_tolerance_is_named():
     assert branches[0].probability == pytest.approx(1 - 505 * 0.99e-12, abs=1e-15)
 
 
+def test_the_pruning_measurement_is_named_before_a_later_fault():
+    # payload 0, the one outcome kept, reaches a non-unitary entry; the
+    # measurement that pruned 3.959e-9 is the earlier fault and is named
+    table = np.tile(np.eye(2, dtype=complex), (4000, 1, 1))
+    table[0] *= 2
+    program = Program((ALICE, ALICE), (
+        MeasureStep(ALICE, 0, "x"),
+        ConditionalStep(ALICE, "V", table, (1,), "x"),
+    ))
+    initial = qcore.tensor(spread_state(3999), qcore.ket(0, 2))
+    with pytest.raises(NotNormalized, match=r"measurement 'x' of factor 0 .* to 3\.959e-09"):
+        locc.run_protocol(program, initial)
+
+
 def test_validator_rejects_out_of_order_use():
     bad = Transcript(
         events=(

@@ -362,13 +362,21 @@ def test_an_embedded_state_is_the_zero_filled_dense_vector():
     ([(2, -1)], 6),             # nor any |-1>
     ([(1, 0)], 24),             # amplitudes for factor 1 too
     ([(1, 0), (2, 0)], 1),      # too few for factor 0
+    ([(1, 0.5)], 8),            # no |0.5> either
 ], ids=["factor-3", "factor-minus-1", "factor-0-twice", "k-3-of-3", "k-minus-1",
-        "amplitudes-for-all", "too-few-amplitudes"])
+        "amplitudes-for-all", "too-few-amplitudes", "k-not-an-integer"])
 def test_a_bad_basis_is_a_dimension_mismatch(basis, size):
     amps = np.zeros(size, dtype=complex)
     amps[0] = 1.0
     with pytest.raises(DimensionMismatch):
         StateVector(amps, (2, 3, 4), basis)
+
+
+@pytest.mark.parametrize("index", [2, 5, -1, 0.5])
+def test_a_ket_outside_its_register_is_a_dimension_mismatch(index):
+    # an IndexError, or |1> for -1, before
+    with pytest.raises(DimensionMismatch):
+        qcore.ket(index, 2)
 
 
 @pytest.mark.parametrize("amp, error", [

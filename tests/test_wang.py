@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from qremote import locc, qcore, wang
-from qremote.errors import IncompleteBlocks, NonFinite, NonUnitary, OverlappingBlocks
+from qremote.errors import (
+    DimensionMismatch, IncompleteBlocks, NonFinite, NonUnitary, OverlappingBlocks,
+)
 
 from util import (
     fidelity,
@@ -55,6 +57,23 @@ def test_non_finite_block_entries_are_named():
         block[0, 0] = bad
         with pytest.raises(NonFinite):
             wang.validate_partition([block, np.diag([0.0, 1.0])])
+
+
+def _setup_2():
+    """(partition, phases, input) of the two-block diagonal qubit case."""
+    return wang.diagonal_partition(2), wang.Phases(np.ones(2)), qcore.ket(0, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wang.validate_partition([np.zeros((0, 0))]),
+    lambda: wang.svd_remote(np.zeros((0, 0))),
+    lambda: wang.trace_branch(*_setup_2(), 0.5, 0),
+    lambda: wang.trace_branch(*_setup_2(), 0, 1.0),
+], ids=["empty-block", "empty-svd-input", "float-l", "float-m"])
+def test_an_empty_or_non_integer_input_is_a_dimension_mismatch(call):
+    # a numpy error or a bare StopIteration before; warnings fail the suite
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 def test_partition_from_split_bases():
@@ -151,7 +170,17 @@ def test_validate_partition_matches_the_pairwise_oracle():
             verdicts.add(next(rule for rule, text in REJECTIONS.items() if text in str(exc)))
         else:
             p = wang.validate_partition(blocks)
-            assert projector_ranks(p) == tuple(vh.shape[0] for _, vh in factors)
+            ranks = tuple(vh.shape[0] for _, vh in factors)
+            assert projector_ranks(p) == ranks
+            # the stored basis is unitary and diagonalises each P_i to
+            # diag(owner == i), with as many columns per block as its rank
+            adjoint = p.basis.conj().T
+            np.testing.assert_allclose(adjoint @ p.basis, np.eye(p.dim), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(
+                adjoint @ wang.projectors(p) @ p.basis,
+                [np.diag(p.owner == i) for i in range(p.n)], rtol=0, atol=1e-12,
+            )
+            assert tuple(np.bincount(p.owner, minlength=p.n)) == ranks
             assert_runs_on_the_singular_factors(p, factors, rng)
             drift = max(drift, np.abs(p.blocks - blocks).max())
             verdicts.add("accepted")
@@ -240,6 +269,16 @@ def test_controlled_shift_equals_the_kron_sum():
         # the step holds X^i on each column of its basis B in block i's
         # support, so the columns' B|k><k|B^dag sum to A_i^dag A_i up to rounding
         np.testing.assert_allclose(controlled_shift(p), oracle, rtol=0, atol=1e-12)
+
+
+def test_the_coupling_holds_the_partition_basis():
+    # P is built on the basis validation stored, with X^owner[k] on column k
+    rng = np.random.default_rng(5)
+    p = wang.random_partition(5, 3, rng)
+    step = wang.wang_program(p, wang.random_phases(3, rng)).steps[0]
+    assert step.basis is p.basis
+    np.testing.assert_array_equal(step.unitaries, qcore.shift_powers(3)[p.owner])
+    assert not (p.basis.flags.writeable or p.owner.flags.writeable)
 
 
 def test_recovery_over_an_array_of_outcomes_stacks_each_r_m():

@@ -114,7 +114,9 @@ def reference_validate_partition(blocks):
     mats = tuple(np.asarray(b, dtype=complex) for b in blocks)
     if not mats:
         raise IncompleteBlocks("a partition needs at least one block")
-    dim = mats[0].shape[0]
+    dim = mats[0].shape[0] if mats[0].ndim else 0
+    if not dim:
+        raise DimensionMismatch(f"block 0 has shape {mats[0].shape}, which holds no operator")
     for i, b in enumerate(mats):
         if b.ndim != 2 or b.shape != (dim, dim):
             raise DimensionMismatch(
