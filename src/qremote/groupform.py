@@ -58,9 +58,13 @@ class FiniteGroup:
 def finite_group(cayley, names=None) -> FiniteGroup:
     """Validate a Cayley table: permutation rows/columns, associativity and a
     unique identity, which together give inverses."""
-    table = np.asarray(cayley, dtype=int)
+    table = np.asarray(cayley)
     if table.ndim != 2 or table.shape[0] != table.shape[1] or not table.size:
         raise NotAGroup(f"Cayley table must be square and non-empty, got shape {table.shape}")
+    # an entry such as 1.7 is not truncated to an element
+    if table.dtype.kind not in "iu":
+        raise NotAGroup(f"Cayley table entries must be integers, got dtype {table.dtype}")
+    table = table.astype(int)
     n = table.shape[0]
     if table.min() < 0 or table.max() >= n:
         raise NotAGroup("Cayley table entries must be element indices")
@@ -87,7 +91,6 @@ def finite_group(cayley, names=None) -> FiniteGroup:
     names = tuple(str(x) for x in (range(n) if names is None else names))
     if len(names) != n:
         raise DimensionMismatch(f"need {n} names, got {len(names)}")
-    table = table.copy()
     table.setflags(write=False)
     inverses.setflags(write=False)
     return FiniteGroup(table, names, e, inverses)
@@ -342,9 +345,7 @@ class BlockDecomposition:
 
 
 def block_decomposition(rep: ProjectiveRep, dims) -> BlockDecomposition:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise DimensionMismatch(f"block dimensions must be positive, got {dims}")
+    dims = qcore.dimensions(dims, "block dimensions")
     if sum(dims) != rep.dim:
         raise DimensionMismatch(
             f"block dimensions {dims} do not fill the representation ({rep.dim})"

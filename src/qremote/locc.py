@@ -225,8 +225,7 @@ class Branch:
 
 def maximally_entangled(n: int) -> StateVector:
     """sum_k |k>|k> / sqrt(n) over two n-dimensional registers."""
-    if n < 1:
-        raise DimensionMismatch("resource dimension must be >= 1")
+    (n,) = qcore.dimensions((n,), "resource dimension")
     amps = np.zeros(n * n, dtype=complex)
     amps[:: n + 1] = 1.0 / math.sqrt(n)
     return StateVector(amps, (n, n))
@@ -254,7 +253,7 @@ def prepare(program: Program, input_state: StateVector) -> StateVector:
 
 def _check_locality(owners, party: Party, targets) -> None:
     for t in targets:
-        if not 0 <= t < len(owners):
+        if not qcore.is_index(t, len(owners)):
             raise DimensionMismatch(f"target {t} outside the register layout")
         if owners[t] is not party:
             raise LocalityViolation(

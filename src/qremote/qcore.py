@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass
+from operator import index
 from typing import Callable
 
 import numpy as np
@@ -26,6 +27,19 @@ PROB_FLOOR = 1e-12  # measurement branches below this probability are dropped
 def is_index(k, size: int) -> bool:
     """Whether k is an integer, Python or numpy, in range(size)."""
     return isinstance(k, (int, np.integer)) and 0 <= k < size
+
+
+def dimensions(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints >= 1, converted by operator.index, so a
+    non-integer such as 2.7 is a DimensionMismatch, never truncated."""
+    try:
+        # from a list: tuple(map(...)) builds a tuple by resizing, which is slower
+        dims = tuple([index(d) for d in values])
+    except TypeError:
+        dims = None
+    if dims is None or min(dims, default=1) < 1:
+        raise DimensionMismatch(f"{what} must be integers >= 1, got {values!r}")
+    return dims
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -60,10 +74,7 @@ class StateVector:
 
     def __init__(self, amplitudes: np.ndarray, factor_dims, basis=()):
         amps = _freeze(amplitudes).reshape(-1)
-        # from a list: tuple(map(...)) builds a tuple by resizing, which is slower
-        dims = tuple([int(d) for d in factor_dims])
-        if min(dims, default=1) < 1:
-            raise DimensionMismatch(f"factor dims must be positive, got {dims}")
+        dims = dimensions(factor_dims, "factor dims")
         basis = tuple(basis)
         live = list(dims)   # a basis factor's entry becomes 0
         for f, k in basis:
@@ -214,7 +225,10 @@ def certify_coupling(basis: np.ndarray, unitaries: np.ndarray, label: str) -> No
 
 
 def _check_targets(dims: tuple[int, ...], targets) -> tuple[int, ...]:
-    targets = tuple([int(t) for t in targets])
+    try:
+        targets = tuple([index(t) for t in targets])
+    except TypeError:
+        raise DimensionMismatch(f"target factors {targets!r} are not all integers") from None
     if len(set(targets)) != len(targets):
         raise DimensionMismatch(f"repeated target factors {targets}")
     for t in targets:
@@ -311,8 +325,7 @@ def schmidt(state: StateVector, cut) -> SchmidtForm:
 
 def fourier_matrix(n: int) -> np.ndarray:
     """Discrete Fourier transform, entries e^{2*pi*i*m*j/n} / sqrt(n)."""
-    if n < 1:
-        raise DimensionMismatch("fourier_matrix needs n >= 1")
+    (n,) = dimensions((n,), "fourier_matrix size")
     grid = np.outer(np.arange(n), np.arange(n))
     return np.exp(2j * np.pi * grid / n) / math.sqrt(n)
 
@@ -320,8 +333,7 @@ def fourier_matrix(n: int) -> np.ndarray:
 def shift_powers(n: int) -> np.ndarray:
     """The stack X^0 .. X^{n-1} of the permutation X|k> = |k-1 mod n>:
     entry [i, r, c] is 1 iff c = r + i mod n."""
-    if n < 1:
-        raise DimensionMismatch("shift_powers needs n >= 1")
+    (n,) = dimensions((n,), "shift_powers size")
     return np.eye(n, dtype=complex)[(np.arange(n)[:, None] + np.arange(n)) % n]
 
 

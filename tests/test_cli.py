@@ -167,6 +167,16 @@ def test_overflowing_values_exit_2_without_numpy_warnings(tmp_path, field, value
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_importing_the_package_loads_neither_numpy_nor_a_module():
+    # a fresh interpreter, so nothing this test process imported counts
+    env = {**os.environ, "PYTHONPATH": str(Path(qremote.__file__).parents[1])}
+    code = ("import sys, qremote; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy' or m.startswith('qremote.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc.pop("dim"),
     lambda doc: doc.update(blocks=5),

@@ -1,11 +1,14 @@
 """Groups, projective representations, the group-form protocol, and
 coefficient reconstruction from block-diagonal unitaries."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from qremote import groupform, qcore, wang
 from qremote.errors import (
+    DimensionMismatch,
     MultiplicityNotOne,
     NonFinite,
     NonUnimodularFactor,
@@ -64,6 +67,18 @@ def test_bad_cayley_tables_rejected():
     # an empty table, a numpy error before
     with pytest.raises(NotAGroup, match="non-empty"):
         groupform.finite_group(np.zeros((0, 0), dtype=int))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: groupform.finite_group([[0, 1.7], [1, 0]]), NotAGroup),
+    (lambda: groupform.block_decomposition(groupform.pauli_rep(), (2.9,)), DimensionMismatch),
+], ids=["cayley-entry", "block-dims"])
+def test_a_non_integer_entry_or_dimension_is_named(call, error):
+    # truncated before: the table read as Z2, the blocks as (2,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
 
 
 # --- representations -----------------------------------------------------------

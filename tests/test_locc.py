@@ -3,6 +3,7 @@ locality and classical-dependency enforcement."""
 
 import gc
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -40,6 +41,22 @@ def test_maximally_entangled_small_cases():
 
     with pytest.raises(DimensionMismatch):
         locc.maximally_entangled(0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: locc.maximally_entangled(2.5),
+    lambda: locc.run_protocol(
+        Program(owners=(ALICE,), steps=(LocalStep(ALICE, "X", shift_matrix(2), (0.5,)),)),
+        qcore.ket(0, 2)),
+    lambda: locc.run_protocol(
+        Program(owners=(ALICE,), steps=(MeasureStep(ALICE, 0.5, "m"),)), qcore.ket(0, 2)),
+], ids=["resource-size", "local-step-target", "measure-step-target"])
+def test_a_non_integer_size_or_target_is_a_dimension_mismatch(call):
+    # a bare TypeError before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 def test_maximally_entangled_rank_via_schmidt():

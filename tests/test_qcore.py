@@ -379,6 +379,21 @@ def test_a_ket_outside_its_register_is_a_dimension_mismatch(index):
         qcore.ket(index, 2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: StateVector([1, 0], (2.7,)),
+    lambda: qcore.local_unitary(np.eye(2), (2,), (0.7,)),
+    lambda: qcore.factor_overlap(qcore.ket(0, 2), [1, 0], 0.9),
+    lambda: qcore.fourier_matrix(2.5),
+    lambda: qcore.shift_powers(2.5),
+], ids=["state-dims", "local-unitary-target", "overlap-factor", "fourier-size", "shift-size"])
+def test_a_non_integer_dimension_or_factor_is_a_dimension_mismatch(call):
+    # truncated to a wrong value, or a bare TypeError, before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch):
+            call()
+
+
 @pytest.mark.parametrize("amp, error", [
     (2.0, NotNormalized), (np.nan, NonFinite), (np.inf, NonFinite), (1e308, NonFinite),
 ])
