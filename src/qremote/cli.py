@@ -45,13 +45,6 @@ def pair_to_complex(pair) -> complex:
         raise NonFinite("problem values must be finite numbers") from exc
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    """JSON has no NaN or Infinity, but Python's json module reads both."""
-    if not np.isfinite(values).all():
-        raise NonFinite("problem values must be finite numbers")
-    return values
-
-
 def _list(value) -> list:
     """A JSON list; iterating an object would read its keys."""
     if not isinstance(value, list):
@@ -60,12 +53,12 @@ def _list(value) -> list:
 
 
 def vector_from_json(obj) -> np.ndarray:
-    return _finite(np.array([pair_to_complex(p) for p in _list(obj)], dtype=complex))
+    return np.array([pair_to_complex(p) for p in _list(obj)], dtype=complex)
 
 
 def matrix_from_json(obj) -> np.ndarray:
     rows = [[pair_to_complex(p) for p in _list(row)] for row in _list(obj)]
-    return _finite(np.array(rows, dtype=complex))
+    return np.array(rows, dtype=complex)
 
 
 def complex_to_pair(z: complex) -> list[float]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -36,15 +37,10 @@ ASSUMED_SHAPE = (
 
 def operator_rank(blocks) -> int:
     """Numerical rank of the span of the blocks, each flattened to a row."""
-    mats = [np.asarray(b, dtype=complex) for b in blocks]
-    if not mats:
+    if not len(blocks):
         return 0
-    shape = mats[0].shape
-    for b in mats:
-        if b.shape != shape:
-            raise DimensionMismatch("blocks must share one shape")
-    rows = np.stack([b.reshape(-1) for b in mats])
-    return int(np.linalg.matrix_rank(rows, tol=qcore.RANK_TOL))
+    stack = qcore.operators(blocks, "block")
+    return int(np.linalg.matrix_rank(stack.reshape(len(stack), -1), tol=qcore.RANK_TOL))
 
 
 @dataclass(frozen=True)
@@ -65,8 +61,12 @@ def feasibility_test(n: int, d: int) -> FeasibilityVerdict:
     entanglement only enters through d, the count of nonzero Schmidt
     coefficients.
     """
-    if d < 1:
-        raise DimensionMismatch(f"a resource has Schmidt rank >= 1, got {d}")
+    try:
+        n, d = index(n), index(d)
+    except TypeError:
+        raise DimensionMismatch(f"ranks are integers, got n={n!r} and d={d!r}") from None
+    if n < 0 or d < 1:
+        raise DimensionMismatch(f"need operator rank n >= 0 and Schmidt rank d >= 1, got {n}, {d}")
     if d < n:
         certificate = (
             f"operator_rank(blocks) = {n} > d = {d}: within {ASSUMED_SHAPE}, "
@@ -122,6 +122,8 @@ def program_cost(protocol: str, program: Program, controlled_parameters: int) ->
 def compare_costs(protocol: str, program: Program, blocks) -> CostComparison:
     """Cost rows of the protocol's program and of BQST on its input register,
     both judged against the operator rank of the blocks, which may be < n."""
+    if not program.dims:
+        raise DimensionMismatch(f"program {protocol!r} declares no input register")
     rank = operator_rank(blocks)
     row = program_cost(protocol, program, rank)
     bqst_row = program_cost("bqst", bqst_program(np.eye(program.dims[0])), rank)
@@ -138,9 +140,7 @@ def bqst_program(unitary: np.ndarray) -> Program:
     shift, inverse Fourier, two computational measurements) followed by
     shift/clock corrections on the far half. The final state lands in a2.
     """
-    u = np.asarray(unitary, dtype=complex)
-    if not u.size:
-        raise DimensionMismatch(f"bqst needs at least one level, got shape {u.shape}")
+    (u,) = qcore.operators([unitary], "bqst operation")
     if not qcore.is_unitary(u):
         raise NonUnitary("bqst needs a unitary operation")
     dim = u.shape[0]

@@ -150,21 +150,17 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
     (all the character representations here), but genuinely projective
     systems can carry -1 there.
     """
-    mats = tuple(np.asarray(m, dtype=complex) for m in matrices)
     n = group.order
-    if len(mats) != n:
-        raise DimensionMismatch(f"{len(mats)} matrices for a group of order {n}")
-    dim = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape != (dim, dim):
-            raise DimensionMismatch(f"matrix {i} has shape {m.shape}")
+    if len(matrices) != n:
+        raise DimensionMismatch(f"{len(matrices)} matrices for a group of order {n}")
+    stack = qcore.operators(matrices, "representation matrix")
+    dim = stack.shape[1]
     if mu is not None:
         mu = np.asarray(mu, dtype=complex)
         if mu.shape != (n, n):
             raise DimensionMismatch(f"factor system has shape {mu.shape}")
-    stack = np.stack(mats)
-    if not np.isfinite(stack).all() or (mu is not None and not np.isfinite(mu).all()):
-        raise NonFinite("representation matrices and factor system must be finite")
+        if not np.isfinite(mu).all():
+            raise NonFinite("the factor system must be finite")
     bad = np.flatnonzero(~(qcore.unitarity_defect(stack) <= qcore.NORM_TOL))
     if len(bad):
         raise NonUnitary(f"representation matrix {group.names[bad[0]]} is not unitary")
@@ -185,7 +181,7 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
         raise NonUnimodularFactor(
             f"factor system deviates from modulus 1 by {worst:.3e}"
         )
-    if np.abs(mats[group.identity] - np.eye(dim)).max() > qcore.NORM_TOL:
+    if np.abs(stack[group.identity] - np.eye(dim)).max() > qcore.NORM_TOL:
         raise NotARepresentation("identity element must carry the identity matrix")
     bad = np.argwhere(closure > qcore.NORM_TOL)
     if len(bad):
@@ -213,6 +209,7 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
 
 def cyclic_character_rep(n: int) -> ProjectiveRep:
     """Z_n acting by its characters: U(k) = diag_j e^{2 pi i k j / n}, mu = 1."""
+    (n,) = qcore.dimensions((n,), "group order")
     mats = [np.diag(np.exp(2j * np.pi * k * np.arange(n) / n)) for k in range(n)]
     return projective_rep(cyclic(n), mats, mu=np.ones((n, n)))
 
@@ -256,6 +253,7 @@ def z_gate(g, order: int) -> np.ndarray:
     to them, so each is bitwise equal to fourier_matrix(order)[g]. The
     diagonal is written into zeros, so no -0.0 appears off it.
     """
+    (order,) = qcore.dimensions((order,), "group order")
     rows = np.exp(2j * np.pi * np.multiply.outer(g, np.arange(order)) / order) / math.sqrt(order)
     out = np.zeros(rows.shape + (order,), dtype=complex)
     diagonal = np.arange(order)
@@ -293,6 +291,8 @@ def _coefficient_vector(rep: ProjectiveRep, coefficients) -> np.ndarray:
         raise DimensionMismatch(
             f"{c.size} coefficients for a group of order {rep.group.order}"
         )
+    if not np.isfinite(c).all():
+        raise NonFinite("coefficients must be finite")
     return c
 
 
@@ -388,13 +388,11 @@ def coefficients_from_unitary(unitary: np.ndarray, decomp: BlockDecomposition) -
     one contraction of the representation stack with decomp.weights * target.
     """
     rep = decomp.rep
-    target = np.asarray(unitary, dtype=complex)
+    (target,) = qcore.operators([unitary], "target matrix")
     if target.shape != (rep.dim, rep.dim):
         raise DimensionMismatch(
             f"matrix shape {target.shape} does not match the representation"
         )
-    if not np.isfinite(target).all():
-        raise NonFinite("target matrix has a non-finite entry")
     spill = _spill(target, decomp)
     if spill > qcore.NORM_TOL:
         raise NotBlockDiagonal(f"target has weight {spill:.3e} outside the declared blocks")

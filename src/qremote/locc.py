@@ -347,9 +347,9 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
             apply = _coupling(step, dims)
         else:
             apply = _conditioned(step, dims, inbox, outcomes)
-        front = range(1, len(targets) + 1)
-        moved = np.moveaxis(batch, targets, front)
-        batch = np.moveaxis(apply(moved).reshape(moved.shape), front, targets)
+        perm = [0, *targets, *(a for a in range(1, batch.ndim) if a not in targets)]
+        moved = batch.transpose(perm)
+        batch = apply(moved).reshape(moved.shape).transpose(*map(perm.index, range(len(perm))))
         del apply, moved   # the old batch and any operator copy end with the step
 
     final = _checked_output(batch, outcomes)

@@ -4,7 +4,8 @@ States are flat complex vectors tagged with an ordered list of subsystem
 dimensions. Everything is a pure function over immutable values; registers
 stay small (tens of levels each, so a block-protocol branch at (D, n) =
 (32, 32) holds 32 768 amplitudes), and dense row-major storage is used
-throughout.
+throughout. Every module's arguments pass two gates: dimensions for sizes,
+operators for stacks of matrices.
 """
 
 from __future__ import annotations
@@ -40,6 +41,23 @@ def dimensions(values, what: str) -> tuple[int, ...]:
     if dims is None or min(dims, default=1) < 1:
         raise DimensionMismatch(f"{what} must be integers >= 1, got {values!r}")
     return dims
+
+
+def operators(values, what: str) -> np.ndarray:
+    """values, a non-empty sequence of finite D x D matrices with D >= 1, as one
+    (k, D, D) complex stack; DimensionMismatch or NonFinite names the first entry at fault."""
+    mats = [np.asarray(m, dtype=complex) for m in values]
+    dim = mats[0].shape[0] if mats and mats[0].ndim else 0
+    if not dim:
+        raise DimensionMismatch(f"{what} 0 is missing or not an operator on at least one level")
+    for i, m in enumerate(mats):
+        if m.shape != (dim, dim):
+            raise DimensionMismatch(f"{what} {i} has shape {m.shape}, expected ({dim}, {dim})")
+    stack = np.array(mats)
+    finite = np.isfinite(stack)
+    if not finite.all():
+        raise NonFinite(f"{what} {finite.all(axis=(1, 2)).argmin()} has a non-finite entry")
+    return stack
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -150,11 +168,7 @@ class SchmidtForm:
 
 def ket(index: int, dim: int) -> StateVector:
     """The basis state |index> of a dim-level register."""
-    if not is_index(index, dim):
-        raise DimensionMismatch(f"basis state {index} is out of range for dimension {dim}")
-    amps = np.zeros(dim, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps, (dim,))
+    return StateVector(np.ones(1), (dim,), [(0, index)])
 
 
 def tensor(a, b):
@@ -179,7 +193,7 @@ def unitarity_defect(stack: np.ndarray) -> np.ndarray:
 
 def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         return False
     return bool(unitarity_defect(m) <= NORM_TOL)
 
@@ -380,6 +394,7 @@ def factor_state(state: StateVector, factor: int) -> StateVector:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    (dim,) = dimensions((dim,), "random_unitary size")
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)

@@ -95,20 +95,10 @@ def validate_partition(blocks) -> BlockPartition:
     W and V are the polar factors of the kept singular vectors, which no
     phase or basis choice of the SVD changes. V is stored as the basis.
     """
-    mats = tuple(np.asarray(b, dtype=complex) for b in blocks)
-    if not mats:
+    if not len(blocks):
         raise IncompleteBlocks("a partition needs at least one block")
-    dim = mats[0].shape[0] if mats[0].ndim else 0
-    if not dim:
-        raise DimensionMismatch(f"block 0 has shape {mats[0].shape}, which holds no operator")
-    for i, b in enumerate(mats):
-        if b.ndim != 2 or b.shape != (dim, dim):
-            raise DimensionMismatch(
-                f"block {i} has shape {b.shape}, expected ({dim}, {dim})"
-            )
-        if not np.isfinite(b).all():
-            raise NonFinite(f"block {i} has a non-finite entry")
-    stack = np.stack(mats)
+    stack = qcore.operators(blocks, "block")
+    dim = stack.shape[1]
     # entries near the float limit can overflow these products; such a block
     # is still rejected by name (its singular values are not 1), so numpy
     # need not warn about the overflow
@@ -160,6 +150,7 @@ def validate_partition(blocks) -> BlockPartition:
 
 def diagonal_partition(dim: int) -> BlockPartition:
     """Rank-1 blocks |i><i|: the diagonal-operation special case."""
+    (dim,) = qcore.dimensions((dim,), "partition dimension")
     eye = np.eye(dim, dtype=complex)
     return validate_partition([np.outer(eye[:, i], eye[:, i]) for i in range(dim)])
 
@@ -168,9 +159,10 @@ def partition_from_bases(u_basis: np.ndarray, v_basis: np.ndarray, sizes) -> Blo
     """Build blocks A_i = sum_{j in group i} |v_j><u_j| from two orthonormal bases."""
     u_basis = np.asarray(u_basis, dtype=complex)
     v_basis = np.asarray(v_basis, dtype=complex)
+    sizes = qcore.dimensions(sizes, "group sizes")
     dim = u_basis.shape[0]
     if sum(sizes) != dim:
-        raise DimensionMismatch(f"group sizes {tuple(sizes)} must sum to {dim}")
+        raise DimensionMismatch(f"group sizes {sizes} must sum to {dim}")
     blocks, start = [], 0
     for size in sizes:
         cols = slice(start, start + size)
@@ -181,7 +173,8 @@ def partition_from_bases(u_basis: np.ndarray, v_basis: np.ndarray, sizes) -> Blo
 
 def random_partition(dim: int, n_blocks: int, rng: np.random.Generator) -> BlockPartition:
     """Random valid partition: random bases split into n_blocks groups."""
-    if not 1 <= n_blocks <= dim:
+    dim, n_blocks = qcore.dimensions((dim, n_blocks), "partition dimension and block count")
+    if n_blocks > dim:
         raise DimensionMismatch(f"need 1 <= blocks <= dim, got {n_blocks} at dim {dim}")
     cuts = np.sort(rng.choice(np.arange(1, dim), size=n_blocks - 1, replace=False))
     sizes = np.diff(np.concatenate(([0], cuts, [dim])))
@@ -191,6 +184,7 @@ def random_partition(dim: int, n_blocks: int, rng: np.random.Generator) -> Block
 
 
 def random_phases(n: int, rng: np.random.Generator) -> Phases:
+    (n,) = qcore.dimensions((n,), "phase count")
     return Phases(np.exp(2j * np.pi * rng.uniform(size=n)))
 
 
@@ -303,9 +297,7 @@ def svd_remote(unitary: np.ndarray) -> RemoteSvdProgram:
     no coefficient information (for an already-diagonal input they reduce to
     the identity).
     """
-    u_mat = np.asarray(unitary, dtype=complex)
-    if not u_mat.size:
-        raise DimensionMismatch(f"svd_remote needs at least one level, got shape {u_mat.shape}")
+    (u_mat,) = qcore.operators([unitary], "svd_remote input")
     if not qcore.is_unitary(u_mat):
         raise NonUnitary("svd_remote needs a unitary input")
     dim = u_mat.shape[0]

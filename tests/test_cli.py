@@ -135,15 +135,32 @@ def test_invalid_partition_diagnostic_names_invariant(tmp_path, capsys):
     ("phases", [[1.0, 0.0], ["NaN", 0.0], [1.0, 0.0]]),
     ("input", [["Infinity", 0.0], [0.0, 0.0], [0.0, 0.0]]),
     ("blocks", [[[["NaN", 0.0]]]]),
+    ("matrices", [[[[1.0, 0.0]]], [[["NaN", 0.0]]]]),
+    ("mu", [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, "Infinity"]]]),
+    ("coefficients", [["NaN", 0.0], [0.0, 0.0]]),
+    ("unitary", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["NaN", 0.0]]]),
+    ("--input", [["NaN", 0.0], [0.0, 0.0]]),
 ])
 def test_non_finite_values_exit_2_as_nonfinite(tmp_path, capsys, field, value):
-    doc = diagonal_wang_doc(3, np.ones(3))
-    doc[field] = value
+    # no finiteness pass in the CLI: the library names each field
+    kind = {"matrices": "group", "mu": "group", "coefficients": "group",
+            "unitary": "bqst", "--input": "bqst"}.get(field)
+    doc = PROBLEM_DOCS[kind]() if kind else diagonal_wang_doc(3, np.ones(3))
+
+    def literal(obj):
+        # NaN and Infinity are the non-standard literals Python's json module reads
+        return json.dumps(obj).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity")
+
+    if field == "--input":
+        commands = [["run", "--input", literal(value)]]   # cost takes no --input
+    else:
+        doc[field] = value
+        commands = [["run"], ["cost"]]
     path = tmp_path / "nan.json"
-    # NaN and Infinity are the non-standard literals Python's json module reads
-    path.write_text(json.dumps(doc).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity"))
-    assert main(["run", str(path)]) == 2
-    assert "NonFinite" in capsys.readouterr().err
+    path.write_text(literal(doc))
+    for command in commands:
+        assert main([*command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: NonFinite: ")
 
 
 @pytest.mark.parametrize("field, value, name", [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qremote import cli, entcost, groupform, locc, qcore, wang
-from qremote.errors import DimensionMismatch, NonUnitary
+from qremote.errors import DimensionMismatch, NonFinite, NonUnitary
 from qremote.qcore import StateVector
 
 from util import (
@@ -78,6 +78,35 @@ def test_partial_entanglement_counts_nonzero_coefficients():
 def test_empty_resource_or_block_list_is_a_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         entcost.feasibility_test(1, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: entcost.feasibility_test(2.5, 3),
+    lambda: entcost.feasibility_test(2, 3.5),
+    lambda: entcost.feasibility_test(-1, 3),
+    lambda: entcost.compare_costs("wang", locc.Program((), ()), [np.eye(2)]),
+    lambda: entcost.operator_rank([np.ones((2, 3))]),
+], ids=["float-operator-rank", "float-schmidt-rank", "negative-operator-rank", "no-input-register",
+        "non-square-block"])
+def test_a_non_integer_rank_or_malformed_argument_is_a_dimension_mismatch(call):
+    # accepted, or a bare IndexError for the missing register, before
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
+def test_an_operator_rank_of_zero_stays_valid():
+    assert entcost.feasibility_test(0, 1).feasible
+    assert entcost.operator_rank([]) == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: entcost.operator_rank([np.eye(2), np.diag([np.nan, 1.0])]),
+    lambda: entcost.bqst_program(np.diag([1.0, np.nan])),
+], ids=["operator-rank", "bqst"])
+def test_a_non_finite_operator_is_named(call):
+    # a bare LinAlgError and NonUnitary before
+    with pytest.raises(NonFinite):
+        call()
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])

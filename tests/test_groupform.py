@@ -72,7 +72,9 @@ def test_bad_cayley_tables_rejected():
 @pytest.mark.parametrize("call, error", [
     (lambda: groupform.finite_group([[0, 1.7], [1, 0]]), NotAGroup),
     (lambda: groupform.block_decomposition(groupform.pauli_rep(), (2.9,)), DimensionMismatch),
-], ids=["cayley-entry", "block-dims"])
+    (lambda: groupform.z_gate(1, 2.5), DimensionMismatch),
+    (lambda: groupform.cyclic_character_rep(4.5), DimensionMismatch),
+], ids=["cayley-entry", "block-dims", "z-gate-order", "character-rep-order"])
 def test_a_non_integer_entry_or_dimension_is_named(call, error):
     # truncated before: the table read as Z2, the blocks as (2,)
     with warnings.catch_warnings():
@@ -118,6 +120,21 @@ def test_non_finite_matrices_and_factors_are_named():
     mats[1] = np.where(np.eye(3) > 0, np.inf, 0).astype(complex)
     with pytest.raises(NonFinite):
         groupform.projective_rep(rep.group, mats)
+
+
+@pytest.mark.parametrize("matrices", [[1, -1], [np.zeros((0, 0))] * 2],
+                         ids=["scalars", "no-level"])
+def test_matrices_that_are_no_operators_are_a_dimension_mismatch(matrices):
+    # a bare IndexError or ValueError before
+    with pytest.raises(DimensionMismatch):
+        groupform.projective_rep(groupform.cyclic(2), matrices)
+
+
+@pytest.mark.parametrize("call", [groupform.assemble, groupform.mixer], ids=["assemble", "mixer"])
+def test_non_finite_coefficients_are_named(call):
+    # NonUnitaryTarget and NonUnitaryM before
+    with pytest.raises(NonFinite):
+        call(groupform.pauli_rep(), [np.nan, 0, 0, 0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

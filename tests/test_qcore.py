@@ -3,6 +3,7 @@ exhaustive measurement, Schmidt decomposition, Fourier/shift gates."""
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -385,13 +386,35 @@ def test_a_ket_outside_its_register_is_a_dimension_mismatch(index):
     lambda: qcore.factor_overlap(qcore.ket(0, 2), [1, 0], 0.9),
     lambda: qcore.fourier_matrix(2.5),
     lambda: qcore.shift_powers(2.5),
-], ids=["state-dims", "local-unitary-target", "overlap-factor", "fourier-size", "shift-size"])
+    lambda: qcore.ket(0, 2.5),
+    lambda: qcore.random_unitary(2.5, np.random.default_rng(0)),
+], ids=["state-dims", "local-unitary-target", "overlap-factor", "fourier-size", "shift-size",
+        "ket-size", "random-unitary-size"])
 def test_a_non_integer_dimension_or_factor_is_a_dimension_mismatch(call):
     # truncated to a wrong value, or a bare TypeError, before
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DimensionMismatch):
             call()
+
+
+@pytest.mark.parametrize("values, error, named", [
+    ([], DimensionMismatch, "block 0 is missing"),
+    ([1.0, 2.0], DimensionMismatch, "block 0 is missing"),
+    ([np.zeros((0, 0))], DimensionMismatch, "block 0 is missing"),
+    ([np.eye(2), np.eye(3)], DimensionMismatch, "block 1 has shape (3, 3)"),
+    ([np.eye(2), np.ones(2)], DimensionMismatch, "block 1 has shape (2,)"),
+    ([np.eye(2), np.eye(2), np.full((2, 2), np.nan)], NonFinite, "block 2 has"),
+    ([np.eye(2), np.diag([1, np.inf])], NonFinite, "block 1 has"),
+], ids=["empty", "scalars", "no-level", "mixed-sizes", "vector", "nan", "inf"])
+def test_the_operator_gate_names_the_first_entry_at_fault(values, error, named):
+    with pytest.raises(error, match=re.escape(named)):
+        qcore.operators(values, "block")
+
+
+def test_an_empty_matrix_is_not_unitary():
+    # a numpy ValueError before
+    assert not qcore.is_unitary(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("amp, error", [

@@ -59,6 +59,12 @@ def test_non_finite_block_entries_are_named():
             wang.validate_partition([block, np.diag([0.0, 1.0])])
 
 
+def test_a_non_finite_svd_input_is_named():
+    # NonUnitary before
+    with pytest.raises(NonFinite):
+        wang.svd_remote(np.diag([1.0, np.nan]))
+
+
 def _setup_2():
     """(partition, phases, input) of the two-block diagonal qubit case."""
     return wang.diagonal_partition(2), wang.Phases(np.ones(2)), qcore.ket(0, 2)
@@ -69,7 +75,13 @@ def _setup_2():
     lambda: wang.svd_remote(np.zeros((0, 0))),
     lambda: wang.trace_branch(*_setup_2(), 0.5, 0),
     lambda: wang.trace_branch(*_setup_2(), 0, 1.0),
-], ids=["empty-block", "empty-svd-input", "float-l", "float-m"])
+    lambda: wang.random_phases(2.5, np.random.default_rng(0)),
+    lambda: wang.diagonal_partition(2.5),
+    lambda: wang.random_partition(4.5, 2, np.random.default_rng(0)),
+    lambda: wang.random_partition(4, 2.5, np.random.default_rng(0)),
+    lambda: wang.partition_from_bases(np.eye(4), np.eye(4), (2.5, 1.5)),
+], ids=["empty-block", "empty-svd-input", "float-l", "float-m", "float-phase-count",
+        "float-diagonal-dim", "float-partition-dim", "float-block-count", "float-group-sizes"])
 def test_an_empty_or_non_integer_input_is_a_dimension_mismatch(call):
     # a numpy error or a bare StopIteration before; warnings fail the suite
     with pytest.raises(DimensionMismatch):
