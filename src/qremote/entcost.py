@@ -37,7 +37,11 @@ ASSUMED_SHAPE = (
 
 def operator_rank(blocks) -> int:
     """Numerical rank of the span of the blocks, each flattened to a row."""
-    if not len(blocks):
+    try:
+        empty = not len(blocks)
+    except TypeError:
+        empty = False   # no sequence: qcore.operators names it
+    if empty:
         return 0
     stack = qcore.operators(blocks, "block")
     return int(np.linalg.matrix_rank(stack.reshape(len(stack), -1), tol=qcore.RANK_TOL))
@@ -108,6 +112,8 @@ class CostComparison:
 def program_cost(protocol: str, program: Program, controlled_parameters: int) -> CostReport:
     """The program's cost row: log2 d ebits per rank-d pair of program.dims,
     and log2 of the measured factor's dimension per outcome a party sends."""
+    if not program.dims:
+        raise DimensionMismatch(f"program {protocol!r} declares no input register")
     ranks = program.dims[1::2]
     sent = {ALICE: 0.0, BOB: 0.0}
     for s in program.steps:
@@ -122,8 +128,6 @@ def program_cost(protocol: str, program: Program, controlled_parameters: int) ->
 def compare_costs(protocol: str, program: Program, blocks) -> CostComparison:
     """Cost rows of the protocol's program and of BQST on its input register,
     both judged against the operator rank of the blocks, which may be < n."""
-    if not program.dims:
-        raise DimensionMismatch(f"program {protocol!r} declares no input register")
     rank = operator_rank(blocks)
     row = program_cost(protocol, program, rank)
     bqst_row = program_cost("bqst", bqst_program(np.eye(program.dims[0])), rank)

@@ -24,7 +24,6 @@ from . import locc, qcore
 from .errors import (
     DimensionMismatch,
     MultiplicityNotOne,
-    NonFinite,
     NonUnimodularFactor,
     NonUnitary,
     NonUnitaryM,
@@ -97,6 +96,7 @@ def finite_group(cayley, names=None) -> FiniteGroup:
 
 
 def cyclic(n: int) -> FiniteGroup:
+    (n,) = qcore.dimensions((n,), "group order")
     grid = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     return finite_group(grid)
 
@@ -151,16 +151,14 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
     systems can carry -1 there.
     """
     n = group.order
-    if len(matrices) != n:
-        raise DimensionMismatch(f"{len(matrices)} matrices for a group of order {n}")
     stack = qcore.operators(matrices, "representation matrix")
+    if len(stack) != n:
+        raise DimensionMismatch(f"{len(stack)} matrices for a group of order {n}")
     dim = stack.shape[1]
     if mu is not None:
-        mu = np.asarray(mu, dtype=complex)
+        (mu,) = qcore.operators([mu], "factor system")
         if mu.shape != (n, n):
             raise DimensionMismatch(f"factor system has shape {mu.shape}")
-        if not np.isfinite(mu).all():
-            raise NonFinite("the factor system must be finite")
     bad = np.flatnonzero(~(qcore.unitarity_defect(stack) <= qcore.NORM_TOL))
     if len(bad):
         raise NonUnitary(f"representation matrix {group.names[bad[0]]} is not unitary")
@@ -245,7 +243,8 @@ def dihedral3_rep() -> ProjectiveRep:
 
 def z_gate(g, order: int) -> np.ndarray:
     """Z(g)|f> = (1/sqrt|G|) <g|F|f>^{-1} |f> for the Fourier matrix F; for
-    an array of g, the stack of the Z(g).
+    an array of g, the stack of the Z(g). g is an outcome, so only an
+    integer, taken mod |G|, names a Z(g).
 
     Every entry of F has modulus 1/sqrt|G|, so Z(g) is diagonal unimodular;
     run_protocol checks it as it checks every operator a step holds. Rows g of
@@ -254,6 +253,8 @@ def z_gate(g, order: int) -> np.ndarray:
     diagonal is written into zeros, so no -0.0 appears off it.
     """
     (order,) = qcore.dimensions((order,), "group order")
+    if np.asarray(g).dtype.kind not in "iu":
+        raise DimensionMismatch(f"outcome {g!r} is not an integer")
     rows = np.exp(2j * np.pi * np.multiply.outer(g, np.arange(order)) / order) / math.sqrt(order)
     out = np.zeros(rows.shape + (order,), dtype=complex)
     diagonal = np.arange(order)
@@ -286,13 +287,11 @@ def mixer(rep: ProjectiveRep, coefficients) -> np.ndarray:
 
 
 def _coefficient_vector(rep: ProjectiveRep, coefficients) -> np.ndarray:
-    c = np.asarray(coefficients, dtype=complex).reshape(-1)
+    c = qcore.coefficients(coefficients, "coefficients")
     if c.size != rep.group.order:
         raise DimensionMismatch(
             f"{c.size} coefficients for a group of order {rep.group.order}"
         )
-    if not np.isfinite(c).all():
-        raise NonFinite("coefficients must be finite")
     return c
 
 

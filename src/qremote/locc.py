@@ -8,22 +8,25 @@ recording local operations, measurement outcomes, and the classical messages
 that carried outcomes between the parties.
 
 run_protocol advances all branches together. Their states are the rows of
-one array over the factors not yet measured. A measurement splits each row
-into one row per outcome above PROB_FLOOR and drops the measured axis; the
-outcome goes into a column, and a later step on that factor is a
-DimensionMismatch; the outcome probabilities are summed from the real and
-imaginary parts of the rows, so no conjugated copy is made. A step holds
-every operator it applies, built with the program. A local step is one
-matrix product over all rows. A conditioned step holds a table indexed by
-payload; it gathers the rows by the payload its message carries (one copy
-of the rows in every protocol here), checks the entries they reach as one
-stack, and applies each to its group with one product. A coupling step
-sum_k B|k><k|B^dag (x) V_k, the opening step of every protocol here, holds
-B and one V_k per column of B: qcore.certify_coupling bounds the dense
-unitarity check from their defects, and the step is three products, none
-larger than the rows. Each measurement adds the probability it prunes
-below PROB_FLOOR to one running total, and the measurement that takes the
-total past NORM_TOL raises NotNormalized then and there. One gate closes
+one array over the factors not yet measured. One check resolves each
+step's factors to axes of that array: its party owns each factor, none is
+named twice and none has been measured. A measurement splits each row into
+one row per outcome above PROB_FLOOR and drops the measured axis; the
+outcome goes into a column, and the outcome probabilities are summed from
+the real and imaginary parts of the rows, so no conjugated copy is made.
+An operator step holds every operator it applies, built with the program;
+it moves its axes to the front, a coupling's control first, and is a
+function of the moved rows. A local step is one matrix product over all
+rows. A conditioned step holds a table indexed by payload; it gathers the
+rows by the payload its message carries (one copy of the rows in every
+protocol here), checks the entries they reach as one stack, and applies
+each to its group with one product. A coupling step sum_k B|k><k|B^dag
+(x) V_k, the opening step of every protocol here, holds B and one V_k per
+column of B: qcore.certify_coupling bounds the dense unitarity check from
+their defects, and the step is three products, none larger than the rows.
+Each measurement adds the probability it prunes below PROB_FLOOR to one
+running total, and the measurement that takes the total past NORM_TOL
+raises NotNormalized then and there. One gate closes
 the run: every row of the final array must have norm 1 within NORM_TOL,
 checked in one pass; the final array is frozen in place, and copied only
 if it is a strided view. A branch stores its outcomes, probability and
@@ -48,8 +51,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -107,6 +108,11 @@ class MeasureStep:
     target: int
     message: str
     send_to: Party | None = None
+
+    @property
+    def targets(self) -> tuple[int, ...]:
+        """The measured factor, as the other steps name their factors."""
+        return (self.target,)
 
 
 @dataclass(frozen=True)
@@ -261,29 +267,45 @@ def _check_locality(owners, party: Party, targets) -> None:
             )
 
 
-def _coupling(step: CouplingStep, dims: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """Certify sum_k B|k><k|B^dag (x) V_k from its basis and unitaries
-    (qcore.certify_coupling) and return its action on rows of shape
-    (branch, d_c, d_t, *rest), control first. The sum is never formed:
-    B^dag turns the control into the eigenbasis, where column k carries
-    V_k on the target, and B turns it back."""
-    basis = np.asarray(step.basis, dtype=complex)
-    stack = np.asarray(step.unitaries, dtype=complex)
+def _factor_axes(owners, step: Step, live: list[int]) -> list[int]:
+    """Batch axes of the factors the step acts on, a coupling's control
+    first, once its party owns each of them, none is named twice and none
+    has been measured: the one check of a step's factors."""
+    if isinstance(step, CouplingStep):
+        kind, factors = "coupling", (step.control, step.target)
+    else:
+        kind, factors = "step", step.targets
+    _check_locality(owners, step.party, factors)
+    if len(set(factors)) != len(factors):
+        # only operator steps name more than one factor, and each has a label
+        raise DimensionMismatch(f"{kind} {step.label!r} names a factor twice in {factors}")
+    for t in factors:
+        if t not in live:
+            raise DimensionMismatch(f"factor {t} was measured and cannot be used again")
+    return [1 + live.index(t) for t in factors]
+
+
+def _coupling(step: CouplingStep, dims: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """sum_k B|k><k|B^dag (x) V_k, certified from its basis and unitaries
+    (qcore.certify_coupling), applied to rows of shape (branch, d_c, d_t,
+    *rest), control first. The sum is never formed: B^dag turns the
+    control into the eigenbasis, where column k carries V_k on the target,
+    and B turns it back."""
+    try:
+        basis = np.asarray(step.basis, dtype=complex)
+        stack = np.asarray(step.unitaries, dtype=complex)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"coupling {step.label!r} holds values that are not numbers") from None
     d_c, d_t = dims[step.control], dims[step.target]
-    if step.control == step.target or (basis.shape, stack.shape) != ((d_c, d_c), (d_c, d_t, d_t)):
+    if (basis.shape, stack.shape) != ((d_c, d_c), (d_c, d_t, d_t)):
         raise DimensionMismatch(
             f"coupling {step.label!r} has basis {basis.shape} and terms "
             f"{stack.shape} for factors {step.control} and {step.target}"
         )
     qcore.certify_coupling(basis, stack, step.label)
-    adjoint = basis.conj().T
-
-    def apply(rows: np.ndarray) -> np.ndarray:
-        y = adjoint @ rows.reshape(len(rows), d_c, -1)
-        y = stack @ y.reshape(len(rows), d_c, d_t, -1)
-        return basis @ y.reshape(len(rows), d_c, -1)
-
-    return apply
+    y = basis.conj().T @ rows.reshape(len(rows), d_c, -1)
+    y = stack @ y.reshape(len(rows), d_c, d_t, -1)
+    return basis @ y.reshape(len(rows), d_c, -1)
 
 
 def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
@@ -305,17 +327,10 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
     lost = 0.0                               # mass dropped by the measurements
     inbox: dict[Party, dict[str, int]] = {ALICE: {}, BOB: {}}   # tag -> column
 
-    def axes(targets) -> list[int]:
-        """Batch axes of the target factors, which must not be measured yet."""
-        for t in targets:
-            if t not in live:
-                raise DimensionMismatch(f"factor {t} was measured and cannot be used again")
-        return [1 + live.index(t) for t in targets]
-
     for step in program.steps:
+        axes = _factor_axes(owners, step, live)
         if isinstance(step, MeasureStep):
-            _check_locality(owners, step.party, (step.target,))
-            (axis,) = axes((step.target,))
+            (axis,) = axes
             p = _weights(batch, axis)
             kept_mask = p > qcore.PROB_FLOOR
             lost += prob @ np.where(kept_mask, 0.0, p).sum(axis=1)
@@ -337,20 +352,17 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
             if step.send_to is not None:
                 inbox[step.send_to][step.message] = outcomes.shape[1] - 1
             continue
-        _check_locality(owners, step.party, step.targets)
-        # a coupling acts on its rows control first
-        order = (step.control, step.target) if isinstance(step, CouplingStep) else step.targets
-        targets = axes(order)
-        if isinstance(step, LocalStep):
-            apply = partial(_local, qcore.local_unitary(step.matrix, dims, step.targets))
-        elif isinstance(step, CouplingStep):
-            apply = _coupling(step, dims)
-        else:
-            apply = _conditioned(step, dims, inbox, outcomes)
-        perm = [0, *targets, *(a for a in range(1, batch.ndim) if a not in targets)]
+        perm = [0, *axes, *(a for a in range(1, batch.ndim) if a not in axes)]
         moved = batch.transpose(perm)
-        batch = apply(moved).reshape(moved.shape).transpose(*map(perm.index, range(len(perm))))
-        del apply, moved   # the old batch and any operator copy end with the step
+        if isinstance(step, LocalStep):
+            op = qcore.local_unitary(step.matrix, dims, step.targets)
+            new = op @ moved.reshape(len(moved), len(op), -1)
+        elif isinstance(step, CouplingStep):
+            new = _coupling(step, dims, moved)
+        else:
+            new = _conditioned(step, dims, inbox, outcomes, moved)
+        batch = new.reshape(moved.shape).transpose(*map(perm.index, range(len(perm))))
+        del new, moved   # the old batch ends with the step
 
     final = _checked_output(batch, outcomes)
     steps = tuple(
@@ -372,22 +384,18 @@ def _weights(batch: np.ndarray, axis: int) -> np.ndarray:
     return np.einsum(re, axes, re, axes, [0, axis]) + np.einsum(im, axes, im, axes, [0, axis])
 
 
-def _local(op: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    """op on rows of shape (branch, *target dims, *rest)."""
-    return op @ moved.reshape(len(moved), len(op), -1)
-
-
 def _conditioned(
-    step: ConditionalStep, dims: tuple[int, ...], inbox, outcomes: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The step's action on rows of shape (branch, *target dims, *rest),
-    as (branch, d, rest) with d the targets' product. One stable argsort
-    of the message's column groups the rows by payload, and one bincount
-    sizes the groups. qcore.local_unitary checks the entries of the
-    payloads that reach the step as one stack: the table itself when every
-    payload does, else only those entries, so a pruned payload's entry is
-    never checked. Each operator acts on its group with one product,
-    scattered back to the rows' places: no operator is copied per row."""
+    step: ConditionalStep, dims: tuple[int, ...], inbox, outcomes: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """The step applied to rows of shape (branch, *target dims, *rest),
+    returned as (branch, d, rest) with d the targets' product. One stable
+    argsort of the message's column groups the rows by payload, and one
+    bincount sizes the groups. qcore.local_unitary checks the entries of
+    the payloads that reach the step as one stack: the table itself when
+    every payload does, else only those entries, so a pruned payload's
+    entry is never checked. Each operator acts on its group with one
+    product, scattered back to the rows' places: no operator is copied per
+    row."""
     if step.message not in inbox[step.party]:
         raise MissingClassicalDependency(
             f"{step.party.value} step {step.label!r} needs message "
@@ -397,7 +405,10 @@ def _conditioned(
     order = np.argsort(column, kind="stable")
     counts = np.bincount(column)
     values = np.flatnonzero(counts)
-    table = np.asarray(step.unitaries)
+    try:
+        table = np.asarray(step.unitaries)
+    except ValueError:   # matrices of different shapes
+        raise DimensionMismatch(f"step {step.label!r} holds a table that is no array") from None
     if table.ndim != 3 or len(table) < len(counts):
         raise DimensionMismatch(
             f"step {step.label!r} has table shape {table.shape} for payloads "
@@ -408,19 +419,14 @@ def _conditioned(
         lambda i: f"step {step.label!r} at {step.message}={values[i]}",
     )
     bounds = np.concatenate(([0], np.cumsum(counts[values]))).tolist()
-    d = ops.shape[-1]
-
-    def apply(moved: np.ndarray) -> np.ndarray:
-        # the gather keeps the moved layout, so it is the only copy of the
-        # rows unless the axes after the targets cannot merge into one
-        sorted_rows = moved[order].reshape(len(order), d, -1)
-        out = np.empty_like(sorted_rows)
-        for op, a, b in zip(ops, bounds, bounds[1:]):
-            np.matmul(op, sorted_rows[a:b], out=out[a:b])
-        sorted_rows[order] = out   # the buffer is free now: scatter into it
-        return sorted_rows
-
-    return apply
+    # the gather keeps the moved layout, so it is the only copy of the rows
+    # unless the axes after the targets cannot merge into one
+    sorted_rows = rows[order].reshape(len(order), ops.shape[-1], -1)
+    out = np.empty_like(sorted_rows)
+    for op, a, b in zip(ops, bounds, bounds[1:]):
+        np.matmul(op, sorted_rows[a:b], out=out[a:b])
+    sorted_rows[order] = out   # the buffer is free now: scatter into it
+    return sorted_rows
 
 
 def _checked_output(batch: np.ndarray, outcomes: np.ndarray) -> np.ndarray:

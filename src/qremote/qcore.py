@@ -4,8 +4,11 @@ States are flat complex vectors tagged with an ordered list of subsystem
 dimensions. Everything is a pure function over immutable values; registers
 stay small (tens of levels each, so a block-protocol branch at (D, n) =
 (32, 32) holds 32 768 amplitudes), and dense row-major storage is used
-throughout. Every module's arguments pass two gates: dimensions for sizes,
-operators for stacks of matrices.
+throughout. Every module's arguments pass three gates: dimensions for
+sizes, operators for stacks of matrices and coefficients for vectors of
+scalars. A value of the wrong kind, such as a string where numbers belong,
+is a DimensionMismatch at each gate, as it is for StateVector and
+local_unitary.
 """
 
 from __future__ import annotations
@@ -46,7 +49,10 @@ def dimensions(values, what: str) -> tuple[int, ...]:
 def operators(values, what: str) -> np.ndarray:
     """values, a non-empty sequence of finite D x D matrices with D >= 1, as one
     (k, D, D) complex stack; DimensionMismatch or NonFinite names the first entry at fault."""
-    mats = [np.asarray(m, dtype=complex) for m in values]
+    try:
+        mats = [np.asarray(m, dtype=complex) for m in values]
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{what} values are not a sequence of numeric matrices") from None
     dim = mats[0].shape[0] if mats and mats[0].ndim else 0
     if not dim:
         raise DimensionMismatch(f"{what} 0 is missing or not an operator on at least one level")
@@ -58,6 +64,19 @@ def operators(values, what: str) -> np.ndarray:
     if not finite.all():
         raise NonFinite(f"{what} {finite.all(axis=(1, 2)).argmin()} has a non-finite entry")
     return stack
+
+
+def coefficients(values, what: str) -> np.ndarray:
+    """values, finite scalars, flattened to one complex vector;
+    DimensionMismatch if they are not numbers, NonFinite if one is not
+    finite."""
+    try:
+        vec = np.asarray(values, dtype=complex).reshape(-1)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{what} are not numbers") from None
+    if not np.isfinite(vec).all():
+        raise NonFinite(f"{what} must be finite")
+    return vec
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -91,7 +110,10 @@ class StateVector:
     __slots__ = ("factor_dims", "basis", "stored", "_norm", "_dense")
 
     def __init__(self, amplitudes: np.ndarray, factor_dims, basis=()):
-        amps = _freeze(amplitudes).reshape(-1)
+        try:
+            amps = _freeze(amplitudes).reshape(-1)
+        except (TypeError, ValueError):
+            raise DimensionMismatch("state amplitudes are not numbers") from None
         dims = dimensions(factor_dims, "factor dims")
         basis = tuple(basis)
         live = list(dims)   # a basis factor's entry becomes 0
@@ -260,7 +282,10 @@ def local_unitary(
     to be unitary on the target factors by one unitarity_defect. NonUnitary
     names the first matrix at fault: name(i) for matrix i of a stack."""
     targets = _check_targets(dims, targets)
-    op = np.asarray(op, dtype=complex)
+    try:
+        op = np.asarray(op, dtype=complex)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"operator on factors {targets} is not numeric") from None
     d_op = math.prod(dims[t] for t in targets)
     if op.ndim not in (2, 3) or op.shape[-2:] != (d_op, d_op):
         raise DimensionMismatch(
@@ -278,18 +303,15 @@ def local_unitary(
 
 
 def apply_local(op: np.ndarray, state: StateVector, targets) -> StateVector:
-    """Apply a unitary to the designated factors, leaving the others untouched."""
+    """Apply a unitary to the designated factors, leaving the others
+    untouched; local_unitary checks the targets with the matrix."""
     if np.ndim(op) != 2:
         raise DimensionMismatch(f"apply_local takes one matrix, not shape {np.shape(op)}")
     op = local_unitary(op, state.factor_dims, targets)
-    targets = _check_targets(state.factor_dims, targets)
     k = len(targets)
     moved = np.moveaxis(state.tensor_form(), targets, range(k))
-    rest_shape = moved.shape[k:]
-    out = op @ moved.reshape(op.shape[0], -1)
-    out = out.reshape(tuple(state.factor_dims[t] for t in targets) + rest_shape)
-    out = np.moveaxis(out, range(k), targets)
-    return StateVector(out.reshape(-1), state.factor_dims)
+    out = (op @ moved.reshape(len(op), -1)).reshape(moved.shape)
+    return StateVector(np.moveaxis(out, range(k), targets).reshape(-1), state.factor_dims)
 
 
 def measure_computational(state: StateVector, target: int) -> list[MeasurementOutcome]:

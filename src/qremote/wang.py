@@ -32,7 +32,6 @@ from . import locc, qcore
 from .errors import (
     DimensionMismatch,
     IncompleteBlocks,
-    NonFinite,
     NonUnimodularCoefficient,
     NonUnitary,
     OverlappingBlocks,
@@ -69,9 +68,7 @@ class Phases:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex).reshape(-1)
-        if not np.isfinite(vals).all():
-            raise NonFinite("coefficients must be finite")
+        vals = qcore.coefficients(self.values, "coefficients")
         if (np.abs(np.abs(vals) - 1.0) > qcore.NORM_TOL).any():
             raise NonUnimodularCoefficient("coefficients must have modulus 1")
         vals = vals / np.abs(vals)
@@ -95,7 +92,11 @@ def validate_partition(blocks) -> BlockPartition:
     W and V are the polar factors of the kept singular vectors, which no
     phase or basis choice of the SVD changes. V is stored as the basis.
     """
-    if not len(blocks):
+    try:
+        empty = not len(blocks)
+    except TypeError:
+        empty = False   # no sequence: qcore.operators names it
+    if empty:
         raise IncompleteBlocks("a partition needs at least one block")
     stack = qcore.operators(blocks, "block")
     dim = stack.shape[1]
@@ -210,7 +211,10 @@ def phase_gate(phases: Phases) -> np.ndarray:
 
 def recovery(p: BlockPartition, m) -> np.ndarray:
     """R_m = sum_j e^{-2 pi i m j / N} A_j; for an array of m, the stack of
-    the R_m, one contraction over j."""
+    the R_m, one contraction over j. m is an outcome, so only an integer,
+    taken mod N, names an R_m."""
+    if np.asarray(m).dtype.kind not in "iu":
+        raise DimensionMismatch(f"outcome {m!r} is not an integer")
     phases = np.exp(-2j * np.pi * np.multiply.outer(m, np.arange(p.n)) / p.n)
     return np.tensordot(phases, p.blocks, axes=1)
 

@@ -86,10 +86,16 @@ def test_empty_resource_or_block_list_is_a_dimension_mismatch():
     lambda: entcost.feasibility_test(-1, 3),
     lambda: entcost.compare_costs("wang", locc.Program((), ()), [np.eye(2)]),
     lambda: entcost.operator_rank([np.ones((2, 3))]),
+    lambda: entcost.operator_rank("ab"),
+    lambda: entcost.operator_rank(5),
+    lambda: entcost.operator_rank([np.eye(2), "ab"]),
+    lambda: entcost.program_cost("x", locc.Program((locc.ALICE,), ()), 1),
 ], ids=["float-operator-rank", "float-schmidt-rank", "negative-operator-rank", "no-input-register",
-        "non-square-block"])
+        "non-square-block", "blocks-str", "blocks-int", "block-str", "cost-of-no-registers"])
 def test_a_non_integer_rank_or_malformed_argument_is_a_dimension_mismatch(call):
-    # accepted, or a bare IndexError for the missing register, before
+    # accepted (a program without registers got a feasible row of Schmidt
+    # rank 1), a bare IndexError for the missing register, or a bare
+    # TypeError or ValueError for blocks that are no matrices, before
     with pytest.raises(DimensionMismatch):
         call()
 

@@ -142,8 +142,9 @@ def test_a_step_on_a_measured_factor_is_a_dimension_mismatch():
         LocalStep(ALICE, "H", HADAMARD, (0,)),
         ConditionalStep(ALICE, "Z^x", np.eye(2)[None].repeat(2, 0), (0,), "x"),
         MeasureStep(ALICE, 0, "y"),
+        CouplingStep(ALICE, "P", np.eye(2), np.eye(3)[None].repeat(2, 0), 0, 1),
     ):
-        program = Program((ALICE, BOB), (MeasureStep(ALICE, 0, "x"), step))
+        program = Program((ALICE, ALICE), (MeasureStep(ALICE, 0, "x"), step))
         with pytest.raises(DimensionMismatch, match="factor 0 was measured"):
             locc.run_protocol(program, initial)
 
@@ -193,11 +194,11 @@ def test_a_table_without_an_operator_per_payload_is_a_dimension_mismatch(table):
         locc.run_protocol(program, initial)
 
 
-def gathered(step, inbox, outcomes):
+def gathered(step, inbox, outcomes, rows):
     """The conditioned step as the per-row operator gather: table[payload] @
     rows, on rows (branch, *target dims, *rest) taken as (branch, d, rest)."""
     ops = np.asarray(step.unitaries, dtype=complex)[outcomes[:, inbox[step.party][step.message]]]
-    return lambda rows: ops @ rows.reshape(len(rows), ops.shape[-1], -1)
+    return ops @ rows.reshape(len(rows), ops.shape[-1], -1)
 
 
 def pruned_program():
@@ -255,15 +256,12 @@ def test_the_grouped_apply_matches_the_gather(monkeypatch, case):
     conditioned = locc._conditioned
     sizes = []
 
-    def checking(step, dims, inbox, outcomes):
-        grouped, want = conditioned(step, dims, inbox, outcomes), gathered(step, inbox, outcomes)
+    def checking(step, dims, inbox, outcomes, rows):
+        want = gathered(step, inbox, outcomes, rows)
+        got = conditioned(step, dims, inbox, outcomes, rows)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         sizes.append(np.unique(outcomes[:, inbox[step.party][step.message]], return_counts=True)[1])
-
-        def apply(rows):
-            got = grouped(rows)
-            np.testing.assert_allclose(got, want(rows), rtol=0, atol=1e-12)
-            return got
-        return apply
+        return got
 
     monkeypatch.setattr(locc, "_conditioned", checking)
     assert_matches_reference(program, initial)
@@ -448,6 +446,8 @@ E4, E3 = np.eye(4), np.eye(3)
     pytest.param(E4, E3[None].repeat(5, 0), 0, 1, DimensionMismatch, id="terms-past-columns"),
     pytest.param(E4, np.eye(2)[None].repeat(4, 0), 0, 2, LocalityViolation,
                  id="factor-2-is-bobs"),
+    pytest.param("ab", E3[None].repeat(4, 0), 0, 1, DimensionMismatch, id="basis-str"),
+    pytest.param(E4, [[["a"]]], 0, 1, DimensionMismatch, id="terms-str"),
 ])
 def test_a_malformed_coupling_is_rejected_by_name(basis, unitaries, control, target, error):
     step = CouplingStep(ALICE, "P", basis, unitaries, control, target)
@@ -455,6 +455,36 @@ def test_a_malformed_coupling_is_rejected_by_name(basis, unitaries, control, tar
     match = "coupling 'P'" if error is DimensionMismatch else "factor 2 owned by bob"
     with pytest.raises(error, match=match):
         locc.run_protocol(Program((ALICE, ALICE, BOB), (step,)), initial)
+
+
+@pytest.mark.parametrize("step", [
+    pytest.param(LocalStep(ALICE, "H2", np.eye(16), (0, 0)), id="local"),
+    pytest.param(ConditionalStep(ALICE, "V_b", np.eye(16)[None].repeat(2, 0), (0, 0), "b"),
+                 id="conditioned"),
+    pytest.param(CouplingStep(ALICE, "P", E4, E4[None].repeat(4, 0), 0, 0), id="coupling"),
+])
+def test_a_step_on_one_factor_twice_is_rejected_before_any_product(monkeypatch, step):
+    # the factors are resolved before any operator is checked or applied, so
+    # numpy never sees the repeated axis
+    program = Program((ALICE, ALICE, BOB), (MeasureStep(BOB, 2, "b", send_to=ALICE), step))
+    initial = qcore.tensor(qcore.tensor(qcore.ket(0, 4), qcore.ket(0, 3)), qcore.ket(0, 2))
+    checked = recorded_checks(monkeypatch)
+    with pytest.raises(DimensionMismatch, match=f"'{re.escape(step.label)}' names a factor twice"):
+        locc.run_protocol(program, initial)
+    assert checked == []
+
+
+@pytest.mark.parametrize("step", [
+    pytest.param(LocalStep(ALICE, "H", "ab", (0,)), id="local"),
+    pytest.param(ConditionalStep(ALICE, "V_x", [E4, E3, E4], (0,), "x"), id="ragged-table"),
+    pytest.param(ConditionalStep(ALICE, "V_x", [[["a"]]] * 3, (0,), "x"), id="table-str"),
+])
+def test_an_operator_step_holding_no_numbers_is_a_dimension_mismatch(step):
+    # a bare ValueError from numpy before
+    initial = qcore.tensor(qcore.ket(0, 4), qcore.ket(0, 3))
+    program = Program((ALICE, ALICE), (MeasureStep(ALICE, 1, "x"), step))
+    with pytest.raises(DimensionMismatch, match="not numeric|no array"):
+        locc.run_protocol(program, initial)
 
 
 def perturbed_coupling(kind, rng):

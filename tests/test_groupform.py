@@ -74,7 +74,10 @@ def test_bad_cayley_tables_rejected():
     (lambda: groupform.block_decomposition(groupform.pauli_rep(), (2.9,)), DimensionMismatch),
     (lambda: groupform.z_gate(1, 2.5), DimensionMismatch),
     (lambda: groupform.cyclic_character_rep(4.5), DimensionMismatch),
-], ids=["cayley-entry", "block-dims", "z-gate-order", "character-rep-order"])
+    (lambda: groupform.cyclic(2.5), DimensionMismatch),
+    (lambda: groupform.cyclic(0), DimensionMismatch),
+], ids=["cayley-entry", "block-dims", "z-gate-order", "character-rep-order", "cyclic-order",
+        "cyclic-order-zero"])
 def test_a_non_integer_entry_or_dimension_is_named(call, error):
     # truncated before: the table read as Z2, the blocks as (2,)
     with warnings.catch_warnings():
@@ -122,12 +125,23 @@ def test_non_finite_matrices_and_factors_are_named():
         groupform.projective_rep(rep.group, mats)
 
 
-@pytest.mark.parametrize("matrices", [[1, -1], [np.zeros((0, 0))] * 2],
-                         ids=["scalars", "no-level"])
+@pytest.mark.parametrize("matrices", [[1, -1], [np.zeros((0, 0))] * 2, 5, "ab"],
+                         ids=["scalars", "no-level", "int", "str"])
 def test_matrices_that_are_no_operators_are_a_dimension_mismatch(matrices):
-    # a bare IndexError or ValueError before
+    # a bare IndexError, TypeError or ValueError before
     with pytest.raises(DimensionMismatch):
         groupform.projective_rep(groupform.cyclic(2), matrices)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: groupform.projective_rep(groupform.cyclic(2), [[[1]], [[-1]]], mu="ab"),
+    lambda: groupform.assemble(groupform.pauli_rep(), "abcd"),
+    lambda: groupform.mixer(groupform.pauli_rep(), [1, 0, 0, "x"]),
+], ids=["factor-system-str", "coefficients-str", "coefficient-entry-str"])
+def test_coefficients_or_factors_that_are_no_numbers_are_a_dimension_mismatch(call):
+    # a bare TypeError or ValueError before
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 @pytest.mark.parametrize("call", [groupform.assemble, groupform.mixer], ids=["assemble", "mixer"])
@@ -291,6 +305,19 @@ def test_z_gate_is_bitwise_the_fourier_row_form():
             expected = np.diag(1.0 / (np.sqrt(n) * f[g, :]))
             assert groupform.z_gate(g, n).tobytes() == expected.tobytes(), (g, n)
             assert stack[g].tobytes() == expected.tobytes(), (g, n)
+
+
+def test_z_gate_takes_integer_payloads_only():
+    # Z(1.5) was diag(1, i) before: no operator of the protocol
+    for g in (1.5, np.array([0.0, 1.0]), True):
+        with pytest.raises(DimensionMismatch, match="not an integer"):
+            groupform.z_gate(g, 2)
+    # an integer past the order is taken mod |G|, as before
+    np.testing.assert_allclose(groupform.z_gate(5, 3), groupform.z_gate(2, 3), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        groupform.z_gate(np.arange(3, 6, dtype=np.int32), 3), groupform.z_gate(np.arange(3), 3),
+        rtol=0, atol=1e-12,
+    )
 
 
 def test_alice_side_group_operators_ignore_the_coefficients():

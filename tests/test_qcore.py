@@ -406,10 +406,33 @@ def test_a_non_integer_dimension_or_factor_is_a_dimension_mismatch(call):
     ([np.eye(2), np.ones(2)], DimensionMismatch, "block 1 has shape (2,)"),
     ([np.eye(2), np.eye(2), np.full((2, 2), np.nan)], NonFinite, "block 2 has"),
     ([np.eye(2), np.diag([1, np.inf])], NonFinite, "block 1 has"),
-], ids=["empty", "scalars", "no-level", "mixed-sizes", "vector", "nan", "inf"])
+    ("ab", DimensionMismatch, "block values are not a sequence of numeric matrices"),
+    (5, DimensionMismatch, "block values are not a sequence of numeric matrices"),
+    ([np.eye(2), [[1, 0], [0]]], DimensionMismatch, "block values are not"),
+], ids=["empty", "scalars", "no-level", "mixed-sizes", "vector", "nan", "inf", "str", "int",
+        "ragged"])
 def test_the_operator_gate_names_the_first_entry_at_fault(values, error, named):
     with pytest.raises(error, match=re.escape(named)):
         qcore.operators(values, "block")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qcore.coefficients("ab", "coefficients"),
+    lambda: qcore.coefficients([1, None, "x"], "coefficients"),
+    lambda: StateVector("ab", (2,)),
+    lambda: qcore.local_unitary("ab", (2,), (0,)),
+], ids=["coefficients-str", "coefficients-entry", "state-str", "local-unitary-str"])
+def test_a_value_of_the_wrong_kind_is_a_dimension_mismatch(call):
+    # a bare TypeError or ValueError before
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
+def test_the_coefficient_gate_flattens_and_names_non_finite_entries():
+    vec = qcore.coefficients([[1, 2j], [3, 4]], "coefficients")
+    assert vec.dtype == complex and vec.tolist() == [1, 2j, 3, 4]
+    with pytest.raises(NonFinite, match="coefficients must be finite"):
+        qcore.coefficients([1, np.inf], "coefficients")
 
 
 def test_an_empty_matrix_is_not_unitary():

@@ -80,10 +80,17 @@ def _setup_2():
     lambda: wang.random_partition(4.5, 2, np.random.default_rng(0)),
     lambda: wang.random_partition(4, 2.5, np.random.default_rng(0)),
     lambda: wang.partition_from_bases(np.eye(4), np.eye(4), (2.5, 1.5)),
+    lambda: wang.validate_partition("ab"),
+    lambda: wang.validate_partition(5),
+    lambda: wang.validate_partition([np.eye(2), [[1, 0], [0]]]),
+    lambda: wang.Phases("a"),
+    lambda: wang.Phases([1, "x"]),
 ], ids=["empty-block", "empty-svd-input", "float-l", "float-m", "float-phase-count",
-        "float-diagonal-dim", "float-partition-dim", "float-block-count", "float-group-sizes"])
+        "float-diagonal-dim", "float-partition-dim", "float-block-count", "float-group-sizes",
+        "blocks-str", "blocks-int", "ragged-block", "phases-str", "phase-entry-str"])
 def test_an_empty_or_non_integer_input_is_a_dimension_mismatch(call):
-    # a numpy error or a bare StopIteration before; warnings fail the suite
+    # a numpy error, a bare StopIteration, or a bare TypeError or ValueError
+    # for a value of the wrong kind, before; warnings fail the suite
     with pytest.raises(DimensionMismatch):
         call()
 
@@ -301,6 +308,20 @@ def test_recovery_over_an_array_of_outcomes_stacks_each_r_m():
         assert stack.shape == (n, dim, dim)
         for m in range(n):
             np.testing.assert_allclose(stack[m], wang.recovery(p, m), rtol=0, atol=1e-12)
+
+
+def test_recovery_takes_integer_outcomes_only():
+    # recovery(p, 1.5) was a unitary "R_1.5" before: no operator of the protocol
+    p = wang.random_partition(4, 3, np.random.default_rng(3))
+    for m in (1.5, np.array([0.0, 1.0]), True):
+        with pytest.raises(DimensionMismatch, match="not an integer"):
+            wang.recovery(p, m)
+    # an integer past the outcome count is taken mod N, as before
+    np.testing.assert_allclose(wang.recovery(p, 4), wang.recovery(p, 1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        wang.recovery(p, np.arange(3, 6, dtype=np.uint8)), wang.recovery(p, np.arange(3)),
+        rtol=0, atol=1e-12,
+    )
 
 
 def test_recovery_with_no_outcome_maps_u_to_v():
