@@ -151,10 +151,7 @@ def bqst_program(unitary: np.ndarray) -> Program:
     shifts = qcore.shift_powers(dim)
     basis = np.eye(dim)   # column i of I carries X^i
     f_inv = qcore.fourier_matrix(dim).conj().T
-    # clocks[p] = Z^p = diag_k e^{2 pi i p k / dim}
-    clocks = np.zeros((dim, dim, dim), dtype=complex)
-    grid = np.arange(dim)
-    clocks[:, grid, grid] = np.exp(2j * np.pi * np.outer(grid, grid) / dim)
+    clocks = qcore.clock_powers(dim)
     return Program(
         owners=(ALICE, ALICE, BOB, BOB, ALICE),
         steps=(

@@ -3,6 +3,14 @@
 Every validation failure raises a subclass of QRemoteError whose class name
 states the violated invariant; the CLI prints that name verbatim as the
 diagnostic and exits with code 2.
+
+The boundary of that promise: a numeric value at fault raises a
+QRemoteError. Numeric values are arrays and their entries, sizes, factor
+indices (a step's targets among them), payloads, and integers past the
+float range, which are NonFinite as the literal 1e400 is. A value of the
+wrong library type, such as a str where a Program, Party or BlockPartition
+belongs, is a caller's bug and stays Python's own TypeError or
+AttributeError.
 """
 
 

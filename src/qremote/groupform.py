@@ -208,8 +208,7 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
 def cyclic_character_rep(n: int) -> ProjectiveRep:
     """Z_n acting by its characters: U(k) = diag_j e^{2 pi i k j / n}, mu = 1."""
     (n,) = qcore.dimensions((n,), "group order")
-    mats = [np.diag(np.exp(2j * np.pi * k * np.arange(n) / n)) for k in range(n)]
-    return projective_rep(cyclic(n), mats, mu=np.ones((n, n)))
+    return projective_rep(cyclic(n), qcore.clock_powers(n), mu=np.ones((n, n)))
 
 
 def pauli_rep() -> ProjectiveRep:
@@ -241,25 +240,12 @@ def dihedral3_rep() -> ProjectiveRep:
 
 # --- protocol operators -------------------------------------------------------
 
-def z_gate(g, order: int) -> np.ndarray:
-    """Z(g)|f> = (1/sqrt|G|) <g|F|f>^{-1} |f> for the Fourier matrix F; for
-    an array of g, the stack of the Z(g). g is an outcome, so only an
-    integer, taken mod |G|, names a Z(g).
-
-    Every entry of F has modulus 1/sqrt|G|, so Z(g) is diagonal unimodular;
-    run_protocol checks it as it checks every operator a step holds. Rows g of
-    F are computed alone, with the operations qcore.fourier_matrix applies
-    to them, so each is bitwise equal to fourier_matrix(order)[g]. The
-    diagonal is written into zeros, so no -0.0 appears off it.
-    """
+def z_gate(order: int) -> np.ndarray:
+    """The table Z(0) .. Z(|G|-1) of Z(g)|f> = (1/sqrt|G|) <g|F|f>^{-1} |f>
+    for the Fourier matrix F, which is the clock power Z^{-g}: diagonal
+    unimodular, read off qcore.clock_powers."""
     (order,) = qcore.dimensions((order,), "group order")
-    if np.asarray(g).dtype.kind not in "iu":
-        raise DimensionMismatch(f"outcome {g!r} is not an integer")
-    rows = np.exp(2j * np.pi * np.multiply.outer(g, np.arange(order)) / order) / math.sqrt(order)
-    out = np.zeros(rows.shape + (order,), dtype=complex)
-    diagonal = np.arange(order)
-    out[..., diagonal, diagonal] = 1.0 / (math.sqrt(order) * rows)
-    return out
+    return qcore.clock_powers(order)[-np.arange(order) % order]
 
 
 def assemble(rep: ProjectiveRep, coefficients) -> np.ndarray:
@@ -308,7 +294,7 @@ def group_program(rep: ProjectiveRep, coefficients) -> Program:
             CouplingStep(ALICE, "P", np.eye(n), mats, 1, 0),
             LocalStep(ALICE, "F", qcore.fourier_matrix(n), (1,)),
             MeasureStep(ALICE, 1, "g", send_to=BOB),
-            ConditionalStep(BOB, "Z(g)", z_gate(np.arange(n), n), (2,), "g"),
+            ConditionalStep(BOB, "Z(g)", z_gate(n), (2,), "g"),
             LocalStep(BOB, "M", mix, (2,)),
             MeasureStep(BOB, 2, "h", send_to=ALICE),
             ConditionalStep(ALICE, "U(h^-1)", mats[inverses], (0,), "h"),

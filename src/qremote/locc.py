@@ -258,6 +258,10 @@ def prepare(program: Program, input_state: StateVector) -> StateVector:
 
 
 def _check_locality(owners, party: Party, targets) -> None:
+    try:
+        targets = tuple(targets)
+    except TypeError:
+        raise DimensionMismatch(f"targets {targets!r} are not a sequence of factors") from None
     for t in targets:
         if not qcore.is_index(t, len(owners)):
             raise DimensionMismatch(f"target {t} outside the register layout")
@@ -296,6 +300,8 @@ def _coupling(step: CouplingStep, dims: tuple[int, ...], rows: np.ndarray) -> np
         stack = np.asarray(step.unitaries, dtype=complex)
     except (TypeError, ValueError):
         raise DimensionMismatch(f"coupling {step.label!r} holds values that are not numbers") from None
+    except OverflowError:
+        raise NonFinite(f"coupling {step.label!r} holds a value past the float range") from None
     d_c, d_t = dims[step.control], dims[step.target]
     if (basis.shape, stack.shape) != ((d_c, d_c), (d_c, d_t, d_t)):
         raise DimensionMismatch(

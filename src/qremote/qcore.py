@@ -8,7 +8,9 @@ throughout. Every module's arguments pass three gates: dimensions for
 sizes, operators for stacks of matrices and coefficients for vectors of
 scalars. A value of the wrong kind, such as a string where numbers belong,
 is a DimensionMismatch at each gate, as it is for StateVector and
-local_unitary.
+local_unitary. The shift and clock of the protocols' corrections are built
+in one place each, as whole tables of powers: shift_powers and
+clock_powers.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ def operators(values, what: str) -> np.ndarray:
         mats = [np.asarray(m, dtype=complex) for m in values]
     except (TypeError, ValueError):
         raise DimensionMismatch(f"{what} values are not a sequence of numeric matrices") from None
+    except OverflowError:
+        raise NonFinite(f"{what} has an entry past the float range") from None
     dim = mats[0].shape[0] if mats and mats[0].ndim else 0
     if not dim:
         raise DimensionMismatch(f"{what} 0 is missing or not an operator on at least one level")
@@ -74,6 +78,8 @@ def coefficients(values, what: str) -> np.ndarray:
         vec = np.asarray(values, dtype=complex).reshape(-1)
     except (TypeError, ValueError):
         raise DimensionMismatch(f"{what} are not numbers") from None
+    except OverflowError:
+        raise NonFinite(f"{what} must be finite") from None
     if not np.isfinite(vec).all():
         raise NonFinite(f"{what} must be finite")
     return vec
@@ -114,6 +120,8 @@ class StateVector:
             amps = _freeze(amplitudes).reshape(-1)
         except (TypeError, ValueError):
             raise DimensionMismatch("state amplitudes are not numbers") from None
+        except OverflowError:
+            raise NonFinite("state amplitudes must be finite") from None
         dims = dimensions(factor_dims, "factor dims")
         basis = tuple(basis)
         live = list(dims)   # a basis factor's entry becomes 0
@@ -206,11 +214,14 @@ def tensor(a, b):
 
 def unitarity_defect(stack: np.ndarray) -> np.ndarray:
     """Largest entry of |U^dag U - I| for each matrix U of a (..., d, d)
-    stack, from one batched product; nan where U is not finite."""
+    stack, from one batched product; inf or nan, with no warning, where U
+    is not finite or the product overflows (an entry near 1e308), so every
+    caller's check against NORM_TOL fails there."""
     d = stack.shape[-1]
-    gram = stack.conj().swapaxes(-1, -2) @ stack
-    gram.reshape(gram.shape[:-2] + (d * d,))[..., :: d + 1] -= 1
-    return np.abs(gram).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = stack.conj().swapaxes(-1, -2) @ stack
+        gram.reshape(gram.shape[:-2] + (d * d,))[..., :: d + 1] -= 1
+        return np.abs(gram).max(axis=(-2, -1))
 
 
 def is_unitary(m: np.ndarray) -> bool:
@@ -286,6 +297,8 @@ def local_unitary(
         op = np.asarray(op, dtype=complex)
     except (TypeError, ValueError):
         raise DimensionMismatch(f"operator on factors {targets} is not numeric") from None
+    except OverflowError:
+        raise NonFinite(f"operator on factors {targets} has an entry past the float range") from None
     d_op = math.prod(dims[t] for t in targets)
     if op.ndim not in (2, 3) or op.shape[-2:] != (d_op, d_op):
         raise DimensionMismatch(
@@ -371,6 +384,16 @@ def shift_powers(n: int) -> np.ndarray:
     entry [i, r, c] is 1 iff c = r + i mod n."""
     (n,) = dimensions((n,), "shift_powers size")
     return np.eye(n, dtype=complex)[(np.arange(n)[:, None] + np.arange(n)) % n]
+
+
+def clock_powers(n: int) -> np.ndarray:
+    """The stack Z^0 .. Z^{n-1} of the clock Z|k> = e^{2 pi i k/n}|k>,
+    each diagonal written into zeros, so no -0.0 appears off it."""
+    (n,) = dimensions((n,), "clock_powers size")
+    grid = np.arange(n)
+    out = np.zeros((n, n, n), dtype=complex)
+    out[:, grid, grid] = np.exp(2j * np.pi * np.outer(grid, grid) / n)
+    return out
 
 
 def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:

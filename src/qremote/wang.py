@@ -209,13 +209,11 @@ def phase_gate(phases: Phases) -> np.ndarray:
     return np.diag(phases.values)
 
 
-def recovery(p: BlockPartition, m) -> np.ndarray:
-    """R_m = sum_j e^{-2 pi i m j / N} A_j; for an array of m, the stack of
-    the R_m, one contraction over j. m is an outcome, so only an integer,
-    taken mod N, names an R_m."""
-    if np.asarray(m).dtype.kind not in "iu":
-        raise DimensionMismatch(f"outcome {m!r} is not an integer")
-    phases = np.exp(-2j * np.pi * np.multiply.outer(m, np.arange(p.n)) / p.n)
+def recovery(p: BlockPartition) -> np.ndarray:
+    """The table R_0 .. R_{N-1} of R_m = sum_j e^{-2 pi i m j / N} A_j, one
+    contraction over j."""
+    m = np.arange(p.n)
+    phases = np.exp(-2j * np.pi * np.outer(m, m) / p.n)
     return np.tensordot(phases, p.blocks, axes=1)
 
 
@@ -235,7 +233,7 @@ def wang_program(p: BlockPartition, phases: Phases) -> Program:
             LocalStep(BOB, "C", phase_gate(phases), (2,)),
             LocalStep(BOB, "F", qcore.fourier_matrix(p.n), (2,)),
             MeasureStep(BOB, 2, "m", send_to=ALICE),
-            ConditionalStep(ALICE, "R_m", recovery(p, np.arange(p.n)), (0,), "m"),
+            ConditionalStep(ALICE, "R_m", recovery(p), (0,), "m"),
         ),
         dims=(p.dim, p.n, p.n),
     )

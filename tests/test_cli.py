@@ -1,17 +1,24 @@
 """CLI contract: JSON problem files, exit codes, trace tables, cost output,
 and deterministic generation."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qremote
-from qremote import entcost, groupform, locc, qcore, wang
+from qremote import entcost, errors, groupform, locc, qcore, wang
 from qremote.cli import load_problem, main, matrix_to_json, vector_to_json
 
 from util import random_block_diagonal_unitary
@@ -266,6 +273,8 @@ PROBLEM_DOCS = {
     ("group", "cayley", {}, "MalformedProblem"),
     ("group", "blocks", {}, "MalformedProblem"),
     ("bqst", "unitary", [{}, {}], "MalformedProblem"),
+    # U^dag U overflows: a numpy warning, an error here, before
+    ("bqst", "unitary", [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]], "NonUnitary"),
 ])
 def test_document_errors_exit_2_with_the_invariant_named(tmp_path, capsys, kind, key, value, name):
     doc = PROBLEM_DOCS[kind]()
@@ -734,3 +743,75 @@ def test_report_matches_golden_snapshot(name, tmp_path, capsys):
     argv = golden_problems(tmp_path)[name]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+# --- mutated problem documents ---------------------------------------------------
+
+QREMOTE_ERRORS = {c.__name__ for c in vars(errors).values()
+                  if isinstance(c, type) and issubclass(c, errors.QRemoteError)}
+# JSON values that break a valid leaf: wrong types, bad sizes and indices,
+# integers and floats past the float range, non-finite literals, containers
+FUZZ_VALUES = ("x", None, True, False, 0, -1, 2.5, 10 ** 400, 1e308, -1e308,
+               math.nan, math.inf, [], {}, [[1, 0]], [[[0, 0]]])
+
+
+def fuzz_documents():
+    """Valid wang, group and bqst documents as JSON text, each with its
+    optional keys."""
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    wang_doc = diagonal_wang_doc(2, np.array([1.0, 1j]))
+    wang_doc["input"] = vector_to_json(hadamard[0])
+    group_doc = z2_group_doc()
+    group_doc.update(names=["e", "g"], mu=matrix_to_json(np.ones((2, 2))), blocks=[1, 1])
+    bqst_doc = {"kind": "bqst", "dim": 2, "unitary": matrix_to_json(hadamard),
+                "input": vector_to_json(np.array([0.6, 0.8j]))}
+    return [json.dumps(doc) for doc in (wang_doc, group_doc, bqst_doc)]
+
+
+def leaf_paths(node, path=()):
+    """Key paths to every value of a document that is not a list or object."""
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from leaf_paths(child, (*path, key))
+
+
+FUZZ_DOCUMENTS = fuzz_documents()
+
+
+@st.composite
+def mutated_documents(draw):
+    """One of the valid documents with one or two leaves replaced."""
+    doc = json.loads(draw(st.sampled_from(FUZZ_DOCUMENTS)))
+    for path in draw(st.lists(st.sampled_from(list(leaf_paths(doc))),
+                              min_size=1, max_size=2, unique=True)):
+        *outer, last = path
+        node = doc
+        for key in outer:
+            node = node[key]
+        node[last] = draw(st.sampled_from(FUZZ_VALUES))
+    return doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_documents())
+def test_a_mutated_document_exits_cleanly_or_names_its_error(tmp_path_factory, doc):
+    # every exit is a report (0), a failed check (1) or one named error (2):
+    # never a traceback or a numpy warning
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in (["run"], ["cost"], ["trace", "--branch", "0,0"]):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([*command, str(path)])
+        assert code in (0, 1, 2), (command, doc)
+        lines = err.getvalue().splitlines()
+        assert code == 2 or not lines, (command, doc, lines)
+        if lines:
+            assert len(lines) == 1, (command, doc, lines)
+            match = re.match(r"error: (\w+): ", lines[0])
+            assert match and match[1] in QREMOTE_ERRORS, (command, doc, lines)
+

@@ -3,6 +3,8 @@ executor, its operator checks, and outcome probabilities that do not depend
 on the input."""
 
 import dataclasses
+import itertools
+import math
 import re
 import tracemalloc
 
@@ -551,3 +553,73 @@ def test_every_group_branch_has_probability_one_over_order_squared(name, seed):
     assert len(branches) == order * order
     for b in branches:
         assert abs(b.probability - 1 / order**2) <= 1e-12
+
+
+# --- random valid programs against the reference --------------------------------
+
+@st.composite
+def programs(draw):
+    """A valid Program with its initial state: 2-4 factors of dimension 1-3
+    with random owners, then 1 to 6 steps of all four kinds. Targets come
+    in any order, a coupling's control on either side of its target, and a
+    conditioned step reads any message its party holds. Each factor and
+    each step is one drawn integer, split by divmod to keep the draws few:
+    a factor into (owner, dimension), a step into (size, pick, side, kind),
+    kind the lowest digit. A kind its party cannot take yet falls back to a
+    measurement or a local step, and a party with no live factor hands the
+    step to the other. Matrices and the state come from a drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = [divmod(v, 3) for v in draw(st.lists(st.integers(0, 5), min_size=2, max_size=4))]
+    owners = tuple((ALICE, BOB)[o] for o, _ in factors)
+    dims = tuple(1 + d for _, d in factors)
+    live = set(range(len(dims)))
+    inbox = {ALICE: {}, BOB: {}}   # tag -> dimension of the measured factor
+    steps = []
+    codes = draw(st.lists(st.integers(0, 24 * 24 * 2 * 4 - 1), min_size=1, max_size=6))
+    for i, v in enumerate(codes):
+        v, kind = divmod(v, 4)
+        v, side = divmod(v, 2)
+        size, pick = divmod(v, 24)
+        kind = ("local", "coupling", "conditioned", "measure")[kind]
+        party, other = ((ALICE, BOB), (BOB, ALICE))[side]
+        own = [t for t in sorted(live) if owners[t] is party]
+        if not own:
+            party, other = other, party
+            own = [t for t in sorted(live) if owners[t] is party]
+        if not own:
+            break   # every factor is measured
+        if kind == "conditioned" and not inbox[party]:
+            kind = "measure"
+        if kind == "coupling" and len(own) < 2:
+            kind = "local"
+        order = list(itertools.permutations(own))[pick % math.factorial(len(own))]
+        if kind == "measure":
+            send_to = (None, other)[size % 2]
+            steps.append(MeasureStep(party, order[0], f"m{i}", send_to))
+            live.remove(order[0])
+            for receiver in {party, send_to} - {None}:
+                inbox[receiver][f"m{i}"] = dims[order[0]]
+        elif kind == "coupling":
+            control, target = order[:2]
+            unitaries = np.array([qcore.random_unitary(dims[target], rng)
+                                  for _ in range(dims[control])])
+            steps.append(CouplingStep(party, f"W{i}", qcore.random_unitary(dims[control], rng),
+                                      unitaries, control, target))
+        else:
+            targets = order[: 1 + size % len(own)]
+            d = math.prod(dims[t] for t in targets)
+            if kind == "local":
+                steps.append(LocalStep(party, f"U{i}", qcore.random_unitary(d, rng), targets))
+            else:
+                tags = sorted(inbox[party])
+                tag = tags[pick % len(tags)]
+                table = np.array([qcore.random_unitary(d, rng) for _ in range(inbox[party][tag])])
+                steps.append(ConditionalStep(party, f"V{i}", table, targets, tag))
+    initial = random_state(math.prod(dims), rng)
+    return Program(owners, tuple(steps)), qcore.StateVector(initial.amplitudes, dims)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=programs())
+def test_random_programs_match_the_reference(case):
+    assert_matches_reference(*case)

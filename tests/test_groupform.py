@@ -72,7 +72,7 @@ def test_bad_cayley_tables_rejected():
 @pytest.mark.parametrize("call, error", [
     (lambda: groupform.finite_group([[0, 1.7], [1, 0]]), NotAGroup),
     (lambda: groupform.block_decomposition(groupform.pauli_rep(), (2.9,)), DimensionMismatch),
-    (lambda: groupform.z_gate(1, 2.5), DimensionMismatch),
+    (lambda: groupform.z_gate(2.5), DimensionMismatch),
     (lambda: groupform.cyclic_character_rep(4.5), DimensionMismatch),
     (lambda: groupform.cyclic(2.5), DimensionMismatch),
     (lambda: groupform.cyclic(0), DimensionMismatch),
@@ -294,30 +294,18 @@ def test_hadamard_expansion_builds_unitary_steps():
         assert np.abs(op.conj().T @ op - np.eye(op.shape[0])).max() <= 1e-9
 
 
-def test_z_gate_is_bitwise_the_fourier_row_form():
-    # z_gate computes row g of F alone; it must match the full matrix's row
-    # bit for bit, and so must each matrix of the stack for all g at once
+def test_z_gate_undoes_each_fourier_row():
+    # Z(g)|f> = (1/sqrt|G|) <g|F|f>^{-1} |f>: Z(g) times row g of sqrt(n) F
+    # is all ones, and the table is diagonal with plain zeros off the diagonal
     for n in range(1, 33):
-        f = qcore.fourier_matrix(n)
-        stack = groupform.z_gate(np.arange(n), n)
-        assert stack.shape == (n, n, n)
-        for g in range(n):
-            expected = np.diag(1.0 / (np.sqrt(n) * f[g, :]))
-            assert groupform.z_gate(g, n).tobytes() == expected.tobytes(), (g, n)
-            assert stack[g].tobytes() == expected.tobytes(), (g, n)
-
-
-def test_z_gate_takes_integer_payloads_only():
-    # Z(1.5) was diag(1, i) before: no operator of the protocol
-    for g in (1.5, np.array([0.0, 1.0]), True):
-        with pytest.raises(DimensionMismatch, match="not an integer"):
-            groupform.z_gate(g, 2)
-    # an integer past the order is taken mod |G|, as before
-    np.testing.assert_allclose(groupform.z_gate(5, 3), groupform.z_gate(2, 3), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(
-        groupform.z_gate(np.arange(3, 6, dtype=np.int32), 3), groupform.z_gate(np.arange(3), 3),
-        rtol=0, atol=1e-12,
-    )
+        rows = np.sqrt(n) * qcore.fourier_matrix(n)
+        table = groupform.z_gate(n)
+        assert table.shape == (n, n, n)
+        diagonal = np.einsum("gkk->gk", table)
+        np.testing.assert_allclose(diagonal * rows, np.ones((n, n)), rtol=0, atol=1e-12)
+        off = table[:, ~np.eye(n, dtype=bool)]
+        assert not np.signbit(off.real).any() and not np.signbit(off.imag).any(), n
+        assert not off.any(), n
 
 
 def test_alice_side_group_operators_ignore_the_coefficients():
@@ -536,3 +524,48 @@ def test_block_structure_violations_rejected():
     rng = np.random.default_rng(7)
     with pytest.raises(NotBlockDiagonal):
         groupform.coefficients_from_unitary(qcore.random_unitary(4, rng), decomp)
+
+
+# --- Weyl-Heisenberg representations -------------------------------------------
+
+def weyl_rep(d):
+    """U(a, b) = X^a Z^b on Z_d x Z_d, element (a, b) at index a*d + b: the
+    clock-and-shift basis, built from qcore's two table builders."""
+    a, b = np.divmod(np.arange(d * d), d)
+    cayley = ((a[:, None] + a) % d) * d + (b[:, None] + b) % d
+    mats = qcore.shift_powers(d)[a] @ qcore.clock_powers(d)[b]
+    return groupform.projective_rep(groupform.finite_group(cayley), mats)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_the_weyl_rep_implements_a_haar_unitary_on_every_branch(d):
+    # d-dimensional and irreducible, with |G| = d^2, so one block spans every
+    # d x d matrix: the group protocol implements any unitary exactly
+    rng = np.random.default_rng(40 + d)
+    rep = weyl_rep(d)
+    decomp = groupform.block_decomposition(rep, (d,))
+    target = qcore.random_unitary(d, rng)
+    c = groupform.coefficients_from_unitary(target, decomp)
+    np.testing.assert_allclose(groupform.assemble(rep, c), target, rtol=0, atol=1e-12)
+    psi = random_state(d, rng)
+    expected = qcore.StateVector(target @ psi.amplitudes, (d,))
+    branches = groupform.run_group_protocol(rep, c, psi)
+    assert len(branches) == d ** 4
+    for b in branches:
+        assert abs(b.probability - d ** -4) <= 1e-12
+        assert fidelity(b.output, expected) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_the_weyl_factor_system_is_its_closed_form(d):
+    # X|k> = |k-1> and Z|k> = w^k |k> give Z X = w^-1 X Z, so
+    # U(a,b) U(a',b') = w^{-b a'} U(a+a', b+b') with w = e^{2 pi i/d}
+    a, b = np.divmod(np.arange(d * d), d)
+    closed = np.exp(-2j * np.pi * np.outer(b, a) / d)
+    np.testing.assert_allclose(weyl_rep(d).mu, closed, rtol=0, atol=1e-12)
+
+
+def test_the_qubit_weyl_rep_is_the_pauli_rep_up_to_labels():
+    weyl, pauli = weyl_rep(2).matrices, groupform.pauli_rep().matrices
+    close = np.abs(weyl[:, None] - pauli[None]).max(axis=(2, 3)) <= 1e-12
+    assert (close.sum(axis=0) == 1).all() and (close.sum(axis=1) == 1).all()

@@ -18,6 +18,7 @@ from qremote.locc import (
     BOB,
     ClassicalMessageEvent,
     ConditionalStep,
+    CouplingStep,
     LocalOpEvent,
     LocalStep,
     MeasureStep,
@@ -50,13 +51,24 @@ def test_maximally_entangled_small_cases():
         qcore.ket(0, 2)),
     lambda: locc.run_protocol(
         Program(owners=(ALICE,), steps=(MeasureStep(ALICE, 0.5, "m"),)), qcore.ket(0, 2)),
-], ids=["resource-size", "local-step-target", "measure-step-target"])
+    # an int where the targets' tuple belongs
+    lambda: locc.run_protocol(
+        Program(owners=(ALICE,), steps=(LocalStep(ALICE, "H", np.eye(2), 0),)), qcore.ket(0, 2)),
+], ids=["resource-size", "local-step-target", "measure-step-target", "local-step-int-targets"])
 def test_a_non_integer_size_or_target_is_a_dimension_mismatch(call):
     # a bare TypeError before
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DimensionMismatch):
             call()
+
+
+def test_a_coupling_entry_past_the_float_range_is_non_finite():
+    # a bare OverflowError before
+    coupling = CouplingStep(ALICE, "P", [[10 ** 400, 0], [0, 1]], qcore.shift_powers(2), 0, 1)
+    program = Program(owners=(ALICE, ALICE), steps=(coupling,))
+    with pytest.raises(NonFinite, match="'P' holds a value past the float range"):
+        locc.run_protocol(program, qcore.tensor(qcore.ket(0, 2), qcore.ket(0, 2)))
 
 
 def test_maximally_entangled_rank_via_schmidt():

@@ -435,6 +435,34 @@ def test_the_coefficient_gate_flattens_and_names_non_finite_entries():
         qcore.coefficients([1, np.inf], "coefficients")
 
 
+BIG = 10 ** 400   # an integer past the float range
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qcore.operators([[[BIG]]], "block"),
+    lambda: qcore.coefficients([1, BIG], "coefficients"),
+    lambda: StateVector([BIG, 0], (2,)),
+    lambda: qcore.local_unitary([[BIG, 0], [0, 1]], (2,), (0,)),
+], ids=["operators", "coefficients", "state", "local-unitary"])
+def test_an_integer_past_the_float_range_is_non_finite(call):
+    # a bare OverflowError before, as the literal 1e400 is inf
+    with pytest.raises(NonFinite):
+        call()
+
+
+@pytest.mark.parametrize("entry", [1e308, -1e308, 1e200, complex(1e308, 1e308)])
+def test_an_overflowing_unitarity_product_fails_without_a_warning(entry):
+    # "overflow encountered in matmul" before, an error under -W error
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not qcore.unitarity_defect(m) <= qcore.NORM_TOL
+        assert not qcore.is_unitary(m)
+        with pytest.raises(NonUnitary):
+            qcore.local_unitary(np.stack([np.eye(3), m]), (3,), (0,))
+
+
 def test_an_empty_matrix_is_not_unitary():
     # a numpy ValueError before
     assert not qcore.is_unitary(np.zeros((0, 0)))
