@@ -29,13 +29,16 @@ running total, and the measurement that takes the total past NORM_TOL
 raises NotNormalized then and there. One gate closes
 the run: every row of the final array must have norm 1 within NORM_TOL,
 checked in one pass; the final array is frozen in place, and copied only
-if it is a strided view. A branch stores its outcomes, probability and
-amplitudes (a read-only view of its row) and shares the run's
-operator-free record of the steps and of the measured factors; its
-output, transcript and outcomes are derived from these on each read. Its
-full state is a qcore.StateVector that stores the row as is and labels
-each measured factor with its outcome's basis state, so reading it copies
-no amplitudes; the zero-filled dense vector is built only if read.
+if it is a strided view. A branch stores its outcomes, probability,
+amplitudes (a read-only view of its row) and the norm the gate measured,
+and shares the run's operator-free record of the steps and of the
+measured factors; its output, transcript and outcomes are derived from
+these on each read. Its full state is a qcore.StateVector that stores the
+row as is and labels each measured factor with its outcome's basis state,
+so reading it copies no amplitudes; the zero-filled dense vector is built
+only if read. The closing gate is the check each branch's state and
+output rely on: StateVector._prechecked builds them from the row and its
+norm, and checks nothing again.
 
 A Program declares its registers, dims: the input at factor 0, then a
 maximally entangled pair on each of (1, 2), (3, 4), ... prepare checks the
@@ -51,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import index
 
 import numpy as np
 
@@ -180,12 +184,14 @@ class Branch:
     measured the factor each MeasureStep targets, in the same order, and
     amplitudes the state of the unmeasured factors in factor order, one
     axis per factor: a read-only view of the run's checked output array.
+    norm is the norm of amplitudes that the run's closing gate passed.
     steps and measured are shared by every branch of the run."""
 
     steps: tuple[LocalOpEvent | MeasureStep, ...]
     row: tuple[int, ...]
     probability: float
     amplitudes: np.ndarray
+    norm: float
     factor_dims: tuple[int, ...]
     measured: tuple[int, ...]
 
@@ -210,16 +216,22 @@ class Branch:
 
     @property
     def output(self) -> StateVector:
-        """The state of the unmeasured factors, built on each read."""
-        return StateVector(self.amplitudes, self.amplitudes.shape)
+        """The state of the unmeasured factors, built on each read with no
+        check but the run's closing gate."""
+        return StateVector._prechecked(self.amplitudes, self.amplitudes.shape, (), self.norm)
 
     @property
     def state(self) -> StateVector:
-        """The full register state, built on each read without copying the
-        amplitudes: they are stored for the unmeasured factors, and each
-        measured factor is a basis label, in its outcome's basis state.
-        Its dense form is built only if read."""
-        return StateVector(self.amplitudes, self.factor_dims, [*zip(self.measured, self.row)])
+        """The full register state, built on each read with no check but the
+        run's closing gate and without copying the amplitudes: they are
+        stored for the unmeasured factors, and each measured factor is a
+        basis label, in its outcome's basis state. Its dense form is built
+        only if read."""
+        # a list first: with tuple(zip(...)), gating every branch of a wang
+        # (32, 32) run kept a 56-byte tuple per branch allocated, a 92 kB
+        # tracemalloc peak against 34 kB
+        labels = tuple([*zip(self.measured, self.row)])
+        return StateVector._prechecked(self.amplitudes, self.factor_dims, labels, self.norm)
 
     @property
     def outcomes(self) -> dict[str, int]:
@@ -370,16 +382,17 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
         batch = new.reshape(moved.shape).transpose(*map(perm.index, range(len(perm))))
         del new, moved   # the old batch ends with the step
 
-    final = _checked_output(batch, outcomes)
+    final, norms = _checked_output(batch, outcomes)
     steps = tuple(
         s if isinstance(s, MeasureStep) else LocalOpEvent(
             s.party, s.label, s.targets, s.message if isinstance(s, ConditionalStep) else None)
         for s in program.steps
     )
-    measured = tuple(s.target for s in program.steps if isinstance(s, MeasureStep))
+    # Python ints, as a state's basis labels are
+    measured = tuple(index(s.target) for s in program.steps if isinstance(s, MeasureStep))
     return [
-        Branch(steps, tuple(row), p, amps, dims, measured)
-        for amps, row, p in zip(final, outcomes.tolist(), prob.tolist())
+        Branch(steps, tuple(row), p, amps, norm, dims, measured)
+        for amps, row, p, norm in zip(final, outcomes.tolist(), prob.tolist(), norms.tolist())
     ]
 
 
@@ -435,11 +448,13 @@ def _conditioned(
     return sorted_rows
 
 
-def _checked_output(batch: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """The run's closing gate: batch frozen once and returned, after
-    checking that every row has norm 1 within NORM_TOL, in one pass
-    (NonFinite or NotNormalized names the first row at fault by its
-    outcomes)."""
+def _checked_output(batch: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The run's closing gate, and the one check that each branch's state
+    and output rely on: batch frozen once and returned with each row's
+    norm, after checking that every row has norm 1 within NORM_TOL, in one
+    pass (NonFinite or NotNormalized names the first row at fault by its
+    outcomes). The rows are read-only, C-contiguous and complex, as
+    StateVector._prechecked requires."""
     # a copy only of a strided view: other memory is the run's own or the
     # frozen input's, and is frozen in place
     final = np.ascontiguousarray(batch)
@@ -459,7 +474,7 @@ def _checked_output(batch: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         if not math.isfinite(norm):
             raise NonFinite(f"{where} has norm {norm}, which is not finite")
         raise NotNormalized(f"{where} has norm {norm!r}, deviating from 1 beyond {qcore.NORM_TOL}")
-    return final
+    return final, norms
 
 
 def transcript_lines(transcript: Transcript) -> list[str]:

@@ -7,10 +7,11 @@ stay small (tens of levels each, so a block-protocol branch at (D, n) =
 throughout. Every module's arguments pass three gates: dimensions for
 sizes, operators for stacks of matrices and coefficients for vectors of
 scalars. A value of the wrong kind, such as a string where numbers belong,
-is a DimensionMismatch at each gate, as it is for StateVector and
-local_unitary. The shift and clock of the protocols' corrections are built
-in one place each, as whole tables of powers: shift_powers and
-clock_powers.
+is a DimensionMismatch at each gate, as it is for StateVector and for the
+arrays that local_unitary, is_unitary, tensor and factor_overlap take; an
+integer past the float range is NonFinite there. The shift and clock of
+the protocols' corrections are built in one place each, as whole tables of
+powers: shift_powers and clock_powers.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .errors import DimensionMismatch, EntangledFactor, NonFinite, NonUnitary, N
 
 # Double precision leaves >= 6 orders of margin at these dimensions.
 NORM_TOL = 1e-9     # unitarity and state-normalization checks
+# a partition block's nonzero singular values must be 1 within this: the
+# SVD's error on them is larger than the Gram products' that NORM_TOL bounds
+SINGULAR_TOL = 1e-8
 RANK_TOL = 1e-9     # Schmidt coefficients below this do not count toward rank
 PROB_FLOOR = 1e-12  # measurement branches below this probability are dropped
 
@@ -85,6 +89,17 @@ def coefficients(values, what: str) -> np.ndarray:
     return vec
 
 
+def _numeric(values, what: str) -> np.ndarray:
+    """values as a complex array; DimensionMismatch if they are not numbers,
+    NonFinite if one is an integer past the float range."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{what} is not numeric") from None
+    except OverflowError:
+        raise NonFinite(f"{what} has an entry past the float range") from None
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     """Read-only complex copy. A read-only, C-contiguous complex array whose
     memory belongs to a read-only array is kept as is: whoever froze that
@@ -123,8 +138,8 @@ class StateVector:
         except OverflowError:
             raise NonFinite("state amplitudes must be finite") from None
         dims = dimensions(factor_dims, "factor dims")
-        basis = tuple(basis)
         live = list(dims)   # a basis factor's entry becomes 0
+        labels = []         # as Python ints: a bool k would index as a mask
         for f, k in basis:
             if not (is_index(f, len(dims)) and live[f] and is_index(k, dims[f])):
                 raise DimensionMismatch(
@@ -132,6 +147,8 @@ class StateVector:
                     f"or repeats a factor of {dims}"
                 )
             live[f] = 0
+            labels.append((index(f), index(k)))
+        basis = tuple(labels)
         live = [d for d in live if d]
         if amps.size != math.prod(live):
             where = f" outside basis {basis}" if basis else ""
@@ -148,6 +165,26 @@ class StateVector:
         init(self, "stored", amps.reshape(live))
         init(self, "_norm", norm)
         init(self, "_dense", None if basis else amps)
+
+    @classmethod
+    def _prechecked(cls, stored: np.ndarray, factor_dims, basis, norm: float):
+        """The state __init__ would build from these, with none of its checks:
+        for a caller that has already made them, as locc's closing gate does
+        for every branch. The caller guarantees that
+        - stored is read-only, C-contiguous and complex, with one axis per
+          factor not in basis, in factor order;
+        - factor_dims is a tuple of Python ints >= 1, and basis a tuple of
+          (factor, k) pairs of in-range Python ints, no factor twice;
+        - norm is the norm of stored and has already passed the NORM_TOL gate.
+        """
+        self = object.__new__(cls)
+        init = object.__setattr__
+        init(self, "factor_dims", factor_dims)
+        init(self, "basis", basis)
+        init(self, "stored", stored)
+        init(self, "_norm", norm)
+        init(self, "_dense", None if basis else stored.reshape(-1))
+        return self
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -209,7 +246,7 @@ def tensor(a, b):
         )
     if isinstance(a, StateVector) or isinstance(b, StateVector):
         raise TypeError("tensor expects two matrices or two states, not a mix")
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.kron(_numeric(a, "tensor factor"), _numeric(b, "tensor factor"))
 
 
 def unitarity_defect(stack: np.ndarray) -> np.ndarray:
@@ -225,7 +262,7 @@ def unitarity_defect(stack: np.ndarray) -> np.ndarray:
 
 
 def is_unitary(m: np.ndarray) -> bool:
-    m = np.asarray(m, dtype=complex)
+    m = _numeric(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         return False
     return bool(unitarity_defect(m) <= NORM_TOL)
@@ -293,12 +330,7 @@ def local_unitary(
     to be unitary on the target factors by one unitarity_defect. NonUnitary
     names the first matrix at fault: name(i) for matrix i of a stack."""
     targets = _check_targets(dims, targets)
-    try:
-        op = np.asarray(op, dtype=complex)
-    except (TypeError, ValueError):
-        raise DimensionMismatch(f"operator on factors {targets} is not numeric") from None
-    except OverflowError:
-        raise NonFinite(f"operator on factors {targets} has an entry past the float range") from None
+    op = _numeric(op, f"operator on factors {targets}")
     d_op = math.prod(dims[t] for t in targets)
     if op.ndim not in (2, 3) or op.shape[-2:] != (d_op, d_op):
         raise DimensionMismatch(
@@ -403,7 +435,7 @@ def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:
     |vec[k]| times their norm. A vec whose norm is not finite raises
     NonFinite."""
     (factor,) = _check_targets(state.factor_dims, [factor])
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    vec = _numeric(vec, "overlap vector").reshape(-1)
     d = state.factor_dims[factor]
     if vec.size != d:
         raise DimensionMismatch(
@@ -419,6 +451,8 @@ def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:
             return float(abs(vec[k])) * state._norm
         axis -= f < factor
     stored = state.stored
+    if stored.ndim == 1:   # the factor is the only one stored
+        return float(abs(np.vdot(vec, stored)))
     # (before, d, after) is a view of the stored amplitudes for any factor
     rest = vec.conj() @ stored.reshape(math.prod(stored.shape[:axis]), d, -1)
     return math.sqrt(np.vdot(rest, rest).real)

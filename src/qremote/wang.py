@@ -87,7 +87,7 @@ def validate_partition(blocks) -> BlockPartition:
     OverlappingBlocks at the first (i, j), i != j in row-major order, whose
     entry is not 0, and IncompleteBlocks if the diagonal entries do not sum
     to I, if a block has a singular value above RANK_TOL that is not 1
-    within 1e-8, or if the block ranks do not sum to the dimension.
+    within SINGULAR_TOL, or if the block ranks do not sum to the dimension.
     The stored blocks are the exact member A_i = W diag(owner == i) V^dag:
     W and V are the polar factors of the kept singular vectors, which no
     phase or basis choice of the SVD changes. V is stored as the basis.
@@ -128,7 +128,7 @@ def validate_partition(blocks) -> BlockPartition:
     kept = singular > qcore.RANK_TOL
     ranks = np.count_nonzero(kept, axis=1)
     for i, (s, r) in enumerate(zip(singular, ranks)):
-        if r and np.abs(s[:r] - 1.0).max() > 1e-8:
+        if r and np.abs(s[:r] - 1.0).max() > qcore.SINGULAR_TOL:
             raise IncompleteBlocks(
                 f"block {i} has singular values {s[:r]} != 1; "
                 "it cannot belong to a unitary combination"
@@ -157,9 +157,9 @@ def diagonal_partition(dim: int) -> BlockPartition:
 
 
 def partition_from_bases(u_basis: np.ndarray, v_basis: np.ndarray, sizes) -> BlockPartition:
-    """Build blocks A_i = sum_{j in group i} |v_j><u_j| from two orthonormal bases."""
-    u_basis = np.asarray(u_basis, dtype=complex)
-    v_basis = np.asarray(v_basis, dtype=complex)
+    """Build blocks A_i = sum_{j in group i} |v_j><u_j| from two orthonormal
+    bases, D x D matrices that pass the operator gate together."""
+    u_basis, v_basis = qcore.operators((u_basis, v_basis), "basis")
     sizes = qcore.dimensions(sizes, "group sizes")
     dim = u_basis.shape[0]
     if sum(sizes) != dim:

@@ -224,6 +224,26 @@ def test_branch_state_is_the_zero_filled_reference(runner):
             assert abs(got - dense_factor_overlap(want, vec, f)) <= 1e-12
 
 
+@pytest.mark.parametrize("runner", ["wang", "group", "bqst", "svd", "trace"])
+def test_branch_states_equal_the_checked_construction(runner):
+    # state and output skip StateVector's checks, which the run's closing
+    # gate has made: they must be what the checked constructor builds
+    for b in branch_runs(runner, np.random.default_rng(18)):
+        checked = (
+            (b.state, qcore.StateVector(b.amplitudes, b.factor_dims, [*zip(b.measured, b.row)])),
+            (b.output, qcore.StateVector(b.amplitudes, b.amplitudes.shape)),
+        )
+        for got, want in checked:
+            assert type(got) is qcore.StateVector
+            assert got.factor_dims == want.factor_dims and got.basis == want.basis
+            assert all(type(x) is int for label in got.basis for x in label)
+            assert got.stored.shape == want.stored.shape
+            assert got.stored.tobytes() == want.stored.tobytes()
+            assert not got.stored.flags.writeable
+            assert abs(got._norm - want._norm) <= 1e-15
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
 def test_branch_states_are_freed_without_the_cycle_collector():
     rng = np.random.default_rng(4)
     p = wang.diagonal_partition(3)

@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qremote import groupform, qcore, wang
 from qremote.errors import (
@@ -355,6 +357,49 @@ def test_an_embedded_state_is_the_zero_filled_dense_vector():
     assert point.stored.shape == () and point.amplitudes[5] == 1j
 
 
+def test_a_bool_label_is_the_index_it_equals():
+    # True was a numpy mask: dense [1, 1], of norm 1.414, before
+    one = qcore.ket(1, 2).amplitudes.tobytes()
+    for s in (StateVector(np.ones(1), (2,), [(0, True)]), qcore.ket(True, 2)):
+        assert s.basis == ((0, 1),) and all(type(x) is int for x in s.basis[0])
+        assert s.amplitudes.tobytes() == one
+        assert qcore.factor_overlap(s, [0, 1], 0) == 1.0
+    # and False was all zeros
+    amps = np.array([0.6, 0.8j])
+    s = StateVector(amps, (2, 2), [(np.int64(0), False)])
+    assert s.basis == ((0, 0),) and all(type(x) is int for x in s.basis[0])
+    assert s.amplitudes.tobytes() == StateVector(amps, (2, 2), [(0, 0)]).amplitudes.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    measured=st.lists(st.booleans(), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_overlap_matches_the_dense_oracle_on_labelled_states(dims, measured, seed):
+    rng = np.random.default_rng(seed)
+    basis = [(f, int(rng.integers(d))) for f, d in enumerate(dims) if measured[f]]
+    live = [d for f, d in enumerate(dims) if not measured[f]]
+    s = StateVector(random_state(math.prod(live), rng).amplitudes, dims, basis)
+    dense = StateVector(s.amplitudes, dims)
+    for f, d in enumerate(dims):
+        for vec in (random_state(d, rng).amplitudes, 2.5 * random_state(d, rng).amplitudes):
+            got = qcore.factor_overlap(s, vec, f)
+            assert abs(got - dense_factor_overlap(dense, vec, f)) <= 1e-12
+    if len(live) == 1:
+        # every check comes before the one inner product of the live factor
+        f = next(f for f in range(len(dims)) if not measured[f])
+        for factor, vec, error in (
+            (len(dims), np.ones(1), DimensionMismatch),
+            (f, np.ones(dims[f] + 1), DimensionMismatch),
+            (f, np.full(dims[f], np.nan), NonFinite),
+            (f, np.full(dims[f], 1e200), NonFinite),
+        ):
+            with pytest.raises(error):
+                qcore.factor_overlap(s, vec, factor)
+
+
 @pytest.mark.parametrize("basis, size", [
     ([(3, 0)], 24),             # no factor 3
     ([(-1, 0)], 24),            # nor factor -1
@@ -421,7 +466,12 @@ def test_the_operator_gate_names_the_first_entry_at_fault(values, error, named):
     lambda: qcore.coefficients([1, None, "x"], "coefficients"),
     lambda: StateVector("ab", (2,)),
     lambda: qcore.local_unitary("ab", (2,), (0,)),
-], ids=["coefficients-str", "coefficients-entry", "state-str", "local-unitary-str"])
+    lambda: qcore.factor_overlap(qcore.ket(0, 2), ["a", "b"], 0),
+    lambda: qcore.is_unitary([["a"]]),
+    lambda: wang.partition_from_bases([["a"]], [["b"]], (1,)),
+    lambda: qcore.tensor([["a"]], [[1]]),
+], ids=["coefficients-str", "coefficients-entry", "state-str", "local-unitary-str",
+        "overlap-str", "is-unitary-str", "bases-str", "tensor-str"])
 def test_a_value_of_the_wrong_kind_is_a_dimension_mismatch(call):
     # a bare TypeError or ValueError before
     with pytest.raises(DimensionMismatch):
@@ -443,7 +493,11 @@ BIG = 10 ** 400   # an integer past the float range
     lambda: qcore.coefficients([1, BIG], "coefficients"),
     lambda: StateVector([BIG, 0], (2,)),
     lambda: qcore.local_unitary([[BIG, 0], [0, 1]], (2,), (0,)),
-], ids=["operators", "coefficients", "state", "local-unitary"])
+    lambda: qcore.factor_overlap(qcore.ket(0, 2), [BIG, 0], 0),
+    lambda: qcore.is_unitary([[BIG]]),
+    lambda: wang.partition_from_bases([[BIG]], [[BIG]], (1,)),
+], ids=["operators", "coefficients", "state", "local-unitary", "overlap", "is-unitary",
+        "bases"])
 def test_an_integer_past_the_float_range_is_non_finite(call):
     # a bare OverflowError before, as the literal 1e400 is inf
     with pytest.raises(NonFinite):

@@ -2,6 +2,7 @@
 three-stage split for arbitrary unitaries."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -410,6 +411,29 @@ def test_gating_every_wang_32_branch_builds_no_full_state():
         tracemalloc.stop()
     assert len(weights) == 1024 and min(weights) >= 1 - 1e-9
     assert peak < 64_000
+
+
+def test_gating_every_wang_branch_checks_no_state_again(monkeypatch):
+    # the run's closing gate is the check each branch's state relies on
+    p, phases, psi = _random_setup(8, 6, np.random.default_rng(13))
+    expected = wang.assemble(p, phases) @ psi.amplitudes
+    branches = wang.run_wang(p, phases, psi)
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(qcore.StateVector, "__init__", counted("init", qcore.StateVector.__init__))
+    monkeypatch.setattr(qcore, "dimensions", counted("dimensions", qcore.dimensions))
+    weights = [qcore.factor_overlap(b.state, expected, 0) for b in branches]
+    assert len(weights) == 36 and min(weights) >= 1 - 1e-9
+    assert calls == {}
+    # the guard sees a checked construction
+    qcore.StateVector(psi.amplitudes, (8,))
+    assert calls == {"init": 1, "dimensions": 1}
 
 
 def test_resource_rank_and_final_disentanglement():
