@@ -273,7 +273,7 @@ def mixer(rep: ProjectiveRep, coefficients) -> np.ndarray:
 
 
 def _coefficient_vector(rep: ProjectiveRep, coefficients) -> np.ndarray:
-    c = qcore.coefficients(coefficients, "coefficients")
+    c = qcore.coefficients(coefficients, "coefficient vector")
     if c.size != rep.group.order:
         raise DimensionMismatch(
             f"{c.size} coefficients for a group of order {rep.group.order}"

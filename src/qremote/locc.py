@@ -307,13 +307,8 @@ def _coupling(step: CouplingStep, dims: tuple[int, ...], rows: np.ndarray) -> np
     *rest), control first. The sum is never formed: B^dag turns the
     control into the eigenbasis, where column k carries V_k on the target,
     and B turns it back."""
-    try:
-        basis = np.asarray(step.basis, dtype=complex)
-        stack = np.asarray(step.unitaries, dtype=complex)
-    except (TypeError, ValueError):
-        raise DimensionMismatch(f"coupling {step.label!r} holds values that are not numbers") from None
-    except OverflowError:
-        raise NonFinite(f"coupling {step.label!r} holds a value past the float range") from None
+    basis = qcore._numeric(step.basis, f"coupling {step.label!r}")
+    stack = qcore._numeric(step.unitaries, f"coupling {step.label!r}")
     d_c, d_t = dims[step.control], dims[step.target]
     if (basis.shape, stack.shape) != ((d_c, d_c), (d_c, d_t, d_t)):
         raise DimensionMismatch(

@@ -30,7 +30,9 @@ NORM_TOL = 1e-9     # unitarity and state-normalization checks
 # a partition block's nonzero singular values must be 1 within this: the
 # SVD's error on them is larger than the Gram products' that NORM_TOL bounds
 SINGULAR_TOL = 1e-8
-RANK_TOL = 1e-9     # Schmidt coefficients below this do not count toward rank
+# Schmidt coefficients and a partition block's singular values at or below
+# this do not count toward rank
+RANK_TOL = 1e-9
 PROB_FLOOR = 1e-12  # measurement branches below this probability are dropped
 
 
@@ -54,13 +56,10 @@ def dimensions(values, what: str) -> tuple[int, ...]:
 
 def operators(values, what: str) -> np.ndarray:
     """values, a non-empty sequence of finite D x D matrices with D >= 1, as one
-    (k, D, D) complex stack; DimensionMismatch or NonFinite names the first entry at fault."""
-    try:
-        mats = [np.asarray(m, dtype=complex) for m in values]
-    except (TypeError, ValueError):
-        raise DimensionMismatch(f"{what} values are not a sequence of numeric matrices") from None
-    except OverflowError:
-        raise NonFinite(f"{what} has an entry past the float range") from None
+    (k, D, D) complex stack; DimensionMismatch or NonFinite names the first
+    entry at fault. A value that is no sequence is read as its only entry."""
+    entries = values if np.iterable(values) else (values,)
+    mats = [_numeric(m, f"{what} {i}") for i, m in enumerate(entries)]
     dim = mats[0].shape[0] if mats and mats[0].ndim else 0
     if not dim:
         raise DimensionMismatch(f"{what} 0 is missing or not an operator on at least one level")
@@ -78,12 +77,7 @@ def coefficients(values, what: str) -> np.ndarray:
     """values, finite scalars, flattened to one complex vector;
     DimensionMismatch if they are not numbers, NonFinite if one is not
     finite."""
-    try:
-        vec = np.asarray(values, dtype=complex).reshape(-1)
-    except (TypeError, ValueError):
-        raise DimensionMismatch(f"{what} are not numbers") from None
-    except OverflowError:
-        raise NonFinite(f"{what} must be finite") from None
+    vec = _numeric(values, what).reshape(-1)
     if not np.isfinite(vec).all():
         raise NonFinite(f"{what} must be finite")
     return vec
@@ -131,12 +125,7 @@ class StateVector:
     __slots__ = ("factor_dims", "basis", "stored", "_norm", "_dense")
 
     def __init__(self, amplitudes: np.ndarray, factor_dims, basis=()):
-        try:
-            amps = _freeze(amplitudes).reshape(-1)
-        except (TypeError, ValueError):
-            raise DimensionMismatch("state amplitudes are not numbers") from None
-        except OverflowError:
-            raise NonFinite("state amplitudes must be finite") from None
+        amps = _freeze(_numeric(amplitudes, "state vector")).reshape(-1)
         dims = dimensions(factor_dims, "factor dims")
         live = list(dims)   # a basis factor's entry becomes 0
         labels = []         # as Python ints: a bool k would index as a mask

@@ -12,8 +12,8 @@ operators are functions of the blocks themselves: the projectors
 P_i = A_i^dag A_i and the recovery R_m = sum_j e^{-2 pi i m j / N} A_j.
 Validation stores the class's exact member, so these operators and every
 sum_i c_i A_i are unitary by construction. It also stores the basis in
-which every P_i is diagonal, the polar factor of the blocks' input
-singular vectors, and that basis is the controlled shift's eigenbasis.
+which every P_i is diagonal, the eigenbasis of sum_i i P_i, and that basis
+is the controlled shift's eigenbasis.
 
 wang_program is the one description of the protocol, registers and
 operators included (X^l and R_m as tables indexed by outcome): run_wang
@@ -45,8 +45,10 @@ from .qcore import StateVector
 @dataclass(frozen=True)
 class BlockPartition:
     """Validated block structure {A_i}: the public half of the operation.
-    Column k of basis lies in the support of block owner[k], so basis^dag
-    P_i basis = diag(owner == i): the eigenbasis of Alice's controlled shift."""
+    basis is the eigenbasis of sum_i i P_i: column k has eigenvalue
+    owner[k] and lies in the support of that block, so basis^dag P_i basis =
+    diag(owner == i), and basis is the eigenbasis of Alice's controlled
+    shift. owner is nondecreasing."""
 
     blocks: np.ndarray              # read-only (n, D, D) stack of the exact A_i
     basis: np.ndarray               # read-only D x D unitary V
@@ -68,7 +70,7 @@ class Phases:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = qcore.coefficients(self.values, "coefficients")
+        vals = qcore.coefficients(self.values, "coefficient vector")
         if (np.abs(np.abs(vals) - 1.0) > qcore.NORM_TOL).any():
             raise NonUnimodularCoefficient("coefficients must have modulus 1")
         vals = vals / np.abs(vals)
@@ -80,17 +82,52 @@ class Phases:
 
 
 def validate_partition(blocks) -> BlockPartition:
-    """Check the operation-class conditions on the blocks.
+    """Check the operation-class conditions on the blocks and store the
+    class's exact member. A residual bound accepts from O(n D^3) products
+    and one D x D eigh; only the Gram checks reject.
 
-    All pairs are read from the Gram table [A_i^dag A_j], one batched
-    product per block row against the stack of blocks. Raises
+    With rows the (n D, D) stack of the blocks' rows, rows^dag rows is
+    sum_i A_i^dag A_i, and its largest entry of |. - I| must be at most
+    NORM_TOL. One eigh of H = sum_i i A_i^dag A_i, rows^dag times the rows
+    weighted by their block index, gives V; owner[k] is the eigenvalue of
+    column k rounded and clipped to [0, n). The eigenvalues only propose
+    owners, so they need no tolerance: the residuals of Y_i = A_i V, one
+    batched product, decide. Let M_i = diag(owner == i) and
+    E_i = Y_i (I - M_i); eps is the largest ||E_i||_F. W has column
+    k = Y[owner[k], :, k], so Y_i = W M_i + E_i. Let
+    gamma = ||W^dag W - I||_F and eta = ||V^dag V - I||_F < 1/10. With ||.||
+    the operator norm, ||E_i|| <= eps, ||W||^2 <= 1 + gamma and the singular
+    values of V lie in [sqrt(1 - eta), sqrt(1 + eta)].
+
+    Overlaps: M_i M_j = 0 for i != j, so
+
+        V^dag A_i^dag A_j V = M_i (W^dag W - I) M_j + M_i W^dag E_j
+                              + E_i^dag W M_j + E_i^dag E_j
+
+    and ||A_i^dag A_j|| <= (gamma + 2 sqrt(1 + gamma) eps + eps^2)/(1 - eta).
+    The largest entry of a matrix is at most its operator norm, so a bound
+    <= NORM_TOL passes no pair the Gram table rejects.
+
+    Singular values: on the r_i = #{k : owner[k] = i} columns block i owns,
+    M_i W^dag W M_i is a principal submatrix of W^dag W, so W M_i has r_i
+    singular values within gamma of 1 and D - r_i zeros. By Weyl's
+    inequality A_i V has r_i within gamma + eps of 1 and D - r_i below eps,
+    and scaling by V^-1 multiplies each by a factor in
+    [1/sqrt(1 + eta), 1/sqrt(1 - eta)]. With gamma + eps <= 1, block i has
+    r_i singular values within gamma + eps + 2 eta of 1 and D - r_i below
+    2 eps. So 2 eps <= RANK_TOL and
+    gamma + eps + 2 eta <= SINGULAR_TOL make the block ranks the r_i,
+    which sum to D, and each kept singular value 1 within SINGULAR_TOL.
+
+    Any other outcome, a failed gate or bound or a residual that is not
+    finite, runs the Gram checks (_gram_checks). They raise
     OverlappingBlocks at the first (i, j), i != j in row-major order, whose
-    entry is not 0, and IncompleteBlocks if the diagonal entries do not sum
-    to I, if a block has a singular value above RANK_TOL that is not 1
-    within SINGULAR_TOL, or if the block ranks do not sum to the dimension.
-    The stored blocks are the exact member A_i = W diag(owner == i) V^dag:
-    W and V are the polar factors of the kept singular vectors, which no
-    phase or basis choice of the SVD changes. V is stored as the basis.
+    entry of the Gram table [A_i^dag A_j] is not 0, and IncompleteBlocks if
+    the diagonal entries do not sum to I, if a block has a singular value
+    above RANK_TOL that is not 1 within SINGULAR_TOL, or if the block ranks
+    do not sum to the dimension. What passes them lies in the narrow band
+    between the bound and the gates. Either way the stored blocks are the
+    exact member A_i = polar(W) M_i V^dag, and V is stored as the basis.
     """
     try:
         empty = not len(blocks)
@@ -99,14 +136,55 @@ def validate_partition(blocks) -> BlockPartition:
     if empty:
         raise IncompleteBlocks("a partition needs at least one block")
     stack = qcore.operators(blocks, "block")
-    dim = stack.shape[1]
+    n, dim = stack.shape[:2]
+    rows = stack.reshape(n * dim, dim)
+    adjoint = rows.conj().T
+    eye = np.eye(dim)
     # entries near the float limit can overflow these products; such a block
     # is still rejected by name (its singular values are not 1), so numpy
     # need not warn about the overflow
     with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.abs(adjoint @ rows - eye).max()
+        h = (adjoint * np.repeat(np.arange(n), dim)) @ rows
+        if not np.isfinite(h).all():
+            # H overflows only where some A_i^dag A_i is far from I, and
+            # there the Gram checks raise
+            _gram_checks(stack)
+        levels, basis = np.linalg.eigh(h)
+        owner = np.rint(levels).clip(0, n - 1).astype(int)
+        mask = owner == np.arange(n)[:, None]
+        y = (rows @ basis).reshape(n, dim, dim)
+        # |Y_i|^2 down each column, summed over the columns block i does not own
+        column_weights = (y.real ** 2 + y.imag ** 2).sum(axis=1)
+        eps = np.sqrt((column_weights * ~mask).sum(axis=1).max())
+        w = y[owner, :, np.arange(dim)].T
+        gamma = np.linalg.norm(w.conj().T @ w - eye)
+        eta = np.linalg.norm(basis.conj().T @ basis - eye)
+        # each comparison fails on nan
+        certified = (
+            deviation <= qcore.NORM_TOL and eta < 0.1
+            and (gamma + 2 * np.sqrt(1 + gamma) * eps + eps * eps) / (1 - eta) <= qcore.NORM_TOL
+            and 2 * eps <= qcore.RANK_TOL and gamma + eps + 2 * eta <= qcore.SINGULAR_TOL
+        )
+    if not certified:
+        _gram_checks(stack)
+    u, _, vh = np.linalg.svd(w)
+    member = ((u @ vh) * mask[:, None, :]) @ basis.conj().T
+    for a in (member, basis, owner):
+        a.setflags(write=False)
+    return BlockPartition(member, basis, owner)
+
+
+def _gram_checks(stack: np.ndarray) -> None:
+    """The class conditions checked entry by entry, for an input the residual
+    bound of validate_partition cannot decide; raises as it documents.
+
+    All pairs are read from the Gram table [A_i^dag A_j], one batched
+    product per block row against the stack of blocks, so the table never
+    holds more than n D^2 entries."""
+    dim = stack.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
         completeness = np.zeros((dim, dim), dtype=complex)
-        # one block row [A_i^dag A_j]_j of the Gram table at a time, so the
-        # table never holds more than n D^2 entries
         for i, block in enumerate(stack):
             row = block.conj().T @ stack
             overlaps = np.abs(row).max(axis=(1, 2))
@@ -123,10 +201,8 @@ def validate_partition(blocks) -> BlockPartition:
         raise IncompleteBlocks(
             f"sum A_i^dag A_i deviates from identity by {dev:.3e}"
         )
-
-    w, singular, vh = np.linalg.svd(stack)
-    kept = singular > qcore.RANK_TOL
-    ranks = np.count_nonzero(kept, axis=1)
+    singular = np.linalg.svd(stack, compute_uv=False)
+    ranks = np.count_nonzero(singular > qcore.RANK_TOL, axis=1)
     for i, (s, r) in enumerate(zip(singular, ranks)):
         if r and np.abs(s[:r] - 1.0).max() > qcore.SINGULAR_TOL:
             raise IncompleteBlocks(
@@ -137,16 +213,6 @@ def validate_partition(blocks) -> BlockPartition:
         raise IncompleteBlocks(
             f"block ranks {tuple(ranks.tolist())} do not sum to the dimension {dim}"
         )
-    # by the rank sum the kept singular vectors are D per side: the rows of
-    # W^T (outputs) and V^dag (inputs), each replaced by its polar factor
-    u, _, uh = np.linalg.svd(np.stack((w.transpose(0, 2, 1)[kept], vh[kept])))
-    out_rows, in_rows = u @ uh
-    owner = np.nonzero(kept)[0]
-    member = (out_rows.T * (owner == np.arange(len(stack))[:, None, None])) @ in_rows
-    basis = in_rows.T.conj()
-    for a in (member, basis, owner):
-        a.setflags(write=False)
-    return BlockPartition(member, basis, owner)
 
 
 def diagonal_partition(dim: int) -> BlockPartition:

@@ -67,7 +67,7 @@ def test_a_coupling_entry_past_the_float_range_is_non_finite():
     # a bare OverflowError before
     coupling = CouplingStep(ALICE, "P", [[10 ** 400, 0], [0, 1]], qcore.shift_powers(2), 0, 1)
     program = Program(owners=(ALICE, ALICE), steps=(coupling,))
-    with pytest.raises(NonFinite, match="'P' holds a value past the float range"):
+    with pytest.raises(NonFinite, match="'P' has an entry past the float range"):
         locc.run_protocol(program, qcore.tensor(qcore.ket(0, 2), qcore.ket(0, 2)))
 
 

@@ -451,9 +451,9 @@ def test_a_non_integer_dimension_or_factor_is_a_dimension_mismatch(call):
     ([np.eye(2), np.ones(2)], DimensionMismatch, "block 1 has shape (2,)"),
     ([np.eye(2), np.eye(2), np.full((2, 2), np.nan)], NonFinite, "block 2 has"),
     ([np.eye(2), np.diag([1, np.inf])], NonFinite, "block 1 has"),
-    ("ab", DimensionMismatch, "block values are not a sequence of numeric matrices"),
-    (5, DimensionMismatch, "block values are not a sequence of numeric matrices"),
-    ([np.eye(2), [[1, 0], [0]]], DimensionMismatch, "block values are not"),
+    ("ab", DimensionMismatch, "block 0 is not numeric"),
+    (5, DimensionMismatch, "block 0 is missing"),
+    ([np.eye(2), [[1, 0], [0]]], DimensionMismatch, "block 1 is not numeric"),
 ], ids=["empty", "scalars", "no-level", "mixed-sizes", "vector", "nan", "inf", "str", "int",
         "ragged"])
 def test_the_operator_gate_names_the_first_entry_at_fault(values, error, named):

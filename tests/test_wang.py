@@ -16,6 +16,7 @@ from util import (
     fidelity,
     random_diag_phases,
     random_state,
+    reference_member,
     reference_validate_partition,
     shift_matrix,
     step_operators,
@@ -123,6 +124,8 @@ def near_tolerance_blocks(kind, rng):
 
     "noise": complex Gaussian noise of 1e-13 to 1e-7 on every block.
     "scale": one block scaled by 1 +- eps, eps from 1e-13 to 1e-7.
+    "rotate": one block's output turned by exp(i eps H), H random Hermitian.
+    "singular": one kept singular value of one block moved by +- eps.
     "spurious": one block gains delta |x><y| with delta just above RANK_TOL,
     y in its kernel and x off its range, so the Gram checks can pass while
     the block has a singular value that is neither 0 nor 1.
@@ -133,8 +136,18 @@ def near_tolerance_blocks(kind, rng):
         eps = 10.0 ** rng.uniform(-13, -7)
         if kind == "noise":
             blocks += eps * (rng.normal(size=blocks.shape) + 1j * rng.normal(size=blocks.shape))
+            return blocks
+        i = rng.integers(len(blocks))
+        if kind == "scale":
+            blocks[i] *= 1 + rng.choice((-1, 1)) * eps
+        elif kind == "rotate":
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            levels, vecs = np.linalg.eigh(g + g.conj().T)
+            blocks[i] = (vecs * np.exp(1j * eps * levels)) @ vecs.conj().T @ blocks[i]
         else:
-            blocks[rng.integers(len(blocks))] *= 1 + rng.choice((-1, 1)) * eps
+            w, s, vh = np.linalg.svd(blocks[i])
+            s[rng.integers(np.count_nonzero(s > 0.5))] += rng.choice((-1, 1)) * eps
+            blocks[i] = (w * s) @ vh
         return blocks
     n = int(rng.integers(2, dim + 1))
     cuts = np.sort(rng.choice(np.arange(1, dim), size=n - 1, replace=False))
@@ -255,6 +268,98 @@ def test_the_exact_member_is_a_fixed_point_of_validation():
     np.testing.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-14)
     np.testing.assert_allclose(wang.validate_partition(p.blocks).blocks, p.blocks, atol=1e-14)
     np.testing.assert_allclose(wang.validate_partition(blocks[::-1]).blocks, p.blocks[::-1], atol=1e-14)
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """One entry per call of validate_partition's fallback, the Gram checks."""
+    calls = []
+    checks = wang._gram_checks
+
+    def counted(stack):
+        calls.append(stack.shape)
+        checks(stack)
+
+    monkeypatch.setattr(wang, "_gram_checks", counted)
+    return calls
+
+
+def test_the_residual_bound_accepts_nothing_the_gram_checks_reject(gram_calls):
+    # every verdict is the oracle's, rejections with its message, and each
+    # accepted member is compared with the per-block SVD member of tests/util
+    rng = np.random.default_rng(28)
+    verdicts = Counter()
+    for kind in ("noise", "scale", "rotate", "singular") * 300:
+        blocks = near_tolerance_blocks(kind, rng)
+        before = len(gram_calls)
+        try:
+            reference_validate_partition(blocks)
+        except (IncompleteBlocks, OverlappingBlocks) as exc:
+            with pytest.raises(type(exc)) as got:
+                wang.validate_partition(blocks)
+            assert str(got.value) == str(exc)
+            verdicts["rejected"] += 1
+            continue
+        p = wang.validate_partition(blocks)
+        verdicts["checked" if len(gram_calls) > before else "certified"] += 1
+        member, owner = reference_member(blocks)
+        np.testing.assert_array_equal(p.owner, owner)
+        if kind == "noise":
+            # noise on every block moves the eigenbasis of sum_i i P_i at first
+            # order, by noise from every block weighted by its index, where
+            # each block's SVD sees its own: the members differ by up to n
+            # times the oracle member's distance from the blocks (measured
+            # 0.54 n here)
+            allowed = p.n * np.abs(member - blocks).max() + 1e-14
+        else:
+            # the oracle's singular vectors and the eigenbasis span the same
+            # supports, so the members agree to rounding (measured 4.0e-15)
+            allowed = 1e-14
+        assert np.abs(p.blocks - member).max() <= allowed
+    # the sweep reaches both ways to accept, and rejection
+    assert min(verdicts["certified"], verdicts["checked"], verdicts["rejected"]) > 0, verdicts
+
+
+def test_valid_partitions_take_the_residual_bound_alone(gram_calls):
+    # a change that sends valid inputs down the Gram checks fails here
+    rng = np.random.default_rng(29)
+    for dim, n in ((4, 3), (16, 16), (32, 16), (32, 32)):
+        wang.random_partition(dim, n, rng)
+    for dim in range(1, 9):
+        wang.diagonal_partition(dim)
+    wang.svd_remote(qcore.random_unitary(8, rng))
+    assert gram_calls == []
+
+
+def test_the_completeness_gate_is_not_implied_by_the_residuals(gram_calls):
+    # 16 rank-1 blocks A_i = u_i (e_i + d f_i)^dag with f_i[j] = 1 for j > i
+    # and -(j/i) f_j[i] for j < i, so sum_i i A_i^dag A_i stays diagonal to
+    # first order and eps = d max |f_i| = 4.9e-10 clears the overlap and rank
+    # bounds; the leaks add up coherently, and after a turn of the inputs one
+    # entry of sum_i A_i^dag A_i - I is 1.13e-9, past NORM_TOL
+    n = 16
+    leaks = np.triu(np.ones((n, n)), 1)
+    for i in range(1, n):
+        leaks[i, :i] = -(np.arange(i) / i) * leaks[:i, i]
+    rows = np.eye(n) + 4.9e-10 / np.linalg.norm(leaks, axis=1).max() * leaks
+    _, vecs = np.linalg.eigh(rows.T @ rows - np.eye(n))
+    rng = np.random.default_rng(7)
+    turn, _ = np.linalg.qr(np.column_stack([vecs[:, -1], rng.normal(size=(n, n - 1))]))
+    u = qcore.random_unitary(n, rng)
+    blocks = [np.outer(u[:, i], rows[i] @ turn) for i in range(n)]
+    with pytest.raises(IncompleteBlocks, match="deviates from identity by 1.131e-09"):
+        wang.validate_partition(blocks)
+    assert len(gram_calls) == 1
+
+
+def test_a_partition_near_its_tolerance_is_accepted_by_the_gram_checks(gram_calls):
+    # max |A_0^dag A_1| = 9e-10 (CI's near_blocks.json): 2 eps is about
+    # 1.8e-9 > RANK_TOL, so the bound cannot decide and the Gram checks accept
+    blocks = [np.diag([1.0, 0.0]), [[0.0, 9e-10], [0.0, 1.0]]]
+    p = wang.validate_partition(blocks)
+    assert len(gram_calls) == 1
+    assert p.owner.tolist() == [0, 1]
+    np.testing.assert_allclose(p.blocks, reference_member(blocks)[0], rtol=0, atol=1e-14)
 
 
 def controlled_shift(p):

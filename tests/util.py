@@ -161,6 +161,22 @@ def reference_validate_partition(blocks):
     return factors
 
 
+def reference_member(blocks):
+    """(member, owner) of an accepted partition, built from one SVD per
+    block: its kept left and right singular vectors, stacked over the
+    blocks into one basis per side and each replaced by its polar factor,
+    give A_i = W diag(owner == i) V^dag. No phase or basis choice of the
+    SVD changes the member, so it is the oracle for the stored blocks."""
+    stack = np.asarray(blocks, dtype=complex)
+    w, singular, vh = np.linalg.svd(stack)
+    kept = singular > qcore.RANK_TOL
+    u, _, uh = np.linalg.svd(np.stack((w.transpose(0, 2, 1)[kept], vh[kept])))
+    out_rows, in_rows = u @ uh
+    owner = np.nonzero(kept)[0]
+    member = (out_rows.T * (owner == np.arange(len(stack))[:, None, None])) @ in_rows
+    return member, owner
+
+
 # --- state oracles ---------------------------------------------------------
 
 def basis_state(indices, dims):
