@@ -184,22 +184,23 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
 def cmd_run(args) -> int:
     problem = load_problem(args.file, args.input)
     threshold = 1.0 - args.tol
-    branches = locc.run_protocol(problem.program, locc.prepare(problem.program, problem.input))
-    fids = [float(abs(np.vdot(problem.expected, b.amplitudes))) for b in branches]
+    run = locc.run_protocol(problem.program, locc.prepare(problem.program, problem.input))
+    # every branch's fidelity from one product over the run's output rows
+    fids = np.abs(run.amplitudes.reshape(len(run), -1) @ problem.expected.conj()).tolist()
     min_fid = min(fids)
     ok = min_fid >= threshold
-    first_transcript = locc.transcript_lines(branches[0].transcript)
+    first_transcript = locc.transcript_lines(run[0].transcript)
+    # message tag -> payload per branch, read off the outcome columns of the sent messages
+    tags = [tag for _, tag in run.sent]
+    payloads = run.outcomes[:, [j for j, _ in run.sent]].tolist()
+    rows = list(zip([dict(zip(tags, row)) for row in payloads], run.probabilities.tolist(), fids))
 
     if args.json:
         doc = {
             "kind": problem.kind,
             "branches": [
-                {
-                    "outcomes": b.outcomes,
-                    "probability": b.probability,
-                    "fidelity": fid,
-                }
-                for b, fid in zip(branches, fids)
+                {"outcomes": outcomes, "probability": p, "fidelity": fid}
+                for outcomes, p, fid in rows
             ],
             "min_fidelity": min_fid,
             "threshold": threshold,
@@ -209,10 +210,10 @@ def cmd_run(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(problem.describe)
-        print(f"branches: {len(branches)}")
-        for b, fid in zip(branches, fids):
-            label = " ".join(f"{k}={v}" for k, v in b.outcomes.items())
-            print(f"branch {label}  p={b.probability:.10f}  fidelity={fid:.12f}")
+        print(f"branches: {len(run)}")
+        for outcomes, p, fid in rows:
+            label = " ".join(f"{k}={v}" for k, v in outcomes.items())
+            print(f"branch {label}  p={p:.10f}  fidelity={fid:.12f}")
         print(f"min fidelity: {min_fid:.12f}  (threshold {threshold:.10f})")
         print("transcript of first branch:")
         for line in first_transcript:

@@ -24,7 +24,7 @@ import numpy as np
 from . import locc, qcore
 from .errors import DimensionMismatch, NonUnitary
 from .locc import (
-    ALICE, BOB, Branch, ConditionalStep, CouplingStep, LocalStep, MeasureStep, Program,
+    ALICE, BOB, ConditionalStep, CouplingStep, LocalStep, MeasureStep, Program, Run,
 )
 from .qcore import StateVector
 
@@ -177,7 +177,7 @@ def bqst_program(unitary: np.ndarray) -> Program:
     )
 
 
-def bqst_teleport(unitary: np.ndarray, input_state: StateVector) -> tuple[list[Branch], CostReport]:
+def bqst_teleport(unitary: np.ndarray, input_state: StateVector) -> tuple[Run, CostReport]:
     """Run bqst_program over all D^4 outcome branches; a2 is the output of
     every branch. The report is the program's cost row."""
     program = bqst_program(unitary)

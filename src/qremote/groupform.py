@@ -33,7 +33,7 @@ from .errors import (
     NotBlockDiagonal,
 )
 from .locc import (
-    ALICE, BOB, Branch, ConditionalStep, CouplingStep, LocalStep, MeasureStep, Program,
+    ALICE, BOB, ConditionalStep, CouplingStep, LocalStep, MeasureStep, Program, Run,
 )
 from .qcore import StateVector
 
@@ -303,7 +303,7 @@ def group_program(rep: ProjectiveRep, coefficients) -> Program:
     )
 
 
-def run_group_protocol(rep: ProjectiveRep, coefficients, input_state: StateVector) -> list[Branch]:
+def run_group_protocol(rep: ProjectiveRep, coefficients, input_state: StateVector) -> Run:
     """Execute all |G|^2 branches; every branch leaves sum_f c(f) U(f), which
     assemble checks is unitary, applied to the A register up to a global phase."""
     assemble(rep, coefficients)

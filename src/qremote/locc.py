@@ -26,24 +26,26 @@ column of B: qcore.certify_coupling bounds the dense unitarity check from
 their defects, and the step is three products, none larger than the rows.
 Each measurement adds the probability it prunes below PROB_FLOOR to one
 running total, and the measurement that takes the total past NORM_TOL
-raises NotNormalized then and there. One gate closes
-the run: every row of the final array must have norm 1 within NORM_TOL,
-checked in one pass; the final array is frozen in place, and copied only
-if it is a strided view. A branch stores its outcomes, probability,
-amplitudes (a read-only view of its row) and the norm the gate measured,
-and shares the run's operator-free record of the steps and of the
-measured factors; its output, transcript and outcomes are derived from
-these on each read. Its full state is a qcore.StateVector that stores the
-row as is and labels each measured factor with its outcome's basis state,
-so reading it copies no amplitudes; the zero-filled dense vector is built
-only if read. The closing gate is the check each branch's state and
-output rely on: StateVector._prechecked builds them from the row and its
-norm, and checks nothing again.
+raises NotNormalized then and there. One gate closes the run: every row
+of the final array must have norm 1 within NORM_TOL, checked in one pass;
+the final array is frozen in place, and copied only if it is a strided
+view. The run is returned as arrays, one Run: the outcome columns, the
+probabilities, the norms the gate measured and the checked amplitudes,
+beside one operator-free record of the steps and of the measured factors.
+No Branch is built as the run closes: the lists the views read are each
+made in one pass. A Branch is a view of one row of a Run, made on
+indexing or iteration; its output, transcript and outcomes are derived
+from the run on each read. Its full state is a qcore.StateVector that
+stores the row as is and labels each measured factor with its outcome's
+basis state, so reading it copies no amplitudes; the zero-filled dense
+vector is built only if read. The closing gate is the check each branch's
+state and output rely on: StateVector._prechecked builds them from the
+row and its norm, and checks nothing again.
 
 A Program declares its registers, dims: the input at factor 0, then a
 maximally entangled pair on each of (1, 2), (3, 4), ... prepare checks the
 input against them and appends the pairs, and entcost reads cost rows off
-the same program. Every protocol runner returns
+the same program. Every protocol runner returns the Run of
 run_protocol(program, prepare(program, input)), and its program leaves
 exactly its output register unmeasured. A step-by-step trace
 (wang.trace_branch) is the program cut after each traced step, run as is.
@@ -52,8 +54,10 @@ exactly its output register unmeasured. A step-by-step trace
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from itertools import repeat
 from operator import index
 
 import numpy as np
@@ -176,35 +180,150 @@ class Transcript:
     probability: float
 
 
-@dataclass(frozen=True)
+class Run(Sequence):
+    """Every branch of one run, as arrays over the B surviving branches in
+    lexicographic outcome order: outcomes (B, m), one column per
+    MeasureStep in program order; probabilities (B,); norms (B,), each
+    row's norm as the run's closing gate passed it; amplitudes (B, *live
+    dims), the state of the unmeasured factors in factor order, one axis
+    per factor. All four are read-only. steps is the run's record of the
+    program (a LocalOpEvent per operator step, each MeasureStep as is),
+    measured the factor each MeasureStep targets, in the same order, sent
+    the (column, tag) of each measurement whose outcome is sent as a
+    message, and factor_dims the register layout.
+
+    A Run is an immutable sequence of Branch views: len, integer indexing
+    (negative from the end) and iteration in outcome order. The view reads
+    lists made once here, as the run closes: each row as a tuple of Python
+    ints, each probability and norm as a float, each row of amplitudes as
+    an array view and each branch's measured factors as basis labels.
+    run_protocol builds it from its final rows, and building a Run runs the
+    closing gate (_checked_output) on them, so every state a view builds
+    rests on it."""
+
+    __slots__ = (
+        "steps", "measured", "sent", "factor_dims",
+        "outcomes", "probabilities", "norms", "amplitudes",
+        "_rows", "_probs", "_norms", "_amps", "_labels",
+    )
+
+    def __init__(self, program_steps, factor_dims, batch, outcomes, probabilities):
+        amplitudes, norms = _checked_output(batch, outcomes)
+        steps = tuple(
+            s if isinstance(s, MeasureStep) else LocalOpEvent(
+                s.party, s.label, s.targets, s.message if isinstance(s, ConditionalStep) else None)
+            for s in program_steps
+        )
+        measures = [s for s in steps if isinstance(s, MeasureStep)]
+        # Python ints, as a state's basis labels are
+        measured = tuple(index(s.target) for s in measures)
+        sent = tuple((j, s.message) for j, s in enumerate(measures) if s.send_to is not None)
+        columns = outcomes.T.tolist()   # Python ints, one list per measurement
+        if columns:
+            rows = list(zip(*columns))
+            # each (factor, k) label made once, for the outcomes kept, and
+            # shared by the branches it labels
+            tables = [{k: (f, k) for k in set(col)} for f, col in zip(measured, columns)]
+            labels = list(zip(*(map(t.__getitem__, col) for t, col in zip(tables, columns))))
+        else:   # no measurement: the one branch has an empty row
+            rows = labels = [()]
+        for arr in (outcomes, probabilities, norms):
+            arr.setflags(write=False)
+        init = object.__setattr__
+        init(self, "steps", steps)
+        init(self, "measured", measured)
+        init(self, "sent", sent)
+        init(self, "factor_dims", factor_dims)
+        init(self, "outcomes", outcomes)
+        init(self, "probabilities", probabilities)
+        init(self, "norms", norms)
+        init(self, "amplitudes", amplitudes)
+        init(self, "_rows", rows)
+        init(self, "_probs", probabilities.tolist())
+        init(self, "_norms", norms.tolist())
+        init(self, "_amps", list(amplitudes))
+        init(self, "_labels", labels)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i) -> Branch:
+        """The view of branch i; a slice, like any non-integer, is a TypeError."""
+        i, n = index(i), len(self._rows)
+        if not -n <= i < n:
+            raise IndexError(f"branch {i} out of range for a run of {n}")
+        return _view(self, i % n)
+
+    def __iter__(self) -> Iterator[Branch]:
+        n = len(self._rows)
+        return map(_view, repeat(self, n), range(n))
+
+
 class Branch:
-    """One measurement branch over registers of factor_dims. steps is the
-    run's record of the program (a LocalOpEvent per operator step, each
-    MeasureStep as is), row one outcome per MeasureStep in program order,
-    measured the factor each MeasureStep targets, in the same order, and
-    amplitudes the state of the unmeasured factors in factor order, one
-    axis per factor: a read-only view of the run's checked output array.
-    norm is the norm of amplitudes that the run's closing gate passed.
-    steps and measured are shared by every branch of the run."""
+    """One measurement branch: a view of branch i of a Run, which it reads
+    for everything it returns. row is its outcome per MeasureStep in
+    program order, probability, norm and amplitudes (a read-only view of
+    its row of Run.amplitudes) its entries of the run's arrays, and steps,
+    measured and factor_dims are shared by every branch of the run. Its
+    transcript, output, state and outcomes are built on each read."""
 
-    steps: tuple[LocalOpEvent | MeasureStep, ...]
-    row: tuple[int, ...]
-    probability: float
-    amplitudes: np.ndarray
-    norm: float
-    factor_dims: tuple[int, ...]
-    measured: tuple[int, ...]
+    __slots__ = ("_run", "_i")
 
-    def _measured(self):
-        """(MeasureStep, outcome) pairs in program order."""
-        return zip((s for s in self.steps if isinstance(s, MeasureStep)), self.row)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        """Views of one branch of one run are equal, so a Run finds its
+        own views (in, index and count)."""
+        return isinstance(other, Branch) and other._run is self._run and other._i == self._i
+
+    def __hash__(self) -> int:
+        return hash((id(self._run), self._i))
+
+    @property
+    def steps(self) -> tuple[LocalOpEvent | MeasureStep, ...]:
+        return self._run.steps
+
+    @property
+    def measured(self) -> tuple[int, ...]:
+        return self._run.measured
+
+    @property
+    def factor_dims(self) -> tuple[int, ...]:
+        return self._run.factor_dims
+
+    @property
+    def row(self) -> tuple[int, ...]:
+        return self._run._rows[self._i]
+
+    @property
+    def probability(self) -> float:
+        return self._run._probs[self._i]
+
+    @property
+    def norm(self) -> float:
+        """The norm of amplitudes that the run's closing gate passed."""
+        return self._run._norms[self._i]
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return self._run._amps[self._i]
 
     @property
     def transcript(self) -> Transcript:
         """The branch's events, built on each read from steps and row."""
         row = iter(self.row)
         events: list[Event] = []
-        for s in self.steps:
+        for s in self._run.steps:
             if isinstance(s, LocalOpEvent):
                 events.append(s)
                 continue
@@ -218,7 +337,9 @@ class Branch:
     def output(self) -> StateVector:
         """The state of the unmeasured factors, built on each read with no
         check but the run's closing gate."""
-        return StateVector._prechecked(self.amplitudes, self.amplitudes.shape, (), self.norm)
+        run, i = self._run, self._i
+        amps = run._amps[i]
+        return StateVector._prechecked(amps, amps.shape, (), run._norms[i])
 
     @property
     def state(self) -> StateVector:
@@ -227,16 +348,28 @@ class Branch:
         stored for the unmeasured factors, and each measured factor is a
         basis label, in its outcome's basis state. Its dense form is built
         only if read."""
-        # a list first: with tuple(zip(...)), gating every branch of a wang
-        # (32, 32) run kept a 56-byte tuple per branch allocated, a 92 kB
-        # tracemalloc peak against 34 kB
-        labels = tuple([*zip(self.measured, self.row)])
-        return StateVector._prechecked(self.amplitudes, self.factor_dims, labels, self.norm)
+        run, i = self._run, self._i
+        return StateVector._prechecked(run._amps[i], run.factor_dims, run._labels[i], run._norms[i])
 
     @property
     def outcomes(self) -> dict[str, int]:
         """Message tag -> payload, in the order the messages were sent."""
-        return {s.message: k for s, k in self._measured() if s.send_to is not None}
+        row = self.row
+        return {tag: row[j] for j, tag in self._run.sent}
+
+
+_new_view = object.__new__
+_set_run, _set_i = Branch._run.__set__, Branch._i.__set__
+
+
+def _view(run: Run, i: int) -> Branch:
+    """Branch i of the run, made without __init__: Branch.__setattr__
+    refuses every assignment, so its slots are set through their
+    descriptors."""
+    view = _new_view(Branch)
+    _set_run(view, run)
+    _set_i(view, i)
+    return view
 
 
 # --- resource states -------------------------------------------------------
@@ -321,10 +454,10 @@ def _coupling(step: CouplingStep, dims: tuple[int, ...], rows: np.ndarray) -> np
     return basis @ y.reshape(len(rows), d_c, -1)
 
 
-def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
+def run_protocol(program: Program, initial: StateVector) -> Run:
     """Execute every measurement branch of the program.
 
-    Returns one Branch per surviving outcome combination, in deterministic
+    Returns the Run of every surviving outcome combination, in deterministic
     (lexicographic outcome) order. Branch probabilities multiply along the
     measurement path. The module docstring says how the branches are run.
     """
@@ -377,18 +510,7 @@ def run_protocol(program: Program, initial: StateVector) -> list[Branch]:
         batch = new.reshape(moved.shape).transpose(*map(perm.index, range(len(perm))))
         del new, moved   # the old batch ends with the step
 
-    final, norms = _checked_output(batch, outcomes)
-    steps = tuple(
-        s if isinstance(s, MeasureStep) else LocalOpEvent(
-            s.party, s.label, s.targets, s.message if isinstance(s, ConditionalStep) else None)
-        for s in program.steps
-    )
-    # Python ints, as a state's basis labels are
-    measured = tuple(index(s.target) for s in program.steps if isinstance(s, MeasureStep))
-    return [
-        Branch(steps, tuple(row), p, amps, norm, dims, measured)
-        for amps, row, p, norm in zip(final, outcomes.tolist(), prob.tolist(), norms.tolist())
-    ]
+    return Run(program.steps, dims, batch, outcomes, prob)
 
 
 def _weights(batch: np.ndarray, axis: int) -> np.ndarray:

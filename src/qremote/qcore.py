@@ -423,8 +423,17 @@ def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:
     stored amplitudes, never the dense form: a basis factor in |k> gives
     |vec[k]| times their norm. A vec whose norm is not finite raises
     NonFinite."""
-    (factor,) = _check_targets(state.factor_dims, [factor])
-    vec = _numeric(vec, "overlap vector").reshape(-1)
+    # one factor, resolved as _check_targets would resolve [factor]
+    try:
+        factor = index(factor)
+    except TypeError:
+        raise DimensionMismatch(f"target factors {[factor]!r} are not all integers") from None
+    n = len(state.factor_dims)
+    if not 0 <= factor < n:
+        raise DimensionMismatch(f"target {factor} out of range for {n} factors")
+    vec = _numeric(vec, "overlap vector")
+    if vec.ndim != 1:
+        vec = vec.reshape(-1)
     d = state.factor_dims[factor]
     if vec.size != d:
         raise DimensionMismatch(

@@ -37,7 +37,7 @@ from .errors import (
     OverlappingBlocks,
 )
 from .locc import (
-    ALICE, BOB, Branch, ConditionalStep, CouplingStep, LocalStep, MeasureStep, Program,
+    ALICE, BOB, Branch, ConditionalStep, CouplingStep, LocalStep, MeasureStep, Program, Run,
 )
 from .qcore import StateVector
 
@@ -305,7 +305,7 @@ def wang_program(p: BlockPartition, phases: Phases) -> Program:
     )
 
 
-def run_wang(p: BlockPartition, phases: Phases, input_state: StateVector) -> list[Branch]:
+def run_wang(p: BlockPartition, phases: Phases, input_state: StateVector) -> Run:
     """Execute the protocol over every (l, m) branch.
 
     Each branch ends with the A register holding sum_i c_i A_i applied to the
@@ -322,9 +322,10 @@ def trace_branch(
 
     Stage order: initial, controlled shift, measurement of a plus Bob's X^l,
     phase gate, Fourier plus measurement of b, recovery. Measured stages are
-    renormalized, and the last stage is the run_wang branch (l, m). Every
-    in-range (l, m) has probability 1/n^2 whatever the input; a
-    non-integer outcome is out of range.
+    renormalized, and the last stage is the run_wang branch (l, m). Each
+    stage is a Branch view of its prefix's Run. Every in-range (l, m) has
+    probability 1/n^2 whatever the input; a non-integer outcome is out of
+    range.
     """
     if not (qcore.is_index(l, p.n) and qcore.is_index(m, p.n)):
         raise DimensionMismatch(f"branch ({l},{m}) out of range for {p.n} outcomes")
@@ -401,7 +402,7 @@ def svd_program(program: RemoteSvdProgram) -> Program:
     return Program(core.owners, (pre, *core.steps, post), core.dims)
 
 
-def run_svd_remote(program: RemoteSvdProgram, input_state: StateVector) -> list[Branch]:
+def run_svd_remote(program: RemoteSvdProgram, input_state: StateVector) -> Run:
     """Execute svd_program over every (l, m) branch: each transcript runs from
     Alice's pre to her post, and each output is U applied to the input."""
     full = svd_program(program)

@@ -5,6 +5,7 @@ import gc
 import re
 import warnings
 import weakref
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from qremote.locc import (
 )
 
 from util import (
-    dense_factor_overlap, random_state, shift_matrix, validate_transcript, zero_filled_state,
+    dense_factor_overlap, eager_branches, random_state, shift_matrix, validate_transcript,
+    zero_filled_state,
 )
 
 
@@ -242,6 +244,108 @@ def test_branch_states_equal_the_checked_construction(runner):
             assert not got.stored.flags.writeable
             assert abs(got._norm - want._norm) <= 1e-15
             assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+def protocol_run(name, rng):
+    """One Run of each protocol, of a prefix of the wang program as
+    trace_branch cuts it, and of a program with a pruned outcome."""
+    p = wang.random_partition(5, 3, rng)
+    phases, psi = wang.random_phases(3, rng), random_state(5, rng)
+    if name == "wang":
+        return wang.run_wang(p, phases, psi)
+    if name == "group":
+        c = np.zeros(4, dtype=complex)
+        c[1] = c[2] = 1 / np.sqrt(2)
+        return groupform.run_group_protocol(groupform.pauli_rep(), c, random_state(2, rng))
+    if name == "bqst":
+        return entcost.bqst_teleport(qcore.random_unitary(3, rng), random_state(3, rng))[0]
+    if name == "svd":
+        program = wang.svd_remote(qcore.random_unitary(3, rng))
+        return wang.run_svd_remote(program, random_state(3, rng))
+    if name == "prefix":
+        # cut after Bob's X^l: the l column, the m factor still live
+        program = wang.wang_program(p, phases)
+        prefix = Program(program.owners, program.steps[:4], program.dims)
+        return locc.run_protocol(prefix, locc.prepare(program, psi))
+    # factor 0 holds (|0> + |1>)/sqrt 2, so its outcome 2 is pruned; Bob
+    # keeps his own measurement of factor 2 and sends nothing
+    assert name == "pruned"
+    program = Program((ALICE, BOB, BOB), (
+        MeasureStep(ALICE, 0, "x", send_to=BOB),
+        ConditionalStep(BOB, "X^x", qcore.shift_powers(2)[[0, 1, 0]], (1,), "x"),
+        MeasureStep(BOB, 2, "y"),
+    ))
+    half = qcore.StateVector(np.array([1, 1, 0]) / np.sqrt(2), (3,))
+    initial = qcore.tensor(qcore.tensor(half, random_state(2, rng)), random_state(2, rng))
+    return locc.run_protocol(program, initial)
+
+
+RUNS = ["wang", "group", "bqst", "svd", "prefix", "pruned"]
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_every_view_is_the_branch_the_eager_builder_makes(name):
+    rng = np.random.default_rng(19)
+    run = protocol_run(name, rng)
+    eager = eager_branches(run)
+    assert len(run) == len(eager) == len(run.outcomes)
+    for b, want in zip(run, eager, strict=True):
+        assert type(b) is locc.Branch
+        assert b.row == want.row and all(type(k) is int for k in b.row)
+        assert b.probability == want.probability and type(b.probability) is float
+        assert b.norm == want.norm
+        assert b.outcomes == want.outcomes
+        assert list(b.outcomes.items()) == list(want.outcomes.items())
+        assert b.transcript == want.transcript
+        assert b.steps is run.steps and b.measured is run.measured
+        assert b.factor_dims is run.factor_dims
+        assert b.amplitudes.shape == want.amplitudes.shape
+        assert b.amplitudes.tobytes() == want.amplitudes.tobytes()
+        for got, ref in ((b.state, want.state), (b.output, want.output)):
+            assert got.factor_dims == ref.factor_dims and got.basis == ref.basis
+            assert got.stored.tobytes() == ref.stored.tobytes() and got._norm == ref._norm
+        assert b.state.amplitudes.tobytes() == zero_filled_state(b).amplitudes.tobytes()
+    if name == "pruned":
+        assert sorted({b.row[0] for b in run}) == [0, 1]
+
+
+def test_a_run_is_a_sequence_of_views():
+    run = protocol_run("wang", np.random.default_rng(20))
+    n = len(run)
+    assert n == 9 and isinstance(run, locc.Run)
+    rows = [b.row for b in run]
+    assert rows == sorted(rows) == [tuple(r) for r in run.outcomes.tolist()]
+    assert rows == [run[i].row for i in range(n)]
+    assert run[-1].row == run[n - 1].row == rows[-1]
+    assert run[-n].row == rows[0]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            run[i]
+    for i in (slice(0, 2), 1.0, "0"):
+        with pytest.raises(TypeError):
+            run[i]
+    # each iteration makes its views again, in the same order, and views of
+    # one branch are equal, so the run finds its own
+    assert [b.row for b in run] == rows
+    assert run[-1] == run[n - 1] != run[0] and hash(run[-1]) == hash(run[n - 1])
+    assert run[3] in run and run.index(run[-1]) == n - 1 and run.count(run[0]) == 1
+    assert run[0] not in protocol_run("wang", np.random.default_rng(20))
+
+
+def test_a_run_and_its_views_are_read_only():
+    run = protocol_run("group", np.random.default_rng(21))
+    for arr in (run.outcomes, run.probabilities, run.norms, run.amplitudes):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    b = run[0]
+    assert not b.amplitudes.flags.writeable
+    for obj, name in ((run, "steps"), (run, "amplitudes"), (run, "extra"), (b, "row"),
+                      (b, "_i"), (b, "extra")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
 
 
 def test_branch_states_are_freed_without_the_cycle_collector():

@@ -3,6 +3,7 @@ the state, transcript and representation oracles the tests check the library
 against."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +15,9 @@ from qremote.errors import (
     NonFinite,
     OverlappingBlocks,
 )
-from qremote.locc import ALICE, BOB, LocalOpEvent, MeasurementEvent
+from qremote.locc import (
+    ALICE, BOB, ClassicalMessageEvent, LocalOpEvent, MeasurementEvent, MeasureStep, Transcript,
+)
 
 
 def random_state(dim, rng):
@@ -203,6 +206,60 @@ def zero_filled_state(branch):
     full = np.zeros(branch.factor_dims, dtype=complex)
     full[tuple(index)] = branch.amplitudes
     return qcore.StateVector(full.reshape(-1), branch.factor_dims)
+
+
+@dataclass(frozen=True)
+class EagerBranch:
+    """One branch as a frozen record of its own fields, built eagerly for
+    every row of a run, with its transcript, states and outcomes derived
+    from them: the oracle that each locc.Branch view is checked against."""
+
+    steps: tuple
+    row: tuple
+    probability: float
+    amplitudes: np.ndarray
+    norm: float
+    factor_dims: tuple
+    measured: tuple
+
+    @property
+    def transcript(self):
+        row = iter(self.row)
+        events = []
+        for s in self.steps:
+            if isinstance(s, LocalOpEvent):
+                events.append(s)
+                continue
+            k = next(row)
+            events.append(MeasurementEvent(s.party, s.target, k))
+            if s.send_to is not None:
+                events.append(ClassicalMessageEvent(s.party, s.send_to, s.message, k))
+        return Transcript(tuple(events), self.probability)
+
+    @property
+    def output(self):
+        return qcore.StateVector._prechecked(self.amplitudes, self.amplitudes.shape, (), self.norm)
+
+    @property
+    def state(self):
+        labels = tuple(zip(self.measured, self.row))
+        return qcore.StateVector._prechecked(self.amplitudes, self.factor_dims, labels, self.norm)
+
+    @property
+    def outcomes(self):
+        measures = (s for s in self.steps if isinstance(s, MeasureStep))
+        return {s.message: k for s, k in zip(measures, self.row) if s.send_to is not None}
+
+
+def eager_branches(run):
+    """One EagerBranch per row of the run's arrays, read straight off the
+    arrays rather than the lists the views read."""
+    return [
+        EagerBranch(run.steps, tuple(row), p, amps, norm, run.factor_dims, run.measured)
+        for amps, row, p, norm in zip(
+            run.amplitudes, run.outcomes.tolist(), run.probabilities.tolist(), run.norms.tolist()
+        )
+    ]
 
 
 def dense_factor_overlap(state, vec, factor):
