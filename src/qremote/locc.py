@@ -9,8 +9,9 @@ that carried outcomes between the parties.
 
 run_protocol advances all branches together. Their states are the rows of
 one array over the factors not yet measured. One check resolves each
-step's factors to axes of that array: its party owns each factor, none is
-named twice and none has been measured. A measurement splits each row into
+step's factors to axes of that array: qcore.indices resolves them, its
+party must own each factor and none may have been measured; the step runs
+and is recorded on the resolved factors. A measurement splits each row into
 one row per outcome above PROB_FLOOR and drops the measured axis; the
 outcome goes into a column, and the outcome probabilities are summed from
 the real and imaginary parts of the rows, so no conjugated copy is made.
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import index
@@ -180,23 +181,24 @@ class Transcript:
     probability: float
 
 
-class Run(Sequence):
+class Run(qcore.Immutable, Sequence):
     """Every branch of one run, as arrays over the B surviving branches in
     lexicographic outcome order: outcomes (B, m), one column per
     MeasureStep in program order; probabilities (B,); norms (B,), each
     row's norm as the run's closing gate passed it; amplitudes (B, *live
     dims), the state of the unmeasured factors in factor order, one axis
     per factor. All four are read-only. steps is the run's record of the
-    program (a LocalOpEvent per operator step, each MeasureStep as is),
-    measured the factor each MeasureStep targets, in the same order, sent
-    the (column, tag) of each measurement whose outcome is sent as a
-    message, and factor_dims the register layout.
+    program on its resolved factors (a LocalOpEvent per operator step, a
+    MeasureStep per measurement), measured the factor each MeasureStep
+    targets, in the same order, sent the (column, tag) of each measurement
+    whose outcome is sent as a message, and factor_dims the register layout.
 
     A Run is an immutable sequence of Branch views: len, integer indexing
     (negative from the end) and iteration in outcome order. The view reads
     lists made once here, as the run closes: each row as a tuple of Python
     ints, each probability and norm as a float, each row of amplitudes as
-    an array view and each branch's measured factors as basis labels.
+    an array view (0-d where every factor is measured) and each branch's
+    measured factors as basis labels.
     run_protocol builds it from its final rows, and building a Run runs the
     closing gate (_checked_output) on them, so every state a view builds
     rests on it."""
@@ -207,16 +209,10 @@ class Run(Sequence):
         "_rows", "_probs", "_norms", "_amps", "_labels",
     )
 
-    def __init__(self, program_steps, factor_dims, batch, outcomes, probabilities):
+    def __init__(self, steps, factor_dims, batch, outcomes, probabilities):
         amplitudes, norms = _checked_output(batch, outcomes)
-        steps = tuple(
-            s if isinstance(s, MeasureStep) else LocalOpEvent(
-                s.party, s.label, s.targets, s.message if isinstance(s, ConditionalStep) else None)
-            for s in program_steps
-        )
         measures = [s for s in steps if isinstance(s, MeasureStep)]
-        # Python ints, as a state's basis labels are
-        measured = tuple(index(s.target) for s in measures)
+        measured = tuple([s.target for s in measures])
         sent = tuple((j, s.message) for j, s in enumerate(measures) if s.send_to is not None)
         columns = outcomes.T.tolist()   # Python ints, one list per measurement
         if columns:
@@ -241,14 +237,10 @@ class Run(Sequence):
         init(self, "_rows", rows)
         init(self, "_probs", probabilities.tolist())
         init(self, "_norms", norms.tolist())
-        init(self, "_amps", list(amplitudes))
+        # a 1-D array iterates as scalars: its rows are taken as 0-d views
+        init(self, "_amps", list(amplitudes) if amplitudes.ndim > 1
+             else [amplitudes[i, ...] for i in range(len(amplitudes))])
         init(self, "_labels", labels)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -265,7 +257,7 @@ class Run(Sequence):
         return map(_view, repeat(self, n), range(n))
 
 
-class Branch:
+class Branch(qcore.Immutable):
     """One measurement branch: a view of branch i of a Run, which it reads
     for everything it returns. row is its outcome per MeasureStep in
     program order, probability, norm and amplitudes (a read-only view of
@@ -274,12 +266,6 @@ class Branch:
     transcript, output, state and outcomes are built on each read."""
 
     __slots__ = ("_run", "_i")
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other) -> bool:
         """Views of one branch of one run are equal, so a Run finds its
@@ -402,51 +388,49 @@ def prepare(program: Program, input_state: StateVector) -> StateVector:
     return state
 
 
-def _check_locality(owners, party: Party, targets) -> None:
-    try:
-        targets = tuple(targets)
-    except TypeError:
-        raise DimensionMismatch(f"targets {targets!r} are not a sequence of factors") from None
+def _check_locality(owners, party: Party, targets) -> tuple[int, ...]:
+    """targets resolved as factors of the register layout (qcore.indices),
+    once party owns each of them."""
+    targets = qcore.indices(targets, len(owners), "step")
     for t in targets:
-        if not qcore.is_index(t, len(owners)):
-            raise DimensionMismatch(f"target {t} outside the register layout")
         if owners[t] is not party:
             raise LocalityViolation(
                 f"{party.value} acted on factor {t} owned by {owners[t].value}"
             )
+    return targets
 
 
-def _factor_axes(owners, step: Step, live: list[int]) -> list[int]:
-    """Batch axes of the factors the step acts on, a coupling's control
-    first, once its party owns each of them, none is named twice and none
-    has been measured: the one check of a step's factors."""
+def _factor_axes(owners, step: Step, live: list[int]) -> tuple[tuple[int, ...], list[int]]:
+    """The factors the step acts on, a coupling's control first, resolved
+    under the step's name, and their batch axes: the one check of a step's
+    factors (_check_locality, then none may have been measured)."""
     if isinstance(step, CouplingStep):
-        kind, factors = "coupling", (step.control, step.target)
+        what, factors = f"coupling {step.label!r}", (step.control, step.target)
+    elif isinstance(step, MeasureStep):
+        what, factors = f"measurement {step.message!r}", step.targets
     else:
-        kind, factors = "step", step.targets
-    _check_locality(owners, step.party, factors)
-    if len(set(factors)) != len(factors):
-        # only operator steps name more than one factor, and each has a label
-        raise DimensionMismatch(f"{kind} {step.label!r} names a factor twice in {factors}")
+        what, factors = f"step {step.label!r}", step.targets
+    factors = _check_locality(owners, step.party, qcore.indices(factors, len(owners), what))
     for t in factors:
         if t not in live:
             raise DimensionMismatch(f"factor {t} was measured and cannot be used again")
-    return [1 + live.index(t) for t in factors]
+    return factors, [1 + live.index(t) for t in factors]
 
 
-def _coupling(step: CouplingStep, dims: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+def _coupling(step: CouplingStep, factors, dims: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """sum_k B|k><k|B^dag (x) V_k, certified from its basis and unitaries
     (qcore.certify_coupling), applied to rows of shape (branch, d_c, d_t,
-    *rest), control first. The sum is never formed: B^dag turns the
-    control into the eigenbasis, where column k carries V_k on the target,
-    and B turns it back."""
+    *rest), on factors (control, target). The sum is never formed: B^dag
+    turns the control into the eigenbasis, where column k carries V_k on
+    the target, and B turns it back."""
     basis = qcore._numeric(step.basis, f"coupling {step.label!r}")
     stack = qcore._numeric(step.unitaries, f"coupling {step.label!r}")
-    d_c, d_t = dims[step.control], dims[step.target]
+    control, target = factors
+    d_c, d_t = dims[control], dims[target]
     if (basis.shape, stack.shape) != ((d_c, d_c), (d_c, d_t, d_t)):
         raise DimensionMismatch(
             f"coupling {step.label!r} has basis {basis.shape} and terms "
-            f"{stack.shape} for factors {step.control} and {step.target}"
+            f"{stack.shape} for factors {control} and {target}"
         )
     qcore.certify_coupling(basis, stack, step.label)
     y = basis.conj().T @ rows.reshape(len(rows), d_c, -1)
@@ -472,17 +456,18 @@ def run_protocol(program: Program, initial: StateVector) -> Run:
     outcomes = np.zeros((1, 0), dtype=int)   # one column per measurement
     lost = 0.0                               # mass dropped by the measurements
     inbox: dict[Party, dict[str, int]] = {ALICE: {}, BOB: {}}   # tag -> column
+    record: list[LocalOpEvent | MeasureStep] = []   # the steps on their resolved factors
 
     for step in program.steps:
-        axes = _factor_axes(owners, step, live)
+        factors, axes = _factor_axes(owners, step, live)
         if isinstance(step, MeasureStep):
-            (axis,) = axes
+            (target,), (axis,) = factors, axes
             p = _weights(batch, axis)
             kept_mask = p > qcore.PROB_FLOOR
             lost += prob @ np.where(kept_mask, 0.0, p).sum(axis=1)
             if lost > qcore.NORM_TOL:
                 raise NotNormalized(
-                    f"measurement {step.message!r} of factor {step.target} brings the "
+                    f"measurement {step.message!r} of factor {target} brings the "
                     f"probability pruned below {qcore.PROB_FLOOR} to {lost:.3e}, "
                     f"beyond {qcore.NORM_TOL}"
                 )
@@ -492,7 +477,8 @@ def run_protocol(program: Program, initial: StateVector) -> Run:
             batch /= np.sqrt(kept).reshape((-1,) + (1,) * (batch.ndim - 1))
             prob = prob[rows] * kept
             outcomes = np.column_stack((outcomes[rows], ks))
-            live.remove(step.target)
+            live.remove(target)
+            record.append(MeasureStep(step.party, target, step.message, step.send_to))
             # the measuring party always learns its own outcome
             inbox[step.party][step.message] = outcomes.shape[1] - 1
             if step.send_to is not None:
@@ -501,16 +487,19 @@ def run_protocol(program: Program, initial: StateVector) -> Run:
         perm = [0, *axes, *(a for a in range(1, batch.ndim) if a not in axes)]
         moved = batch.transpose(perm)
         if isinstance(step, LocalStep):
-            op = qcore.local_unitary(step.matrix, dims, step.targets)
+            op = qcore.local_unitary(step.matrix, dims, factors)
             new = op @ moved.reshape(len(moved), len(op), -1)
+            record.append(LocalOpEvent(step.party, step.label, factors))
         elif isinstance(step, CouplingStep):
-            new = _coupling(step, dims, moved)
+            new = _coupling(step, factors, dims, moved)
+            record.append(LocalOpEvent(step.party, step.label, tuple(sorted(factors))))
         else:
-            new = _conditioned(step, dims, inbox, outcomes, moved)
+            new = _conditioned(step, factors, dims, inbox, outcomes, moved)
+            record.append(LocalOpEvent(step.party, step.label, factors, step.message))
         batch = new.reshape(moved.shape).transpose(*map(perm.index, range(len(perm))))
         del new, moved   # the old batch ends with the step
 
-    return Run(program.steps, dims, batch, outcomes, prob)
+    return Run(tuple(record), dims, batch, outcomes, prob)
 
 
 def _weights(batch: np.ndarray, axis: int) -> np.ndarray:
@@ -521,9 +510,10 @@ def _weights(batch: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _conditioned(
-    step: ConditionalStep, dims: tuple[int, ...], inbox, outcomes: np.ndarray, rows: np.ndarray
+    step: ConditionalStep, factors: tuple[int, ...], dims: tuple[int, ...], inbox,
+    outcomes: np.ndarray, rows: np.ndarray,
 ) -> np.ndarray:
-    """The step applied to rows of shape (branch, *target dims, *rest),
+    """The step applied to rows of shape (branch, *dims of factors, *rest),
     returned as (branch, d, rest) with d the targets' product. One stable
     argsort of the message's column groups the rows by payload, and one
     bincount sizes the groups. qcore.local_unitary checks the entries of
@@ -541,17 +531,14 @@ def _conditioned(
     order = np.argsort(column, kind="stable")
     counts = np.bincount(column)
     values = np.flatnonzero(counts)
-    try:
-        table = np.asarray(step.unitaries)
-    except ValueError:   # matrices of different shapes
-        raise DimensionMismatch(f"step {step.label!r} holds a table that is no array") from None
+    table = qcore._numeric(step.unitaries, f"step {step.label!r} table")
     if table.ndim != 3 or len(table) < len(counts):
         raise DimensionMismatch(
             f"step {step.label!r} has table shape {table.shape} for payloads "
             f"up to {len(counts) - 1}"
         )
     ops = qcore.local_unitary(
-        table if len(values) == len(table) else table[values], dims, step.targets,
+        table if len(values) == len(table) else table[values], dims, factors,
         lambda i: f"step {step.label!r} at {step.message}={values[i]}",
     )
     bounds = np.concatenate(([0], np.cumsum(counts[values]))).tolist()

@@ -4,14 +4,16 @@ States are flat complex vectors tagged with an ordered list of subsystem
 dimensions. Everything is a pure function over immutable values; registers
 stay small (tens of levels each, so a block-protocol branch at (D, n) =
 (32, 32) holds 32 768 amplitudes), and dense row-major storage is used
-throughout. Every module's arguments pass three gates: dimensions for
-sizes, operators for stacks of matrices and coefficients for vectors of
-scalars. A value of the wrong kind, such as a string where numbers belong,
-is a DimensionMismatch at each gate, as it is for StateVector and for the
-arrays that local_unitary, is_unitary, tensor and factor_overlap take; an
-integer past the float range is NonFinite there. The shift and clock of
-the protocols' corrections are built in one place each, as whole tables of
-powers: shift_powers and clock_powers.
+throughout. Every module's arguments pass four gates: dimensions for
+sizes, operators for stacks of matrices, coefficients for vectors of
+scalars and index_in for every factor, basis state and outcome index (a
+Python int from operator.index, in range; indices, for a tuple of factors,
+also refuses a factor named twice). A value of the wrong kind, such as a
+string where numbers belong, is a DimensionMismatch at each gate, as it is
+for StateVector and for the arrays that local_unitary, is_unitary, tensor
+and factor_overlap take; an integer past the float range is NonFinite
+there. The shift and clock of the protocols' corrections are built in one
+place each, as whole tables of powers: shift_powers and clock_powers.
 """
 
 from __future__ import annotations
@@ -36,9 +38,32 @@ RANK_TOL = 1e-9
 PROB_FLOOR = 1e-12  # measurement branches below this probability are dropped
 
 
-def is_index(k, size: int) -> bool:
-    """Whether k is an integer, Python or numpy, in range(size)."""
-    return isinstance(k, (int, np.integer)) and 0 <= k < size
+def index_in(k, size: int, what: str) -> int:
+    """k, converted by operator.index, as a Python int in range(size): the
+    one index rule. "1", 1.0 and None are not indices; DimensionMismatch
+    names what k indexes and why it is refused."""
+    try:
+        i = index(k)
+    except TypeError:
+        raise DimensionMismatch(f"{what} {k!r} is not an integer") from None
+    if not 0 <= i < size:
+        raise DimensionMismatch(f"{what} {i} is not in range({size})")
+    return i
+
+
+def indices(values, n: int, what: str) -> tuple[int, ...]:
+    """values, factors of an n-factor register, as a tuple of Python ints,
+    each resolved by index_in; DimensionMismatch, naming what holds them,
+    if they are no sequence or name a factor twice."""
+    each = f"{what} factor"
+    try:
+        # from a list: tuple(genexpr) builds a tuple by resizing, which is slower
+        named = tuple([index_in(v, n, each) for v in values])
+    except TypeError:
+        raise DimensionMismatch(f"{what} names {values!r}, not a sequence of factors") from None
+    if len(set(named)) != len(named):
+        raise DimensionMismatch(f"{what} names a factor twice in {named}")
+    return named
 
 
 def dimensions(values, what: str) -> tuple[int, ...]:
@@ -110,7 +135,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-class StateVector:
+class Immutable:
+    """A value whose fields are set once, through object.__setattr__:
+    assignment and deletion raise FrozenInstanceError, as for a frozen
+    dataclass."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class StateVector(Immutable):
     """Normalized amplitude vector over an ordered product of subsystems.
 
     basis holds (factor, k) pairs of integers: each named factor is in its
@@ -127,18 +166,12 @@ class StateVector:
     def __init__(self, amplitudes: np.ndarray, factor_dims, basis=()):
         amps = _freeze(_numeric(amplitudes, "state vector")).reshape(-1)
         dims = dimensions(factor_dims, "factor dims")
-        live = list(dims)   # a basis factor's entry becomes 0
-        labels = []         # as Python ints: a bool k would index as a mask
-        for f, k in basis:
-            if not (is_index(f, len(dims)) and live[f] and is_index(k, dims[f])):
-                raise DimensionMismatch(
-                    f"basis state {k!r} of factor {f!r} is not an index in range "
-                    f"or repeats a factor of {dims}"
-                )
-            live[f] = 0
-            labels.append((index(f), index(k)))
-        basis = tuple(labels)
-        live = [d for d in live if d]
+        pairs = list(basis)
+        factors = indices([f for f, _ in pairs], len(dims), "basis")
+        # Python ints: a bool k would index the dense form as a mask
+        basis = tuple([(f, index_in(k, dims[f], f"factor {f}'s basis state"))
+                       for f, (_, k) in zip(factors, pairs)])
+        live = [d for f, d in enumerate(dims) if f not in factors]
         if amps.size != math.prod(live):
             where = f" outside basis {basis}" if basis else ""
             raise DimensionMismatch(f"{amps.size} amplitudes do not fill factors {dims}{where}")
@@ -174,12 +207,6 @@ class StateVector:
         init(self, "_norm", norm)
         init(self, "_dense", None if basis else stored.reshape(-1))
         return self
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -297,28 +324,13 @@ def certify_coupling(basis: np.ndarray, unitaries: np.ndarray, label: str) -> No
     )
 
 
-def _check_targets(dims: tuple[int, ...], targets) -> tuple[int, ...]:
-    try:
-        targets = tuple([index(t) for t in targets])
-    except TypeError:
-        raise DimensionMismatch(f"target factors {targets!r} are not all integers") from None
-    if len(set(targets)) != len(targets):
-        raise DimensionMismatch(f"repeated target factors {targets}")
-    for t in targets:
-        if not 0 <= t < len(dims):
-            raise DimensionMismatch(
-                f"target {t} out of range for {len(dims)} factors"
-            )
-    return targets
-
-
 def local_unitary(
     op: np.ndarray, dims: tuple[int, ...], targets, name: Callable[[int], str] | None = None
 ) -> np.ndarray:
     """op, one matrix or a (k, d, d) stack of them, as complex and checked
     to be unitary on the target factors by one unitarity_defect. NonUnitary
     names the first matrix at fault: name(i) for matrix i of a stack."""
-    targets = _check_targets(dims, targets)
+    targets = indices(targets, len(dims), "target")
     op = _numeric(op, f"operator on factors {targets}")
     d_op = math.prod(dims[t] for t in targets)
     if op.ndim not in (2, 3) or op.shape[-2:] != (d_op, d_op):
@@ -338,9 +350,10 @@ def local_unitary(
 
 def apply_local(op: np.ndarray, state: StateVector, targets) -> StateVector:
     """Apply a unitary to the designated factors, leaving the others
-    untouched; local_unitary checks the targets with the matrix."""
+    untouched; local_unitary checks the matrix on the resolved targets."""
     if np.ndim(op) != 2:
         raise DimensionMismatch(f"apply_local takes one matrix, not shape {np.shape(op)}")
+    targets = indices(targets, len(state.factor_dims), "target")
     op = local_unitary(op, state.factor_dims, targets)
     k = len(targets)
     moved = np.moveaxis(state.tensor_form(), targets, range(k))
@@ -355,7 +368,7 @@ def measure_computational(state: StateVector, target: int) -> list[MeasurementOu
     renormalized post-measurement state. Deterministic enumeration, never
     sampling, so callers can verify every branch.
     """
-    (target,) = _check_targets(state.factor_dims, [target])
+    target = index_in(target, len(state.factor_dims), "measured factor")
     moved = np.moveaxis(state.tensor_form(), target, 0)
     outcomes = []
     for k in range(state.factor_dims[target]):
@@ -374,7 +387,7 @@ def measure_computational(state: StateVector, target: int) -> list[MeasurementOu
 
 def schmidt(state: StateVector, cut) -> SchmidtForm:
     """Schmidt decomposition across the bipartition (cut | remaining factors)."""
-    cut = _check_targets(state.factor_dims, cut)
+    cut = indices(cut, len(state.factor_dims), "cut")
     rest = tuple(i for i in range(len(state.factor_dims)) if i not in cut)
     if not cut or not rest:
         raise DimensionMismatch("cut must leave factors on both sides")
@@ -423,14 +436,7 @@ def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:
     stored amplitudes, never the dense form: a basis factor in |k> gives
     |vec[k]| times their norm. A vec whose norm is not finite raises
     NonFinite."""
-    # one factor, resolved as _check_targets would resolve [factor]
-    try:
-        factor = index(factor)
-    except TypeError:
-        raise DimensionMismatch(f"target factors {[factor]!r} are not all integers") from None
-    n = len(state.factor_dims)
-    if not 0 <= factor < n:
-        raise DimensionMismatch(f"target {factor} out of range for {n} factors")
+    factor = index_in(factor, len(state.factor_dims), "overlap factor")
     vec = _numeric(vec, "overlap vector")
     if vec.ndim != 1:
         vec = vec.reshape(-1)
@@ -458,7 +464,7 @@ def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:
 
 def factor_state(state: StateVector, factor: int) -> StateVector:
     """Extract one factor's state, requiring it to be unentangled from the rest."""
-    (factor,) = _check_targets(state.factor_dims, [factor])
+    factor = index_in(factor, len(state.factor_dims), "factor")
     if len(state.factor_dims) == 1:
         return state
     form = schmidt(state, [factor])

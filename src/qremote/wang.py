@@ -324,11 +324,10 @@ def trace_branch(
     phase gate, Fourier plus measurement of b, recovery. Measured stages are
     renormalized, and the last stage is the run_wang branch (l, m). Each
     stage is a Branch view of its prefix's Run. Every in-range (l, m) has
-    probability 1/n^2 whatever the input; a non-integer outcome is out of
-    range.
+    probability 1/n^2 whatever the input; l and m are indices in range(n)
+    (qcore.index_in).
     """
-    if not (qcore.is_index(l, p.n) and qcore.is_index(m, p.n)):
-        raise DimensionMismatch(f"branch ({l},{m}) out of range for {p.n} outcomes")
+    l, m = qcore.index_in(l, p.n, "outcome l"), qcore.index_in(m, p.n, "outcome m")
     program = wang_program(p, phases)
     initial = locc.prepare(program, input_state)
     wanted = {"l": l, "m": m}.items()

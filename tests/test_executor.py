@@ -258,9 +258,9 @@ def test_the_grouped_apply_matches_the_gather(monkeypatch, case):
     conditioned = locc._conditioned
     sizes = []
 
-    def checking(step, dims, inbox, outcomes, rows):
+    def checking(step, factors, dims, inbox, outcomes, rows):
         want = gathered(step, inbox, outcomes, rows)
-        got = conditioned(step, dims, inbox, outcomes, rows)
+        got = conditioned(step, factors, dims, inbox, outcomes, rows)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         sizes.append(np.unique(outcomes[:, inbox[step.party][step.message]], return_counts=True)[1])
         return got

@@ -348,6 +348,27 @@ def test_a_run_and_its_views_are_read_only():
             delattr(obj, name)
 
 
+def test_a_run_that_measures_every_factor_keeps_its_amplitudes_as_0d_views():
+    # a numpy.complex128 per branch before, outside StateVector._prechecked's contract
+    program = Program((ALICE,), (MeasureStep(ALICE, 0, "x"),))
+    run = locc.run_protocol(program, qcore.StateVector([0.6, 0.8], (2,)))
+    assert [b.row for b in run] == [(0,), (1,)]
+    for b in run:
+        for amps in (b.amplitudes, b.output.stored, b.state.stored):
+            assert type(amps) is np.ndarray and amps.shape == ()
+            assert not amps.flags.writeable and amps.flags.c_contiguous
+            assert amps.base is run.amplitudes
+        assert b.output.factor_dims == () and b.output.amplitudes.tolist() == [1]
+        assert b.state.amplitudes.tolist() == [int(b.row == (0,)), int(b.row == (1,))]
+        assert qcore.factor_overlap(b.state, np.eye(2)[b.row[0]], 0) == 1.0
+
+
+def test_state_run_and_branch_share_one_immutable_base():
+    assert all(issubclass(cls, qcore.Immutable)
+               for cls in (qcore.StateVector, locc.Run, locc.Branch))
+    assert "__setattr__" not in vars(locc.Run) and "__setattr__" not in vars(locc.Branch)
+
+
 def test_branch_states_are_freed_without_the_cycle_collector():
     rng = np.random.default_rng(4)
     p = wang.diagonal_partition(3)
