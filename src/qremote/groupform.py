@@ -7,6 +7,12 @@ weighted right-translations, and closes with Alice's U(h^{-1}) after the
 group sum re-indexes under left translation (every row and column of the
 Cayley table is a permutation, so the sum over the group is invariant).
 
+The standard representations here (the Z_n characters, Klein, Pauli and the
+Weyl-Heisenberg clock-and-shift reps of weyl_rep) are monomial: one
+unimodular entry per row and column. projective_rep certifies those on
+their permutation-and-phase form (qcore.monomial) and any other on dense
+products, with the same checks and messages.
+
 Coefficient recovery: when the representation is multiplicity-free
 (sum of squared irrep dimensions equals the group order) and a block basis
 is given, c(f) follows from the orthogonality relations of irreducible
@@ -56,7 +62,10 @@ class FiniteGroup:
 
 def finite_group(cayley, names=None) -> FiniteGroup:
     """Validate a Cayley table: permutation rows/columns, associativity and a
-    unique identity, which together give inverses."""
+    unique identity, which together give inverses. Associativity compares
+    (ij)k with i(jk) in blocks of rows i whose two index arrays hold at most
+    max(2^16, n^2) entries each, 2 x 512 KiB of int64 for any order
+    n <= 256, against 2 n^3 entries for the whole comparison."""
     table = np.asarray(cayley)
     if table.ndim != 2 or table.shape[0] != table.shape[1] or not table.size:
         raise NotAGroup(f"Cayley table must be square and non-empty, got shape {table.shape}")
@@ -74,10 +83,12 @@ def finite_group(cayley, names=None) -> FiniteGroup:
         raise NotAGroup(
             f"row/column {np.argmin(permutes)} of the Cayley table is not a permutation"
         )
-    left = table[table, :]          # left[i,j,k] = (ij)k
-    right = table[:, table]         # right[i,j,k] = i(jk)
-    if not np.array_equal(left, right):
-        raise NotAGroup("Cayley table is not associative")
+    # (ij)k against i(jk) for a block of rows i at a time
+    rows = max(1, 2 ** 16 // (n * n))
+    for start in range(0, n, rows):
+        block = table[start : start + rows]
+        if not np.array_equal(table[block], block[:, table]):
+            raise NotAGroup("Cayley table is not associative")
     identities = np.flatnonzero(
         (table == elements).all(axis=1) & (table == elements[:, None]).all(axis=0)
     )
@@ -136,8 +147,7 @@ class ProjectiveRep:
 def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
     """Assemble and validate; with mu omitted it is read off the product table.
 
-    Every product U(f)U(g) is formed once, one table row U(f)U(.) at a
-    time. The checks, in order: finite entries, unitary matrices, unimodular
+    The checks, in order: finite entries, unitary matrices, unimodular
     factors, the identity element carrying the identity matrix, closure, and
     factor-system consistency. Once they pass, mu is stored as mu/|mu| and
     each matrix as its polar factor, the unitary nearest to it, so the
@@ -149,6 +159,19 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
     collapses to 1 whenever the system is normalized with mu(h^{-1},h) = 1
     (all the character representations here), but genuinely projective
     systems can carry -1 there.
+
+    A monomial stack (qcore.monomial: one nonzero entry per row and column,
+    every other entry exactly 0, as for the cyclic, Klein, Pauli and Weyl
+    reps) is checked on its (cols, phases) form, in O(|G|^2 D) against the
+    dense path's |G|^2 products of D x D matrices: U^dag U is diagonal with
+    |phase|^2 on it, U(f)U(g) has columns cols_g[cols_f] and phases
+    ph_f ph_g[cols_f], and the polar factor is phase/|phase| on the
+    pattern. Every off-pattern entry of these products is an exact 0, so
+    mu, each residual and each stored matrix are the dense path's numbers
+    up to the rounding of the one nonzero term per row, and every message
+    is the same. Its blocks of Cayley-table rows hold at most |G| D^2
+    entries per array, as the dense path's one row of products does. Any
+    other stack takes the dense path.
     """
     n = group.order
     stack = qcore.operators(matrices, "representation matrix")
@@ -159,21 +182,20 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
         (mu,) = qcore.operators([mu], "factor system")
         if mu.shape != (n, n):
             raise DimensionMismatch(f"factor system has shape {mu.shape}")
-    bad = np.flatnonzero(~(qcore.unitarity_defect(stack) <= qcore.NORM_TOL))
+    form = qcore.monomial(stack)
+    if form is None:
+        defect = qcore.unitarity_defect(stack)
+    else:
+        cols, phases = form
+        with np.errstate(over="ignore"):   # an entry near 1e308 is inf, and at fault
+            defect = np.abs(phases.real ** 2 + phases.imag ** 2 - 1).max(axis=-1)
+    bad = np.flatnonzero(~(defect <= qcore.NORM_TOL))
     if len(bad):
         raise NonUnitary(f"representation matrix {group.names[bad[0]]} is not unitary")
-    derive = mu is None
-    if derive:
-        mu = np.empty((n, n), dtype=complex)
-    closure = np.empty((n, n))
-    # one table row at a time, so it never holds more than |G| D^2 entries:
-    # products[g] = U(f) U(g) against targets[g] = U(fg)
-    for f, row in enumerate(group.cayley):
-        products = stack[f] @ stack
-        targets = stack[row]
-        if derive:
-            mu[f] = np.einsum("gab,gab->g", targets.conj(), products) / dim
-        closure[f] = np.abs(products - mu[f, :, None, None] * targets).max(axis=(1, 2))
+    if form is None:
+        mu, closure = _dense_closure(group.cayley, stack, mu)
+    else:
+        mu, closure = _monomial_closure(group.cayley, cols, phases, mu)
     worst = np.abs(np.abs(mu) - 1.0).max()
     if worst > qcore.NORM_TOL:
         raise NonUnimodularFactor(
@@ -199,10 +221,61 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
             f"factor products mu(h^-1,f) mu(h,h^-1 f) are inconsistent at "
             f"h={group.names[h]}, f={group.names[f]}"
         )
-    w, _, vh = np.linalg.svd(stack)
-    exact = w @ vh
+    if form is None:
+        w, _, vh = np.linalg.svd(stack)
+        exact = w @ vh
+    else:
+        exact = np.zeros_like(stack)
+        np.put_along_axis(exact, cols[..., None], (phases / np.abs(phases))[..., None], -1)
     exact.setflags(write=False)
     return ProjectiveRep(group, exact, mu / np.abs(mu))
+
+
+def _dense_closure(cayley: np.ndarray, stack: np.ndarray, mu=None):
+    """(mu, closure): mu read off the products when it is None, and
+    closure[f, g] = max |U(f)U(g) - mu(f,g) U(fg)|, from every product
+    U(f)U(g) formed once, one table row U(f)U(.) at a time, so it never
+    holds more than |G| D^2 entries."""
+    n, dim = stack.shape[:2]
+    derive = mu is None
+    if derive:
+        mu = np.empty((n, n), dtype=complex)
+    closure = np.empty((n, n))
+    # products[g] = U(f) U(g) against targets[g] = U(fg)
+    for f, row in enumerate(cayley):
+        products = stack[f] @ stack
+        targets = stack[row]
+        if derive:
+            mu[f] = np.einsum("gab,gab->g", targets.conj(), products) / dim
+        closure[f] = np.abs(products - mu[f, :, None, None] * targets).max(axis=(1, 2))
+    return mu, closure
+
+
+def _monomial_closure(cayley: np.ndarray, cols: np.ndarray, phases: np.ndarray, mu=None):
+    """What _dense_closure returns for the monomial stack of qcore.monomial's
+    (cols, phases) form. Row r of U(f)U(g) is phases[f, r] phases[g, c] in
+    column cols[g, c], c = cols[f, r], against U(fg)'s one entry t: where
+    the two columns agree the row adds conj(t) p to D mu and leaves the
+    residual |p - mu t|; where they differ it leaves max(|p|, |mu t|). Each
+    block of D table rows holds (D, |G|, D) arrays, |G| D^2 entries."""
+    n, dim = cols.shape
+    derive = mu is None
+    if derive:
+        mu = np.empty((n, n), dtype=complex)
+    closure = np.empty((n, n))
+    elements = np.arange(n)[:, None]
+    for start in range(0, n, dim):
+        block = slice(start, start + dim)
+        via = cols[block, None, :]           # c = cols[f, r], against every g
+        agree = cols[elements, via] == cols[cayley[block]]
+        p = phases[block, None, :] * phases[elements, via]
+        t = phases[cayley[block]]
+        if derive:
+            mu[block] = np.where(agree, t.conj() * p, 0).sum(axis=-1) / dim
+        scaled = mu[block, :, None] * t
+        residual = np.where(agree, np.abs(p - scaled), np.maximum(np.abs(p), np.abs(scaled)))
+        closure[block] = residual.max(axis=-1)
+    return mu, closure
 
 
 def cyclic_character_rep(n: int) -> ProjectiveRep:
@@ -216,6 +289,19 @@ def pauli_rep() -> ProjectiveRep:
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     return projective_rep(klein_four(), [np.eye(2, dtype=complex), x, z, x @ z])
+
+
+def weyl_rep(d: int) -> ProjectiveRep:
+    """The Weyl-Heisenberg rep of Z_d x Z_d: U(a, b) = X^a Z^b, the
+    clock-and-shift basis, with element (a, b) at index a*d + b and mu read
+    off the products. It is irreducible with |G| = d^2, so its U(f) span
+    every d x d matrix, and each of them is monomial."""
+    (d,) = qcore.dimensions((d,), "Weyl dimension")
+    a, b = np.divmod(np.arange(d * d), d)
+    cayley = ((a[:, None] + a) % d) * d + (b[:, None] + b) % d
+    names = [f"{i},{j}" for i, j in zip(a, b)]
+    mats = qcore.shift_powers(d)[a] @ qcore.clock_powers(d)[b]
+    return projective_rep(finite_group(cayley, names), mats)
 
 
 def dihedral3_rep() -> ProjectiveRep:

@@ -388,29 +388,28 @@ def prepare(program: Program, input_state: StateVector) -> StateVector:
     return state
 
 
-def _check_locality(owners, party: Party, targets) -> tuple[int, ...]:
-    """targets resolved as factors of the register layout (qcore.indices),
-    once party owns each of them."""
-    targets = qcore.indices(targets, len(owners), "step")
-    for t in targets:
+def _check_owned(owners, party: Party, factors: tuple[int, ...]) -> None:
+    """LocalityViolation unless party owns each of the resolved factors."""
+    for t in factors:
         if owners[t] is not party:
             raise LocalityViolation(
                 f"{party.value} acted on factor {t} owned by {owners[t].value}"
             )
-    return targets
 
 
 def _factor_axes(owners, step: Step, live: list[int]) -> tuple[tuple[int, ...], list[int]]:
     """The factors the step acts on, a coupling's control first, resolved
     under the step's name, and their batch axes: the one check of a step's
-    factors (_check_locality, then none may have been measured)."""
+    factors (resolved once, then _check_owned, then none may have been
+    measured)."""
     if isinstance(step, CouplingStep):
         what, factors = f"coupling {step.label!r}", (step.control, step.target)
     elif isinstance(step, MeasureStep):
         what, factors = f"measurement {step.message!r}", step.targets
     else:
         what, factors = f"step {step.label!r}", step.targets
-    factors = _check_locality(owners, step.party, qcore.indices(factors, len(owners), what))
+    factors = qcore.indices(factors, len(owners), what)
+    _check_owned(owners, step.party, factors)
     for t in factors:
         if t not in live:
             raise DimensionMismatch(f"factor {t} was measured and cannot be used again")

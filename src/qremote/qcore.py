@@ -14,6 +14,8 @@ for StateVector and for the arrays that local_unitary, is_unitary, tensor
 and factor_overlap take; an integer past the float range is NonFinite
 there. The shift and clock of the protocols' corrections are built in one
 place each, as whole tables of powers: shift_powers and clock_powers.
+A stack whose every matrix is a permutation with phases is read off in one
+place too: monomial returns its (cols, phases) form.
 """
 
 from __future__ import annotations
@@ -275,6 +277,27 @@ def unitarity_defect(stack: np.ndarray) -> np.ndarray:
         gram = stack.conj().swapaxes(-1, -2) @ stack
         gram.reshape(gram.shape[:-2] + (d * d,))[..., :: d + 1] -= 1
         return np.abs(gram).max(axis=(-2, -1))
+
+
+def monomial(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The permutation-and-phase form of a (k, d, d) stack, or None.
+
+    A matrix is monomial when each row and each column holds exactly one
+    nonzero entry and every other entry is exactly 0: it is then
+    sum_r phases[r] |r><cols[r]|. The form is returned as (cols, phases),
+    both (k, d): row r of matrix i has its one nonzero entry phases[i, r]
+    in column cols[i, r]. Any other stack, including one with an
+    off-pattern entry as small as 1e-300, gives None."""
+    k, d = stack.shape[0], stack.shape[-1]
+    # k d nonzero entries with at least one in every row is exactly one per row
+    if np.count_nonzero(stack) != k * d:
+        return None
+    cols = (stack != 0).argmax(axis=-1)
+    phases = np.take_along_axis(stack, cols[..., None], axis=-1)[..., 0]
+    # one per column: each row's column is distinct, a permutation of range(d)
+    if not phases.all() or not (np.sort(cols, axis=-1) == np.arange(d)).all():
+        return None
+    return cols, phases
 
 
 def is_unitary(m: np.ndarray) -> bool:

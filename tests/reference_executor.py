@@ -24,7 +24,7 @@ from qremote.locc import (
     LocalStep,
     MeasurementEvent,
     Transcript,
-    _check_locality,
+    _check_owned,
 )
 from qremote.qcore import StateVector
 
@@ -50,7 +50,8 @@ def run_reference(program, initial):
             return
         step = program.steps[i]
         if isinstance(step, (LocalStep, CouplingStep, ConditionalStep)):
-            _check_locality(program.owners, step.party, step.targets)
+            _check_owned(program.owners, step.party,
+                         qcore.indices(step.targets, len(program.owners), "step"))
             if isinstance(step, LocalStep):
                 op, event = step.matrix, LocalOpEvent(step.party, step.label, step.targets)
             elif isinstance(step, CouplingStep):
@@ -64,7 +65,8 @@ def run_reference(program, initial):
             nxt = qcore.apply_local(op, state, step.targets)
             execute(i + 1, nxt, prob, events + [event], inbox)
             return
-        _check_locality(program.owners, step.party, (step.target,))
+        _check_owned(program.owners, step.party,
+                     qcore.indices((step.target,), len(program.owners), "step"))
         for out in qcore.measure_computational(state, step.target):
             new_events = events + [MeasurementEvent(step.party, step.target, out.outcome)]
             new_inbox = {p: dict(m) for p, m in inbox.items()}

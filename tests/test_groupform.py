@@ -528,21 +528,12 @@ def test_block_structure_violations_rejected():
 
 # --- Weyl-Heisenberg representations -------------------------------------------
 
-def weyl_rep(d):
-    """U(a, b) = X^a Z^b on Z_d x Z_d, element (a, b) at index a*d + b: the
-    clock-and-shift basis, built from qcore's two table builders."""
-    a, b = np.divmod(np.arange(d * d), d)
-    cayley = ((a[:, None] + a) % d) * d + (b[:, None] + b) % d
-    mats = qcore.shift_powers(d)[a] @ qcore.clock_powers(d)[b]
-    return groupform.projective_rep(groupform.finite_group(cayley), mats)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_the_weyl_rep_implements_a_haar_unitary_on_every_branch(d):
     # d-dimensional and irreducible, with |G| = d^2, so one block spans every
     # d x d matrix: the group protocol implements any unitary exactly
     rng = np.random.default_rng(40 + d)
-    rep = weyl_rep(d)
+    rep = groupform.weyl_rep(d)
     decomp = groupform.block_decomposition(rep, (d,))
     target = qcore.random_unitary(d, rng)
     c = groupform.coefficients_from_unitary(target, decomp)
@@ -562,10 +553,10 @@ def test_the_weyl_factor_system_is_its_closed_form(d):
     # U(a,b) U(a',b') = w^{-b a'} U(a+a', b+b') with w = e^{2 pi i/d}
     a, b = np.divmod(np.arange(d * d), d)
     closed = np.exp(-2j * np.pi * np.outer(b, a) / d)
-    np.testing.assert_allclose(weyl_rep(d).mu, closed, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(groupform.weyl_rep(d).mu, closed, rtol=0, atol=1e-12)
 
 
 def test_the_qubit_weyl_rep_is_the_pauli_rep_up_to_labels():
-    weyl, pauli = weyl_rep(2).matrices, groupform.pauli_rep().matrices
+    weyl, pauli = groupform.weyl_rep(2).matrices, groupform.pauli_rep().matrices
     close = np.abs(weyl[:, None] - pauli[None]).max(axis=(2, 3)) <= 1e-12
     assert (close.sum(axis=0) == 1).all() and (close.sum(axis=1) == 1).all()

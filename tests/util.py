@@ -297,14 +297,16 @@ def validate_transcript(transcript, owners):
     delivered = {ALICE: set(), BOB: set()}
     for event in transcript.events:
         if isinstance(event, LocalOpEvent):
-            locc._check_locality(owners, event.party, event.targets)
+            factors = qcore.indices(event.targets, len(owners), "step")
+            locc._check_owned(owners, event.party, factors)
             if event.consumed is not None and event.consumed not in delivered[event.party]:
                 raise MissingClassicalDependency(
                     f"{event.party.value} used outcome {event.consumed!r} "
                     "before any message delivered it"
                 )
         elif isinstance(event, MeasurementEvent):
-            locc._check_locality(owners, event.party, (event.target,))
+            factors = qcore.indices((event.target,), len(owners), "step")
+            locc._check_owned(owners, event.party, factors)
         else:
             delivered[event.receiver].add(event.tag)
 
