@@ -189,7 +189,7 @@ def cmd_run(args) -> int:
     fids = np.abs(run.amplitudes.reshape(len(run), -1) @ problem.expected.conj()).tolist()
     min_fid = min(fids)
     ok = min_fid >= threshold
-    first_transcript = locc.transcript_lines(run[0].transcript)
+    first_transcript = locc.transcript_lines(run[0])
     # message tag -> payload per branch, read off the outcome columns of the sent messages
     tags = [tag for _, tag in run.sent]
     payloads = run.outcomes[:, [j for j, _ in run.sent]].tolist()
@@ -315,7 +315,7 @@ def cmd_trace(args) -> int:
     print(f"  fidelity vs direct application: {fid:.12f}")
 
     print("\ntranscript:")
-    for line in locc.transcript_lines(stages[-1].transcript):
+    for line in locc.transcript_lines(stages[-1]):
         print(f"  {line}")
     return 0
 

@@ -7,10 +7,13 @@ diagnostic and exits with code 2.
 The boundary of that promise: a numeric value at fault raises a
 QRemoteError. Numeric values are arrays and their entries, sizes, factor
 indices (a step's targets among them), payloads, and integers past the
-float range, which are NonFinite as the literal 1e400 is. A value of the
-wrong library type, such as a str where a Program, Party or BlockPartition
-belongs, is a caller's bug and stays Python's own TypeError or
-AttributeError.
+float range, which are NonFinite as the literal 1e400 is. A size past
+the ceiling of qcore.MAX_AMPLITUDES (2^26 amplitudes) is UnsupportedProblem,
+raised by qcore.check_size before anything is allocated: a program's
+register layout in locc.prepare (D^5 for bqst) and a random partition's
+n D^2 entries in wang.random_partition. A value of the wrong library type,
+such as a str where a Program, Party or BlockPartition belongs, is a
+caller's bug and stays Python's own TypeError or AttributeError.
 """
 
 

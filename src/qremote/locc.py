@@ -3,9 +3,11 @@
 A Program is an ordered list of steps against a fixed register layout (one
 owner per tensor factor). Running a program enumerates the full measurement
 branch tree, never one sampled run: correctness claims for these protocols
-are quantified over all outcomes. Each branch yields an immutable transcript
-recording local operations, measurement outcomes, and the classical messages
-that carried outcomes between the parties.
+are quantified over all outcomes. A branch's transcript is the run's
+record (each step on its resolved factors, with no operator) read beside the
+branch's outcome row: it holds the local operations, the measurement
+outcomes, and the classical messages that carried outcomes between the
+parties, and transcript_lines renders it.
 
 run_protocol advances all branches together. Their states are the rows of
 one array over the factors not yet measured. One check resolves each
@@ -35,7 +37,7 @@ probabilities, the norms the gate measured and the checked amplitudes,
 beside one operator-free record of the steps and of the measured factors.
 No Branch is built as the run closes: the lists the views read are each
 made in one pass. A Branch is a view of one row of a Run, made on
-indexing or iteration; its output, transcript and outcomes are derived
+indexing or iteration; its output and outcomes are derived
 from the run on each read. Its full state is a qcore.StateVector that
 stores the row as is and labels each measured factor with its outcome's
 basis state, so reading it copies no amplitudes; the zero-filled dense
@@ -147,38 +149,16 @@ class CouplingStep:
 Step = LocalStep | CouplingStep | ConditionalStep | MeasureStep
 
 
-# --- transcript events -----------------------------------------------------
+# --- the run's record ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class LocalOpEvent:
+    """An operator step in the run's record: its resolved factors, no operator."""
+
     party: Party
     label: str
     targets: tuple[int, ...]
     consumed: str | None = None   # message tag this operation depended on
-
-
-@dataclass(frozen=True)
-class MeasurementEvent:
-    party: Party
-    target: int
-    outcome: int
-
-
-@dataclass(frozen=True)
-class ClassicalMessageEvent:
-    sender: Party
-    receiver: Party
-    tag: str
-    payload: int
-
-
-Event = LocalOpEvent | MeasurementEvent | ClassicalMessageEvent
-
-
-@dataclass(frozen=True)
-class Transcript:
-    events: tuple[Event, ...]
-    probability: float
 
 
 class Run(qcore.Immutable, Sequence):
@@ -263,7 +243,7 @@ class Branch(qcore.Immutable):
     program order, probability, norm and amplitudes (a read-only view of
     its row of Run.amplitudes) its entries of the run's arrays, and steps,
     measured and factor_dims are shared by every branch of the run. Its
-    transcript, output, state and outcomes are built on each read."""
+    output, state and outcomes are built on each read."""
 
     __slots__ = ("_run", "_i")
 
@@ -303,21 +283,6 @@ class Branch(qcore.Immutable):
     @property
     def amplitudes(self) -> np.ndarray:
         return self._run._amps[self._i]
-
-    @property
-    def transcript(self) -> Transcript:
-        """The branch's events, built on each read from steps and row."""
-        row = iter(self.row)
-        events: list[Event] = []
-        for s in self._run.steps:
-            if isinstance(s, LocalOpEvent):
-                events.append(s)
-                continue
-            k = next(row)
-            events.append(MeasurementEvent(s.party, s.target, k))
-            if s.send_to is not None:
-                events.append(ClassicalMessageEvent(s.party, s.send_to, s.message, k))
-        return Transcript(tuple(events), self.probability)
 
     @property
     def output(self) -> StateVector:
@@ -379,10 +344,12 @@ class Program:
 
 def prepare(program: Program, input_state: StateVector) -> StateVector:
     """The input at factor 0, then a maximally entangled pair on each of
-    factors (1, 2), (3, 4), ... of program.dims."""
+    factors (1, 2), (3, 4), ... of program.dims; UnsupportedProblem if the
+    layout is past qcore.MAX_AMPLITUDES."""
     state = input_state
     if state.factor_dims != program.dims[:1]:
         raise DimensionMismatch(f"input dimensions {state.factor_dims} != {program.dims[:1]}")
+    qcore.check_size(math.prod(program.dims), f"register layout {program.dims}")
     for n in program.dims[1::2]:
         state = qcore.tensor(state, maximally_entangled(n))
     return state
@@ -580,21 +547,20 @@ def _checked_output(batch: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray
     return final, norms
 
 
-def transcript_lines(transcript: Transcript) -> list[str]:
-    """Line-oriented text form, one event per line: EVENT|party|label|data."""
-    lines = []
-    for event in transcript.events:
-        if isinstance(event, LocalOpEvent):
-            targets = ",".join(str(t) for t in event.targets)
-            data = targets if event.consumed is None else f"{targets};uses={event.consumed}"
-            lines.append(f"LOCALOP|{event.party.value}|{event.label}|{data}")
-        elif isinstance(event, MeasurementEvent):
-            lines.append(
-                f"MEASURE|{event.party.value}|{event.target}|outcome={event.outcome}"
-            )
-        else:
-            lines.append(
-                f"MSG|{event.sender.value}|{event.tag}|"
-                f"to={event.receiver.value},payload={event.payload}"
-            )
+def transcript_lines(branch: Branch) -> list[str]:
+    """The branch's transcript, rendered from its record (steps) and its
+    outcome row: LOCALOP|party|label|factors[;uses=tag] per operator step,
+    MEASURE|party|factor|outcome=k per measurement, followed by
+    MSG|sender|tag|to=receiver,payload=k when the outcome is sent."""
+    lines, row = [], iter(branch.row)
+    for s in branch.steps:
+        if isinstance(s, LocalOpEvent):
+            targets = ",".join(map(str, s.targets))
+            data = targets if s.consumed is None else f"{targets};uses={s.consumed}"
+            lines.append(f"LOCALOP|{s.party.value}|{s.label}|{data}")
+            continue
+        k = next(row)
+        lines.append(f"MEASURE|{s.party.value}|{s.target}|outcome={k}")
+        if s.send_to is not None:
+            lines.append(f"MSG|{s.party.value}|{s.message}|to={s.send_to.value},payload={k}")
     return lines

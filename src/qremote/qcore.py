@@ -15,7 +15,9 @@ and factor_overlap take; an integer past the float range is NonFinite
 there. The shift and clock of the protocols' corrections are built in one
 place each, as whole tables of powers: shift_powers and clock_powers.
 A stack whose every matrix is a permutation with phases is read off in one
-place too: monomial returns its (cols, phases) form.
+place too: monomial returns its (cols, phases) form. A layout's size is
+checked in one place, before anything is allocated: check_size refuses one
+past MAX_AMPLITUDES.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, EntangledFactor, NonFinite, NonUnitary, NotNormalized
+from .errors import (
+    DimensionMismatch, EntangledFactor, NonFinite, NonUnitary, NotNormalized, UnsupportedProblem,
+)
 
 # Double precision leaves >= 6 orders of margin at these dimensions.
 NORM_TOL = 1e-9     # unitarity and state-normalization checks
@@ -38,6 +42,18 @@ SINGULAR_TOL = 1e-8
 # this do not count toward rank
 RANK_TOL = 1e-9
 PROB_FLOOR = 1e-12  # measurement branches below this probability are dropped
+# the most amplitudes a layout may hold (1 GiB of complex128): bqst runs up
+# to D = 36, D^5 = 60 466 176, and a partition up to n D^2 = 2^26
+MAX_AMPLITUDES = 2 ** 26
+
+
+def check_size(count: int, what: str) -> None:
+    """UnsupportedProblem, before anything is allocated, if what holds
+    count > MAX_AMPLITUDES amplitudes."""
+    if count > MAX_AMPLITUDES:
+        raise UnsupportedProblem(
+            f"{what} holds {count} amplitudes, beyond the ceiling of {MAX_AMPLITUDES}"
+        )
 
 
 def index_in(k, size: int, what: str) -> int:

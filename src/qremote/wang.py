@@ -239,10 +239,12 @@ def partition_from_bases(u_basis: np.ndarray, v_basis: np.ndarray, sizes) -> Blo
 
 
 def random_partition(dim: int, n_blocks: int, rng: np.random.Generator) -> BlockPartition:
-    """Random valid partition: random bases split into n_blocks groups."""
+    """Random valid partition: random bases split into n_blocks groups;
+    UnsupportedProblem if its n_blocks D^2 entries pass qcore.MAX_AMPLITUDES."""
     dim, n_blocks = qcore.dimensions((dim, n_blocks), "partition dimension and block count")
     if n_blocks > dim:
         raise DimensionMismatch(f"need 1 <= blocks <= dim, got {n_blocks} at dim {dim}")
+    qcore.check_size(n_blocks * dim * dim, f"a partition of {n_blocks} blocks at dim {dim}")
     cuts = np.sort(rng.choice(np.arange(1, dim), size=n_blocks - 1, replace=False))
     sizes = np.diff(np.concatenate(([0], cuts, [dim])))
     return partition_from_bases(

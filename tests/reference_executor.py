@@ -7,7 +7,9 @@ as its dense sum_k B|k><k|B^dag (x) V_k, formed from the step's basis and
 unitaries, so apply_local checks its unitarity as one matrix. A conditioned
 step applies its table's entry for the payload, checked by apply_local.
 Each branch keeps the full state it reached, so the check does not rest on
-locc.Branch.state, which derives that state from the output.
+locc.Branch.state, which derives that state from the output. Each branch
+also builds its own record and outcome row, the two halves of its
+transcript, so neither rests on the run's shared record.
 """
 
 from dataclasses import dataclass
@@ -17,13 +19,11 @@ from qremote.errors import MissingClassicalDependency
 from qremote.locc import (
     ALICE,
     BOB,
-    ClassicalMessageEvent,
     ConditionalStep,
     CouplingStep,
     LocalOpEvent,
     LocalStep,
-    MeasurementEvent,
-    Transcript,
+    MeasureStep,
     _check_owned,
 )
 from qremote.qcore import StateVector
@@ -33,51 +33,50 @@ from util import coupling_matrix
 
 @dataclass(frozen=True)
 class ReferenceBranch:
-    transcript: Transcript
-    state: StateVector
+    """steps is the branch's record (a LocalOpEvent per operator step, a
+    MeasureStep per measurement) and row its outcome per measurement."""
 
-    @property
-    def probability(self) -> float:
-        return self.transcript.probability
+    steps: tuple
+    row: tuple
+    probability: float
+    state: StateVector
 
 
 def run_reference(program, initial):
     branches = []
 
-    def execute(i, state, prob, events, inbox):
+    def execute(i, state, prob, record, row, inbox):
         if i == len(program.steps):
-            branches.append(ReferenceBranch(Transcript(tuple(events), prob), state))
+            branches.append(ReferenceBranch(tuple(record), tuple(row), prob, state))
             return
         step = program.steps[i]
         if isinstance(step, (LocalStep, CouplingStep, ConditionalStep)):
             _check_owned(program.owners, step.party,
                          qcore.indices(step.targets, len(program.owners), "step"))
             if isinstance(step, LocalStep):
-                op, event = step.matrix, LocalOpEvent(step.party, step.label, step.targets)
+                op, entry = step.matrix, LocalOpEvent(step.party, step.label, step.targets)
             elif isinstance(step, CouplingStep):
                 op = coupling_matrix(step)
-                event = LocalOpEvent(step.party, step.label, step.targets)
+                entry = LocalOpEvent(step.party, step.label, step.targets)
             else:
                 if step.message not in inbox[step.party]:
                     raise MissingClassicalDependency(step.label)
                 op = step.unitaries[inbox[step.party][step.message]]
-                event = LocalOpEvent(step.party, step.label, step.targets, step.message)
+                entry = LocalOpEvent(step.party, step.label, step.targets, step.message)
             nxt = qcore.apply_local(op, state, step.targets)
-            execute(i + 1, nxt, prob, events + [event], inbox)
+            execute(i + 1, nxt, prob, record + [entry], row, inbox)
             return
         _check_owned(program.owners, step.party,
                      qcore.indices((step.target,), len(program.owners), "step"))
+        entry = MeasureStep(step.party, step.target, step.message, step.send_to)
         for out in qcore.measure_computational(state, step.target):
-            new_events = events + [MeasurementEvent(step.party, step.target, out.outcome)]
             new_inbox = {p: dict(m) for p, m in inbox.items()}
             new_inbox[step.party][step.message] = out.outcome
             if step.send_to is not None:
-                new_events.append(
-                    ClassicalMessageEvent(step.party, step.send_to, step.message, out.outcome)
-                )
                 new_inbox[step.send_to][step.message] = out.outcome
-            execute(i + 1, out.post_state, prob * out.probability, new_events, new_inbox)
+            execute(i + 1, out.post_state, prob * out.probability, record + [entry],
+                    row + [out.outcome], new_inbox)
 
-    execute(0, initial, 1.0, [], {ALICE: {}, BOB: {}})
+    execute(0, initial, 1.0, [], [], {ALICE: {}, BOB: {}})
     del execute   # the closure refers to itself; break the cycle
     return branches

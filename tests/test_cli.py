@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -649,6 +650,48 @@ def test_gen_is_deterministic_and_valid(tmp_path, capsys):
     path.write_text(first)
     assert main(["run", str(path)]) == 0
     assert "result: OK" in capsys.readouterr().out
+
+
+def peak_bytes(call):
+    """call's result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_oversized_bqst_layout_is_refused_before_it_is_allocated(tmp_path, capsys):
+    # D = 40: the D^3 shift and clock tables are 2 MiB, the D^5 register
+    # would be 1.6 GiB, past qcore.MAX_AMPLITUDES
+    doc = {"kind": "bqst", "dim": 40, "unitary": matrix_to_json(np.eye(40))}
+    path = write_problem(tmp_path, "b.json", doc)
+    code, peak = peak_bytes(lambda: main(["run", path]))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: UnsupportedProblem: register layout (40, 40, 40, 40, 40) holds "
+        "102400000 amplitudes, beyond the ceiling of 67108864\n"
+    )
+    assert peak < 8 * 2**20
+
+
+def test_an_oversized_gen_is_refused_before_it_is_allocated(capsys):
+    code, peak = peak_bytes(lambda: main(["gen", "--seed", "1", "--dim", "10000", "--blocks", "2"]))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: UnsupportedProblem: a partition of 2 blocks at dim 10000 holds "
+        "200000000 amplitudes, beyond the ceiling of 67108864\n"
+    )
+    assert peak < 8 * 2**20   # against 3.2 GB for the partition
+
+
+def test_cost_reads_a_wang_file_past_the_bqst_run_ceiling(tmp_path, capsys):
+    # cost builds a bqst program on the input register but never runs it,
+    # so a D = 40 wang file, whose bqst run would be refused, still has rows
+    assert main(["gen", "--seed", "3", "--dim", "40", "--blocks", "2",
+                 "--out", str(tmp_path / "w.json")]) == 0
+    assert main(["cost", str(tmp_path / "w.json")]) == 0
+    assert "bqst" in capsys.readouterr().out
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):

@@ -37,22 +37,28 @@ GROUP_REPS = {
 }
 
 
-def at_outcomes(state, transcript):
-    """The state's tensor form with each measured factor fixed at its outcome."""
+def at_outcomes(state, branch):
+    """The state's tensor form with each measured factor fixed at its
+    outcome, read off the branch's record and row."""
     index = [slice(None)] * len(state.factor_dims)
-    for e in transcript.events:
-        if isinstance(e, locc.MeasurementEvent):
-            index[e.target] = e.outcome
+    measures = [s for s in branch.steps if isinstance(s, MeasureStep)]
+    for s, k in zip(measures, branch.row, strict=True):
+        index[s.target] = k
     return state.tensor_form()[tuple(index)]
 
 
 def assert_matches_reference(program, initial):
+    """Every branch's record (party, label, targets and consumed tag of each
+    operation; party, factor, tag and receiver of each measurement), its
+    outcome row (each outcome, and so each payload), probability, output
+    and state against the reference's own."""
     got = locc.run_protocol(program, initial)
     want = run_reference(program, initial)
-    assert [b.transcript.events for b in got] == [b.transcript.events for b in want]
+    assert [b.row for b in got] == [w.row for w in want]
     for g, w in zip(got, want):
+        assert g.steps == w.steps
         assert abs(g.probability - w.probability) <= 1e-12
-        expected_output = at_outcomes(w.state, w.transcript)
+        expected_output = at_outcomes(w.state, w)
         assert g.output.factor_dims == expected_output.shape
         np.testing.assert_allclose(
             g.output.amplitudes, expected_output.reshape(-1), rtol=0, atol=1e-12
@@ -114,7 +120,7 @@ def test_svd_remote_matches_reference():
         psi = random_state(dim, rng)
         want = assert_matches_reference(wang.svd_program(program), wang_initial(psi, dim))
         got = wang.run_svd_remote(program, psi)
-        assert [b.transcript.events for b in got] == [b.transcript.events for b in want]
+        assert [(b.steps, b.row) for b in got] == [(b.steps, b.row) for b in want]
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.output.amplitudes, w.output.amplitudes)
             assert abs(np.vdot(u @ psi.amplitudes, g.output.amplitudes)) >= 1 - 1e-12

@@ -17,14 +17,12 @@ from qremote.errors import (
 from qremote.locc import (
     ALICE,
     BOB,
-    ClassicalMessageEvent,
     ConditionalStep,
     CouplingStep,
     LocalOpEvent,
     LocalStep,
     MeasureStep,
     Program,
-    Transcript,
 )
 
 from util import (
@@ -84,8 +82,9 @@ def test_empty_program_is_identity():
     s = qcore.StateVector(random_state(4, rng).amplitudes, (2, 2))
     branches = locc.run_protocol(Program(owners=(ALICE, BOB), steps=()), s)
     assert len(branches) == 1
-    assert branches[0].transcript.events == ()
-    assert branches[0].transcript.probability == 1.0
+    assert branches[0].steps == () and branches[0].row == ()
+    assert locc.transcript_lines(branches[0]) == []
+    assert branches[0].probability == 1.0
     np.testing.assert_allclose(branches[0].state.amplitudes, s.amplitudes, atol=0)
 
 
@@ -148,8 +147,8 @@ def test_transcripts_validate_and_serialize():
     p = wang.diagonal_partition(2)
     phases = wang.random_phases(2, rng)
     for branch in wang.run_wang(p, phases, random_state(2, rng)):
-        validate_transcript(branch.transcript, locc.PROTOCOL_OWNERS)
-        lines = locc.transcript_lines(branch.transcript)
+        validate_transcript(branch.steps, locc.PROTOCOL_OWNERS)
+        lines = locc.transcript_lines(branch)
         assert lines[0] == "LOCALOP|alice|P|0,1"
         assert any(line.startswith("MSG|alice|l|to=bob") for line in lines)
         assert any(line.startswith("MEASURE|bob|2") for line in lines)
@@ -157,14 +156,9 @@ def test_transcripts_validate_and_serialize():
         assert lines[-1] == "LOCALOP|alice|R_m|0;uses=m"
 
 
-def test_runs_and_branch_reads_build_no_transcript(monkeypatch):
+def test_branches_read_their_outcomes_off_one_record_and_row():
     # a branch stores its outcome row; probability, outcomes and state are
-    # read from it, and a transcript is built only when one is asked for
-    def refuse(*args):
-        raise AssertionError("a transcript event was built")
-
-    monkeypatch.setattr(locc, "MeasurementEvent", refuse)
-    monkeypatch.setattr(locc, "ClassicalMessageEvent", refuse)
+    # read from it, beside the one record its run shares
     rng = np.random.default_rng(5)
     c = np.zeros(4, dtype=complex)
     c[1] = c[2] = 1 / np.sqrt(2)
@@ -296,7 +290,7 @@ def test_every_view_is_the_branch_the_eager_builder_makes(name):
         assert b.norm == want.norm
         assert b.outcomes == want.outcomes
         assert list(b.outcomes.items()) == list(want.outcomes.items())
-        assert b.transcript == want.transcript
+        assert locc.transcript_lines(b) == locc.transcript_lines(want)
         assert b.steps is run.steps and b.measured is run.measured
         assert b.factor_dims is run.factor_dims
         assert b.amplitudes.shape == want.amplitudes.shape
@@ -445,21 +439,18 @@ def test_the_pruning_measurement_is_named_before_a_later_fault():
 
 
 def test_validator_rejects_out_of_order_use():
-    bad = Transcript(
-        events=(
-            LocalOpEvent(ALICE, "R_m", (0,), consumed="m"),
-            ClassicalMessageEvent(BOB, ALICE, "m", 1),
-        ),
-        probability=1.0,
-    )
-    with pytest.raises(MissingClassicalDependency):
-        validate_transcript(bad, locc.PROTOCOL_OWNERS)
+    use = LocalOpEvent(ALICE, "R_m", (0,), consumed="m")
+    message = MeasureStep(BOB, 2, "m", send_to=ALICE)
+    validate_transcript((message, use), locc.PROTOCOL_OWNERS)
+    for bad in ((use, message), (MeasureStep(BOB, 2, "m"), use)):
+        with pytest.raises(MissingClassicalDependency):
+            validate_transcript(bad, locc.PROTOCOL_OWNERS)
 
 
-def test_validator_rejects_foreign_factors():
-    bad = Transcript(events=(LocalOpEvent(BOB, "P", (0,)),), probability=1.0)
+@pytest.mark.parametrize("bad", [LocalOpEvent(BOB, "P", (0,)), MeasureStep(ALICE, 2, "m")])
+def test_validator_rejects_foreign_factors(bad):
     with pytest.raises(LocalityViolation):
-        validate_transcript(bad, locc.PROTOCOL_OWNERS)
+        validate_transcript((bad,), locc.PROTOCOL_OWNERS)
 
 
 def test_prepare_appends_one_maximally_entangled_pair_per_two_factors():

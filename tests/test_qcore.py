@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qremote import groupform, qcore, wang
 from qremote.errors import (
-    DimensionMismatch, EntangledFactor, NonFinite, NonUnitary, NotNormalized,
+    DimensionMismatch, EntangledFactor, NonFinite, NonUnitary, NotNormalized, UnsupportedProblem,
 )
 from qremote.qcore import StateVector
 
@@ -578,3 +578,12 @@ def test_executor_invariants_raise_named_value_errors():
     with pytest.raises(EntangledFactor):
         qcore.factor_state(bell, 0)
     assert issubclass(NotNormalized, ValueError) and issubclass(EntangledFactor, ValueError)
+
+
+def test_the_size_ceiling_admits_bqst_at_36_and_refuses_37():
+    # no layout is allocated: the check reads a count
+    qcore.check_size(qcore.MAX_AMPLITUDES, "layout")
+    qcore.check_size(36 ** 5, "bqst at D = 36")
+    for count in (qcore.MAX_AMPLITUDES + 1, 37 ** 5):
+        with pytest.raises(UnsupportedProblem, match=f"layout holds {count} amplitudes, beyond"):
+            qcore.check_size(count, "layout")

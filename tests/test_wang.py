@@ -607,6 +607,6 @@ def test_svd_remote_transcripts_run_from_pre_to_post():
     rng = np.random.default_rng(13)
     prog = wang.svd_remote(qcore.random_unitary(3, rng))
     for branch in wang.run_svd_remote(prog, random_state(3, rng)):
-        lines = locc.transcript_lines(branch.transcript)
+        lines = locc.transcript_lines(branch)
         assert lines[0] == "LOCALOP|alice|pre|0"
         assert lines[-1] == "LOCALOP|alice|post|0"

@@ -15,9 +15,7 @@ from qremote.errors import (
     NonFinite,
     OverlappingBlocks,
 )
-from qremote.locc import (
-    ALICE, BOB, ClassicalMessageEvent, LocalOpEvent, MeasurementEvent, MeasureStep, Transcript,
-)
+from qremote.locc import ALICE, BOB, MeasureStep
 
 
 def random_state(dim, rng):
@@ -211,8 +209,8 @@ def zero_filled_state(branch):
 @dataclass(frozen=True)
 class EagerBranch:
     """One branch as a frozen record of its own fields, built eagerly for
-    every row of a run, with its transcript, states and outcomes derived
-    from them: the oracle that each locc.Branch view is checked against."""
+    every row of a run, with its states and outcomes derived from them: the
+    oracle that each locc.Branch view is checked against."""
 
     steps: tuple
     row: tuple
@@ -221,20 +219,6 @@ class EagerBranch:
     norm: float
     factor_dims: tuple
     measured: tuple
-
-    @property
-    def transcript(self):
-        row = iter(self.row)
-        events = []
-        for s in self.steps:
-            if isinstance(s, LocalOpEvent):
-                events.append(s)
-                continue
-            k = next(row)
-            events.append(MeasurementEvent(s.party, s.target, k))
-            if s.send_to is not None:
-                events.append(ClassicalMessageEvent(s.party, s.send_to, s.message, k))
-        return Transcript(tuple(events), self.probability)
 
     @property
     def output(self):
@@ -292,23 +276,22 @@ def fidelity(a, b):
 
 # --- transcript oracle -----------------------------------------------------
 
-def validate_transcript(transcript, owners):
-    """Structural audit: locality of every event and message-before-use causality."""
+def validate_transcript(steps, owners):
+    """Structural audit of a record (a LocalOpEvent per operation, a
+    MeasureStep per measurement): locality of every entry, and
+    message-before-use causality, where only a sent outcome delivers its tag."""
     delivered = {ALICE: set(), BOB: set()}
-    for event in transcript.events:
-        if isinstance(event, LocalOpEvent):
-            factors = qcore.indices(event.targets, len(owners), "step")
-            locc._check_owned(owners, event.party, factors)
-            if event.consumed is not None and event.consumed not in delivered[event.party]:
-                raise MissingClassicalDependency(
-                    f"{event.party.value} used outcome {event.consumed!r} "
-                    "before any message delivered it"
-                )
-        elif isinstance(event, MeasurementEvent):
-            factors = qcore.indices((event.target,), len(owners), "step")
-            locc._check_owned(owners, event.party, factors)
-        else:
-            delivered[event.receiver].add(event.tag)
+    for s in steps:
+        factors = qcore.indices(s.targets, len(owners), "step")
+        locc._check_owned(owners, s.party, factors)
+        if isinstance(s, MeasureStep):
+            if s.send_to is not None:
+                delivered[s.send_to].add(s.message)
+        elif s.consumed is not None and s.consumed not in delivered[s.party]:
+            raise MissingClassicalDependency(
+                f"{s.party.value} used outcome {s.consumed!r} "
+                "before any message delivered it"
+            )
 
 
 # --- representations -------------------------------------------------------
