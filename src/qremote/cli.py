@@ -171,6 +171,8 @@ def load_problem(path: str, input_override: str | None = None) -> Problem:
             target = matrix_from_json(doc["unitary"])
         if target.shape != (dim, dim):
             raise DimensionMismatch(f"unitary shape {target.shape} does not match dim {dim}")
+        # the run's layout, checked as locc.prepare checks it, before the D^3 tables
+        qcore.check_size(dim ** 5, f"register layout {(dim,) * 5}")
         program = entcost.bqst_program(target)
         describe = f"kind: bqst  dim={dim}"
     else:

@@ -9,41 +9,40 @@ branch's outcome row: it holds the local operations, the measurement
 outcomes, and the classical messages that carried outcomes between the
 parties, and transcript_lines renders it.
 
-run_protocol advances all branches together. Their states are the rows of
-one array over the factors not yet measured. One check resolves each
-step's factors to axes of that array: qcore.indices resolves them, its
-party must own each factor and none may have been measured; the step runs
-and is recorded on the resolved factors. A measurement splits each row into
-one row per outcome above PROB_FLOOR and drops the measured axis; the
-outcome goes into a column, and the outcome probabilities are summed from
-the real and imaginary parts of the rows, so no conjugated copy is made.
-An operator step holds every operator it applies, built with the program;
-it moves its axes to the front, a coupling's control first, and is a
-function of the moved rows. A local step is one matrix product over all
-rows. A conditioned step holds a table indexed by payload; it gathers the
-rows by the payload its message carries (one copy of the rows in every
-protocol here), checks the entries they reach as one stack, and applies
-each to its group with one product. A coupling step sum_k B|k><k|B^dag
-(x) V_k, the opening step of every protocol here, holds B and one V_k per
-column of B: qcore.certify_coupling bounds the dense unitarity check from
-their defects, and the step is three products, none larger than the rows.
-Each measurement adds the probability it prunes below PROB_FLOOR to one
-running total, and the measurement that takes the total past NORM_TOL
-raises NotNormalized then and there. One gate closes the run: every row
-of the final array must have norm 1 within NORM_TOL, checked in one pass;
-the final array is frozen in place, and copied only if it is a strided
-view. The run is returned as arrays, one Run: the outcome columns, the
-probabilities, the norms the gate measured and the checked amplitudes,
-beside one operator-free record of the steps and of the measured factors.
-No Branch is built as the run closes: the lists the views read are each
-made in one pass. A Branch is a view of one row of a Run, made on
-indexing or iteration; its output and outcomes are derived
-from the run on each read. Its full state is a qcore.StateVector that
-stores the row as is and labels each measured factor with its outcome's
-basis state, so reading it copies no amplitudes; the zero-filled dense
-vector is built only if read. The closing gate is the check each branch's
-state and output rely on: StateVector._prechecked builds them from the
-row and its norm, and checks nothing again.
+run_protocol advances all branches together on one fixed grid: after each
+measurement the batch has one row per combination of outcomes so far, in
+lexicographic order, over the factors not yet measured, so each step's
+shape follows from the program. Each step's factors are resolved to axes of
+that array by one check (_factor_axes) and recorded. A measurement copies
+the rows into one new array, the measured axis next to the rows, and
+divides each by the root of its probability, summed from the real and
+imaginary parts with no conjugated copy; an outcome at or below PROB_FLOOR
+is divided by inf, so its row and every row under it are zeros. A boolean
+grid, one axis per measurement, marks the outcomes kept. An operator step
+holds every operator it applies, built with the program, and is a function
+of the rows moved to put its axes first, a coupling's control first: a
+local step is one product; a conditioned step is its table broadcast along
+its message's grid axis in one product, with the identity for each payload
+no kept row reaches; a coupling sum_k B|k><k|B^dag (x) V_k, the opening
+step of every protocol here, is three products, none larger than the rows,
+its B and V_k certified by qcore.certify_coupling. Each measurement adds
+the probability it prunes to one running total, and the measurement that
+takes it past NORM_TOL raises NotNormalized then and there. The run's
+outcomes are read off the grid, and the kept rows gathered only if one was
+pruned. One gate closes the run: every row of the final array must have
+norm 1 within NORM_TOL, checked in one pass; the final array is frozen in
+place, and copied only if it is a strided view. The run is returned as
+arrays, one Run: the outcome columns, the probabilities, the norms the gate
+measured and the checked amplitudes, beside one operator-free record of the
+steps and of the measured factors. No Branch is built as the run closes:
+the lists the views read are each made in one pass. A Branch is a view of
+one row of a Run, made on indexing or iteration; its output and outcomes
+are derived from the run on each read. Its full state is a
+qcore.StateVector that stores the row as is and labels each measured factor
+with its outcome's basis state, so reading it copies no amplitudes; the
+zero-filled dense vector is built only if read. The closing gate is the
+check each branch's state and output rely on: StateVector._prechecked
+builds them from the row and its norm, and checks nothing again.
 
 A Program declares its registers, dims: the input at factor 0, then a
 maximally entangled pair on each of (1, 2), (3, 4), ... prepare checks the
@@ -416,12 +415,12 @@ def run_protocol(program: Program, initial: StateVector) -> Run:
         raise DimensionMismatch(
             f"{len(owners)} owners declared for {len(dims)} factors"
         )
-    batch = initial.tensor_form()[None]   # (branch, *dims of the live factors)
+    batch = initial.tensor_form()[None]   # (row, *dims of the live factors)
     live = list(range(len(dims)))         # factor on each axis after the first
     prob = np.ones(1)
-    outcomes = np.zeros((1, 0), dtype=int)   # one column per measurement
-    lost = 0.0                               # mass dropped by the measurements
-    inbox: dict[Party, dict[str, int]] = {ALICE: {}, BOB: {}}   # tag -> column
+    kept = np.ones((), dtype=bool)   # the outcome grid, one axis per measurement
+    lost = 0.0                       # mass dropped by the measurements
+    inbox: dict[Party, dict[str, int]] = {ALICE: {}, BOB: {}}   # tag -> grid axis
     record: list[LocalOpEvent | MeasureStep] = []   # the steps on their resolved factors
 
     for step in program.steps:
@@ -437,18 +436,20 @@ def run_protocol(program: Program, initial: StateVector) -> Run:
                     f"probability pruned below {qcore.PROB_FLOOR} to {lost:.3e}, "
                     f"beyond {qcore.NORM_TOL}"
                 )
-            rows, ks = np.nonzero(kept_mask)
-            kept = p[rows, ks]
-            batch = np.moveaxis(batch, axis, 1)[rows, ks]
-            batch /= np.sqrt(kept).reshape((-1,) + (1,) * (batch.ndim - 1))
-            prob = prob[rows] * kept
-            outcomes = np.column_stack((outcomes[rows], ks))
+            # one row per (row, outcome), copied, then divided in place: a division out of
+            # the strided view buffers twice the memory; inf zeroes a pruned outcome's row
+            moved = np.moveaxis(batch, axis, 1)
+            batch = np.empty((p.size, *moved.shape[2:]), dtype=complex)
+            split = batch.reshape(moved.shape)
+            np.copyto(split, moved)
+            split /= np.where(kept_mask, np.sqrt(p), np.inf)[(...,) + (None,) * (split.ndim - 2)]
+            prob = (prob[:, None] * p).reshape(-1)
+            kept = kept_mask.reshape(kept.shape + p.shape[1:])
             live.remove(target)
             record.append(MeasureStep(step.party, target, step.message, step.send_to))
-            # the measuring party always learns its own outcome
-            inbox[step.party][step.message] = outcomes.shape[1] - 1
-            if step.send_to is not None:
-                inbox[step.send_to][step.message] = outcomes.shape[1] - 1
+            # the measuring party always learns its own outcome, and the receiver a sent one
+            for party in {step.party, step.send_to} - {None}:
+                inbox[party][step.message] = kept.ndim - 1
             continue
         perm = [0, *axes, *(a for a in range(1, batch.ndim) if a not in axes)]
         moved = batch.transpose(perm)
@@ -460,62 +461,58 @@ def run_protocol(program: Program, initial: StateVector) -> Run:
             new = _coupling(step, factors, dims, moved)
             record.append(LocalOpEvent(step.party, step.label, tuple(sorted(factors))))
         else:
-            new = _conditioned(step, factors, dims, inbox, outcomes, moved)
+            new = _conditioned(step, factors, dims, inbox, kept, moved)
             record.append(LocalOpEvent(step.party, step.label, factors, step.message))
         batch = new.reshape(moved.shape).transpose(*map(perm.index, range(len(perm))))
         del new, moved   # the old batch ends with the step
 
+    outcomes = np.argwhere(kept)
+    if len(outcomes) < kept.size:   # gather the kept rows only if one was pruned
+        batch, prob = batch[kept.reshape(-1)], prob[kept.reshape(-1)]
     return Run(tuple(record), dims, batch, outcomes, prob)
 
 
 def _weights(batch: np.ndarray, axis: int) -> np.ndarray:
-    """|amplitude|^2 summed over every axis but the branch and the given
-    one, from the real and imaginary views: no copy of the batch."""
+    """|amplitude|^2 summed over every axis but the row and the given one,
+    from the real and imaginary views: no copy of the batch."""
     axes, re, im = list(range(batch.ndim)), batch.real, batch.imag
     return np.einsum(re, axes, re, axes, [0, axis]) + np.einsum(im, axes, im, axes, [0, axis])
 
 
 def _conditioned(
     step: ConditionalStep, factors: tuple[int, ...], dims: tuple[int, ...], inbox,
-    outcomes: np.ndarray, rows: np.ndarray,
+    kept: np.ndarray, rows: np.ndarray,
 ) -> np.ndarray:
-    """The step applied to rows of shape (branch, *dims of factors, *rest),
-    returned as (branch, d, rest) with d the targets' product. One stable
-    argsort of the message's column groups the rows by payload, and one
-    bincount sizes the groups. qcore.local_unitary checks the entries of
-    the payloads that reach the step as one stack: the table itself when
-    every payload does, else only those entries, so a pruned payload's
-    entry is never checked. Each operator acts on its group with one
-    product, scattered back to the rows' places: no operator is copied per
-    row."""
+    """The step on rows (row, *dims of factors, *rest), one per cell of the
+    outcome grid kept, as a new array. Only entries that kept rows reach are
+    checked (the table itself if all are); I stands in for the others' zero rows."""
     if step.message not in inbox[step.party]:
         raise MissingClassicalDependency(
             f"{step.party.value} step {step.label!r} needs message "
             f"{step.message!r} before it runs"
         )
-    column = outcomes[:, inbox[step.party][step.message]]
-    order = np.argsort(column, kind="stable")
-    counts = np.bincount(column)
-    values = np.flatnonzero(counts)
+    axis = inbox[step.party][step.message]
+    others = tuple(a for a in range(kept.ndim) if a != axis)
+    reached = kept.any(axis=others)
+    values = np.flatnonzero(reached)
     table = qcore._numeric(step.unitaries, f"step {step.label!r} table")
-    if table.ndim != 3 or len(table) < len(counts):
+    if table.ndim != 3 or len(table) <= values[-1]:
         raise DimensionMismatch(
             f"step {step.label!r} has table shape {table.shape} for payloads "
-            f"up to {len(counts) - 1}"
+            f"up to {values[-1]}"
         )
     ops = qcore.local_unitary(
         table if len(values) == len(table) else table[values], dims, factors,
         lambda i: f"step {step.label!r} at {step.message}={values[i]}",
     )
-    bounds = np.concatenate(([0], np.cumsum(counts[values]))).tolist()
-    # the gather keeps the moved layout, so it is the only copy of the rows
-    # unless the axes after the targets cannot merge into one
-    sorted_rows = rows[order].reshape(len(order), ops.shape[-1], -1)
-    out = np.empty_like(sorted_rows)
-    for op, a, b in zip(ops, bounds, bounds[1:]):
-        np.matmul(op, sorted_rows[a:b], out=out[a:b])
-    sorted_rows[order] = out   # the buffer is free now: scatter into it
-    return sorted_rows
+    d = ops.shape[-1]
+    grid = (*kept.shape, d, -1)   # the rows as (*outcomes, d, rest)
+    if len(values) < len(reached):   # I for each unreached payload
+        checked, ops = ops, np.tile(np.eye(d, dtype=complex), (len(reached), 1, 1))
+        ops[values] = checked
+    out = np.empty(rows.shape, dtype=complex)   # owned in the rows' shape, as Run's views read it
+    np.matmul(np.expand_dims(ops, others), rows.reshape(grid), out=out.reshape(grid))
+    return out
 
 
 def _checked_output(batch: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

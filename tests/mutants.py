@@ -36,8 +36,8 @@ MUTANTS = (
      "MeasureStep(step.party, target, step.message, step.send_to)",
      "MeasureStep(step.party, target, step.message)"),
     ("inbox delivery dropped", "locc.py",
-     "                inbox[step.send_to][step.message] = outcomes.shape[1] - 1\n",
-     "                pass\n"),
+     "for party in {step.party, step.send_to} - {None}:",
+     "for party in {step.party}:"),
     ("transcript_lines prints the wrong payload", "locc.py",
      "to={s.send_to.value},payload={k}",
      "to={s.send_to.value},payload={s.target}"),
@@ -45,8 +45,11 @@ MUTANTS = (
      " + np.einsum(im, axes, im, axes, [0, axis])",
      ""),
     ("sqrt dropped from the renormalization", "locc.py",
-     "batch /= np.sqrt(kept).reshape",
-     "batch /= kept.reshape"),
+     "np.where(kept_mask, np.sqrt(p), np.inf)",
+     "np.where(kept_mask, p, np.inf)"),
+    ("dead rows not zeroed", "locc.py",
+     "np.where(kept_mask, np.sqrt(p), np.inf)",
+     "np.sqrt(p)"),
     ("probability floor removed", "locc.py",
      "kept_mask = p > qcore.PROB_FLOOR",
      "kept_mask = p >= 0"),
@@ -56,6 +59,15 @@ MUTANTS = (
     ("ownership check skipped", "locc.py",
      "        if owners[t] is not party:\n",
      "        if False:\n"),
+    ("table broadcast on the wrong outcome axis", "locc.py",
+     "np.expand_dims(ops, others)",
+     "np.expand_dims(ops, tuple(range(kept.ndim - 1)))"),
+    ("reached set taken over all payloads", "locc.py",
+     "reached = kept.any(axis=others)",
+     "reached = np.ones(kept.shape[axis], dtype=bool)"),
+    ("identity fill dropped: unreached payloads apply their entries", "locc.py",
+     "np.tile(np.eye(d, dtype=complex), (len(reached), 1, 1))",
+     "table[:len(reached)].copy()"),
     ("closing gate passes a NaN norm", "locc.py",
      "bad = np.flatnonzero(~(np.abs(norms - 1.0) <= qcore.NORM_TOL))",
      "bad = np.flatnonzero(np.abs(norms - 1.0) > qcore.NORM_TOL)"),

@@ -661,16 +661,18 @@ def peak_bytes(call):
         tracemalloc.stop()
 
 
-def test_an_oversized_bqst_layout_is_refused_before_it_is_allocated(tmp_path, capsys):
-    # D = 40: the D^3 shift and clock tables are 2 MiB, the D^5 register
-    # would be 1.6 GiB, past qcore.MAX_AMPLITUDES
-    doc = {"kind": "bqst", "dim": 40, "unitary": matrix_to_json(np.eye(40))}
+@pytest.mark.parametrize("dim", [40, 120])
+def test_an_oversized_bqst_layout_is_refused_before_it_is_allocated(tmp_path, capsys, dim):
+    # the D^5 register, 1.6 GiB at D = 40, is past qcore.MAX_AMPLITUDES, and
+    # it is refused before the D^3 shift and clock tables are built: 2 MiB
+    # at D = 40, 55 MB at D = 120
+    doc = {"kind": "bqst", "dim": dim, "unitary": matrix_to_json(np.eye(dim))}
     path = write_problem(tmp_path, "b.json", doc)
     code, peak = peak_bytes(lambda: main(["run", path]))
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: UnsupportedProblem: register layout (40, 40, 40, 40, 40) holds "
-        "102400000 amplitudes, beyond the ceiling of 67108864\n"
+        f"error: UnsupportedProblem: register layout {(dim,) * 5} holds "
+        f"{dim ** 5} amplitudes, beyond the ceiling of 67108864\n"
     )
     assert peak < 8 * 2**20
 

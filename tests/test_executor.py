@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qremote import entcost, groupform, locc, qcore, wang
 from qremote.errors import (
-    DimensionMismatch, LocalityViolation, MissingClassicalDependency, NonUnitary,
+    DimensionMismatch, LocalityViolation, MissingClassicalDependency, NonUnitary, NotNormalized,
 )
 from qremote.locc import (
     ALICE, BOB, ConditionalStep, CouplingStep, LocalStep, MeasureStep, Program,
@@ -24,7 +24,7 @@ from qremote.locc import (
 from reference_executor import run_reference
 from util import (
     coupling_matrix, klein_character_rep, random_block_diagonal_unitary, random_state,
-    shift_matrix,
+    shift_matrix, spread_state, validate_transcript,
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -142,6 +142,8 @@ def test_unsent_outcome_is_used_by_its_own_party():
     branches = assert_matches_reference(program, initial)
     assert len(branches) == 2
     assert all(b.outcomes == {} for b in branches)
+    for b in branches:   # the audit, like the run, delivers x to Alice, who measured it
+        validate_transcript(b.steps, program.owners)
 
 
 def test_a_step_on_a_measured_factor_is_a_dimension_mismatch():
@@ -187,6 +189,29 @@ def test_zero_probability_outcome_is_pruned(monkeypatch):
     assert [c.tolist() for c in checked] == [w.tolist() for w in want]
 
 
+def test_a_dead_row_keeps_a_nan_entry_out_of_the_pruning_total():
+    # payload 1 of b is never reached and its entry is NaN: the identity
+    # applied to its zero rows keeps them zeros, so the later measurement
+    # of a counts only what it prunes itself
+    table = np.stack([HADAMARD, np.full((2, 2), np.nan)])
+    program = Program((BOB, ALICE, ALICE), (
+        MeasureStep(BOB, 0, "b", send_to=ALICE),
+        ConditionalStep(ALICE, "V_b", table, (1,), "b"),
+        MeasureStep(ALICE, 2, "a"),
+    ))
+    psi = random_state(2, np.random.default_rng(14))
+
+    def initial(small):
+        return qcore.tensor(qcore.tensor(qcore.ket(0, 2), psi), spread_state(small))
+
+    # 3999 x 0.99e-12 = 3.959e-9 is past NORM_TOL
+    with pytest.raises(NotNormalized, match=r"measurement 'a' of factor 2 .* to 3\.959e-09"):
+        locc.run_protocol(program, initial(3999))
+    # 505 x 0.99e-12 = 5.0e-10 is within it
+    branches = assert_matches_reference(program, initial(505))
+    assert [b.row for b in branches] == [(0, 0)]
+
+
 @pytest.mark.parametrize("table", [
     pytest.param(HADAMARD[None], id="payload-past-the-end"),
     pytest.param(HADAMARD, id="two-dimensional"),
@@ -202,19 +227,22 @@ def test_a_table_without_an_operator_per_payload_is_a_dimension_mismatch(table):
         locc.run_protocol(program, initial)
 
 
-def gathered(step, inbox, outcomes, rows):
+def gathered(step, inbox, kept, rows):
     """The conditioned step as the per-row operator gather: table[payload] @
-    rows, on rows (branch, *target dims, *rest) taken as (branch, d, rest)."""
-    ops = np.asarray(step.unitaries, dtype=complex)[outcomes[:, inbox[step.party][step.message]]]
+    rows, on rows (row, *target dims, *rest) taken as (row, d, rest), one row
+    per cell of the outcome grid kept, whose axis for the message holds the
+    payload."""
+    payloads = np.indices(kept.shape)[inbox[step.party][step.message]].reshape(-1)
+    ops = np.asarray(step.unitaries, dtype=complex)[payloads]
     return ops @ rows.reshape(len(rows), ops.shape[-1], -1)
 
 
 def pruned_program():
     """Factor 1 never holds |1>, and factor 2 holds only |0> once factor 1
-    holds |2>: the rows (b, c) = (0, 0), (0, 1), (2, 0) survive, so the
-    payloads of b group two rows and one, and those of c two rows apart and
-    one. Each payload's operator is distinct, and V_b's entry for the
-    unreached payload 1 is never applied."""
+    holds |2>: the rows (b, c) = (0, 0), (0, 1), (2, 0) survive, so b
+    reaches the payloads 0 and 2, and c the payloads 0 and 1. Each payload's
+    operator is distinct, and V_b's entry for the unreached payload 1 is
+    never applied."""
     amps = np.zeros((2, 3, 2), dtype=complex)
     amps[0, 0, 0] = amps[0, 0, 1] = 0.5
     amps[1, 2, 0] = 1 / np.sqrt(2)
@@ -262,20 +290,20 @@ def test_every_program_holds_arrays_not_callables():
 def test_the_grouped_apply_matches_the_gather(monkeypatch, case):
     program, initial = grouped_apply_cases()[case]
     conditioned = locc._conditioned
-    sizes = []
+    reached = []
 
-    def checking(step, factors, dims, inbox, outcomes, rows):
-        want = gathered(step, inbox, outcomes, rows)
-        got = conditioned(step, factors, dims, inbox, outcomes, rows)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        sizes.append(np.unique(outcomes[:, inbox[step.party][step.message]], return_counts=True)[1])
+    def checking(step, factors, dims, inbox, kept, rows):
+        want = gathered(step, inbox, kept, rows)
+        got = conditioned(step, factors, dims, inbox, kept, rows)
+        np.testing.assert_allclose(got.reshape(want.shape), want, rtol=0, atol=1e-12)
+        reached.append(np.unique(np.argwhere(kept)[:, inbox[step.party][step.message]]))
         return got
 
     monkeypatch.setattr(locc, "_conditioned", checking)
     assert_matches_reference(program, initial)
-    assert len(sizes) == sum(isinstance(s, ConditionalStep) for s in program.steps)
+    assert len(reached) == sum(isinstance(s, ConditionalStep) for s in program.steps)
     if case == "pruned":
-        assert [x.tolist() for x in sizes] == [[2, 1], [2, 1]]
+        assert [x.tolist() for x in reached] == [[0, 2], [0, 1]]
 
 
 def wang_32_peak(steps):
@@ -306,7 +334,7 @@ def test_a_wang_32_run_peaks_below_three_and_a_half_initial_states():
 
 @pytest.mark.parametrize("steps, bound", [
     ((), 1 / 8),                              # the frozen input is not copied
-    ((MeasureStep(ALICE, 1, "a"),), 1.5),     # only the gather of the kept rows
+    ((MeasureStep(ALICE, 1, "a"),), 1.5),     # only the measurement's new rows
 ], ids=["no-steps", "one-measurement"])
 def test_the_run_gate_copies_no_rows(steps, bound):
     peak, count = wang_32_peak(steps)
@@ -564,7 +592,7 @@ def test_every_group_branch_has_probability_one_over_order_squared(name, seed):
 # --- random valid programs against the reference --------------------------------
 
 @st.composite
-def programs(draw):
+def programs(draw, zeroed=False):
     """A valid Program with its initial state: 2-4 factors of dimension 1-3
     with random owners, then 1 to 6 steps of all four kinds. Targets come
     in any order, a coupling's control on either side of its target, and a
@@ -573,7 +601,10 @@ def programs(draw):
     a factor into (owner, dimension), a step into (size, pick, side, kind),
     kind the lowest digit. A kind its party cannot take yet falls back to a
     measurement or a local step, and a party with no live factor hands the
-    step to the other. Matrices and the state come from a drawn seed."""
+    step to the other. Matrices and the state come from a drawn seed. If
+    zeroed, each factor of dimension 2 or 3 loses one level of the state
+    with even odds, so an outcome measured before any step mixes it in is
+    pruned, and a payload it would carry is never reached."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     factors = [divmod(v, 3) for v in draw(st.lists(st.integers(0, 5), min_size=2, max_size=4))]
     owners = tuple((ALICE, BOB)[o] for o, _ in factors)
@@ -621,11 +652,23 @@ def programs(draw):
                 tag = tags[pick % len(tags)]
                 table = np.array([qcore.random_unitary(d, rng) for _ in range(inbox[party][tag])])
                 steps.append(ConditionalStep(party, f"V{i}", table, targets, tag))
-    initial = random_state(math.prod(dims), rng)
-    return Program(owners, tuple(steps)), qcore.StateVector(initial.amplitudes, dims)
+    amps = random_state(math.prod(dims), rng).amplitudes.reshape(dims)
+    if zeroed:
+        amps = amps.copy()
+        for f, d in enumerate(dims):
+            if d > 1 and rng.integers(2):
+                amps[(slice(None),) * f + (rng.integers(d),)] = 0
+        amps /= np.linalg.norm(amps)
+    return Program(owners, tuple(steps)), qcore.StateVector(amps.reshape(-1), dims)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=programs())
 def test_random_programs_match_the_reference(case):
+    assert_matches_reference(*case)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=programs(zeroed=True))
+def test_random_programs_on_inputs_with_pruned_outcomes_match_the_reference(case):
     assert_matches_reference(*case)

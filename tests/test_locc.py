@@ -26,8 +26,8 @@ from qremote.locc import (
 )
 
 from util import (
-    dense_factor_overlap, eager_branches, random_state, shift_matrix, validate_transcript,
-    zero_filled_state,
+    dense_factor_overlap, eager_branches, random_state, shift_matrix, spread_state,
+    validate_transcript, zero_filled_state,
 )
 
 
@@ -402,15 +402,6 @@ def test_the_run_gate_names_the_row_of_a_bad_output(monkeypatch, scale, error, m
     p = wang.random_partition(3, 2, rng)
     with pytest.raises(error, match=re.escape(f"outcomes (0, 1) has {message}")):
         wang.run_wang(p, wang.random_phases(2, rng), random_state(3, rng))
-
-
-def spread_state(small):
-    """A (4000,) state: `small` amplitudes of probability 0.99e-12, below
-    PROB_FLOOR, and the rest of the norm on |0>."""
-    amps = np.zeros(4000, dtype=complex)
-    amps[1 : small + 1] = np.sqrt(0.99e-12)
-    amps[0] = np.sqrt(1 - small * 0.99e-12)
-    return qcore.StateVector(amps, (4000,))
 
 
 def test_pruned_mass_beyond_the_tolerance_is_named():

@@ -23,6 +23,15 @@ def random_state(dim, rng):
     return qcore.StateVector(amps / np.linalg.norm(amps), (dim,))
 
 
+def spread_state(small):
+    """A (4000,) state: `small` amplitudes of probability 0.99e-12, below
+    PROB_FLOOR, and the rest of the norm on |0>."""
+    amps = np.zeros(4000, dtype=complex)
+    amps[1 : small + 1] = np.sqrt(0.99e-12)
+    amps[0] = np.sqrt(1 - small * 0.99e-12)
+    return qcore.StateVector(amps, (4000,))
+
+
 def random_diag_phases(n, rng):
     return np.exp(2j * np.pi * rng.uniform(size=n))
 
@@ -279,14 +288,15 @@ def fidelity(a, b):
 def validate_transcript(steps, owners):
     """Structural audit of a record (a LocalOpEvent per operation, a
     MeasureStep per measurement): locality of every entry, and
-    message-before-use causality, where only a sent outcome delivers its tag."""
+    message-before-use causality, where a measurement delivers its tag to
+    the measuring party and, if sent, to the receiver."""
     delivered = {ALICE: set(), BOB: set()}
     for s in steps:
         factors = qcore.indices(s.targets, len(owners), "step")
         locc._check_owned(owners, s.party, factors)
         if isinstance(s, MeasureStep):
-            if s.send_to is not None:
-                delivered[s.send_to].add(s.message)
+            for party in {s.party, s.send_to} - {None}:
+                delivered[party].add(s.message)
         elif s.consumed is not None and s.consumed not in delivered[s.party]:
             raise MissingClassicalDependency(
                 f"{s.party.value} used outcome {s.consumed!r} "
