@@ -143,14 +143,18 @@ def bqst_program(unitary: np.ndarray) -> Program:
     teleportation is a generalized Bell measurement (inverse controlled
     shift, inverse Fourier, two computational measurements) followed by
     shift/clock corrections on the far half. The final state lands in a2.
+    The unitary is checked once and certified (qcore.checked_unitary), so
+    Bob's step does not check it again; every other table is one qcore
+    certifies as it makes it.
     """
     (u,) = qcore.operators([unitary], "bqst operation")
-    if not qcore.is_unitary(u):
+    u = qcore.checked_unitary(u)
+    if u is None:
         raise NonUnitary("bqst needs a unitary operation")
     dim = u.shape[0]
     shifts = qcore.shift_powers(dim)
-    basis = np.eye(dim)   # column i of I carries X^i
-    f_inv = qcore.fourier_matrix(dim).conj().T
+    basis = qcore.identity(dim)   # column i of I carries X^i
+    f_inv = qcore.fourier_matrix(dim, inverse=True)
     clocks = qcore.clock_powers(dim)
     return Program(
         owners=(ALICE, ALICE, BOB, BOB, ALICE),

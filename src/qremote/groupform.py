@@ -150,9 +150,11 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
     The checks, in order: finite entries, unitary matrices, unimodular
     factors, the identity element carrying the identity matrix, closure, and
     factor-system consistency. Once they pass, mu is stored as mu/|mu| and
-    each matrix as its polar factor, the unitary nearest to it, so the
-    protocol's coupling certificate and its U(h^-1) check see exact unitaries
-    however close to NORM_TOL the given residual was.
+    each matrix as its polar factor, the unitary nearest to it, certified by
+    qcore (from_monomial on a monomial stack's form, checked_unitary
+    otherwise): the protocol's coupling P and its U(h^-1) table read their
+    defects off the certificate, exact however close to NORM_TOL the given
+    residual was.
     Closure: U(f)U(g) = mu(f,g) U(fg) for every pair. Consistency of the
     two-term products mu(h^{-1},f) mu(h,h^{-1}f): closure makes this
     independent of f and equal to mu(h^{-1},h), which is checked; it
@@ -223,11 +225,11 @@ def projective_rep(group: FiniteGroup, matrices, mu=None) -> ProjectiveRep:
         )
     if form is None:
         w, _, vh = np.linalg.svd(stack)
-        exact = w @ vh
+        exact = qcore.checked_unitary(w @ vh)
+        if exact is None:   # an SVD's factors are unitary to rounding
+            raise NonUnitary("the polar factors of the representation are not unitary")
     else:
-        exact = np.zeros_like(stack)
-        np.put_along_axis(exact, cols[..., None], (phases / np.abs(phases))[..., None], -1)
-    exact.setflags(write=False)
+        exact = qcore.from_monomial(cols, phases / np.abs(phases))
     return ProjectiveRep(group, exact, mu / np.abs(mu))
 
 
@@ -329,9 +331,9 @@ def dihedral3_rep() -> ProjectiveRep:
 def z_gate(order: int) -> np.ndarray:
     """The table Z(0) .. Z(|G|-1) of Z(g)|f> = (1/sqrt|G|) <g|F|f>^{-1} |f>
     for the Fourier matrix F, which is the clock power Z^{-g}: diagonal
-    unimodular, read off qcore.clock_powers."""
+    unimodular, gathered from qcore.clock_powers with its certificate."""
     (order,) = qcore.dimensions((order,), "group order")
-    return qcore.clock_powers(order)[-np.arange(order) % order]
+    return qcore.gather(qcore.clock_powers(order), -np.arange(order) % order)
 
 
 def assemble(rep: ProjectiveRep, coefficients) -> np.ndarray:
@@ -348,14 +350,16 @@ def mixer(rep: ProjectiveRep, coefficients) -> np.ndarray:
     R(f) = sum_g mu(g, f) |g><gf|: entry (g, gf) is c(f) mu(g, f), placed
     through the Cayley table, whose rows are permutations. Unitarity is not
     guaranteed for arbitrary factor systems, so it is verified here per
-    instance."""
+    instance, once: M is returned certified (qcore.checked_unitary), and
+    Bob's step does not check it again."""
     c = _coefficient_vector(rep, coefficients)
     n = rep.group.order
     total = np.zeros((n, n), dtype=complex)
     total[np.arange(n)[:, None], rep.group.cayley] = c * rep.mu
-    if not qcore.is_unitary(total):
+    checked = qcore.checked_unitary(total)
+    if checked is None:
         raise NonUnitaryM("sum c(f) R(f) is not unitary for this instance")
-    return total
+    return checked
 
 
 def _coefficient_vector(rep: ProjectiveRep, coefficients) -> np.ndarray:
@@ -377,13 +381,13 @@ def group_program(rep: ProjectiveRep, coefficients) -> Program:
         owners=locc.PROTOCOL_OWNERS,
         steps=(
             # P = sum_f U(f) (x) |f><f| on (A, a): entangles the group label
-            CouplingStep(ALICE, "P", np.eye(n), mats, 1, 0),
+            CouplingStep(ALICE, "P", qcore.identity(n), mats, 1, 0),
             LocalStep(ALICE, "F", qcore.fourier_matrix(n), (1,)),
             MeasureStep(ALICE, 1, "g", send_to=BOB),
             ConditionalStep(BOB, "Z(g)", z_gate(n), (2,), "g"),
             LocalStep(BOB, "M", mix, (2,)),
             MeasureStep(BOB, 2, "h", send_to=ALICE),
-            ConditionalStep(ALICE, "U(h^-1)", mats[inverses], (0,), "h"),
+            ConditionalStep(ALICE, "U(h^-1)", qcore.gather(mats, inverses), (0,), "h"),
         ),
         dims=(rep.dim, n, n),
     )

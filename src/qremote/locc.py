@@ -25,7 +25,11 @@ local step is one product; a conditioned step is its table broadcast along
 its message's grid axis in one product, with the identity for each payload
 no kept row reaches; a coupling sum_k B|k><k|B^dag (x) V_k, the opening
 step of every protocol here, is three products, none larger than the rows,
-its B and V_k certified by qcore.certify_coupling. Each measurement adds
+its B and V_k certified by qcore.certify_coupling. A table qcore certified
+as it made it (the shifts, clocks, F, I, the phase gate, a group's U(f) and
+M, bqst's U, and what is gathered from them) is not checked densely again:
+its step reads the defects off the certificate. R_m and a partition's basis
+V are checked by the step that holds them. Each measurement adds
 the probability it prunes to one running total, and the measurement that
 takes it past NORM_TOL raises NotNormalized then and there. The run's
 outcomes are read off the grid, and the kept rows gathered only if one was
@@ -46,7 +50,8 @@ builds them from the row and its norm, and checks nothing again.
 
 A Program declares its registers, dims: the input at factor 0, then a
 maximally entangled pair on each of (1, 2), (3, 4), ... prepare checks the
-input against them and appends the pairs, and entcost reads cost rows off
+input against them and appends the pairs, as one array whose norm is
+checked once, and entcost reads cost rows off
 the same program. Every protocol runner returns the Run of
 run_protocol(program, prepare(program, input)), and its program leaves
 exactly its output register unmeasured. A step-by-step trace
@@ -327,9 +332,14 @@ def _view(run: Run, i: int) -> Branch:
 def maximally_entangled(n: int) -> StateVector:
     """sum_k |k>|k> / sqrt(n) over two n-dimensional registers."""
     (n,) = qcore.dimensions((n,), "resource dimension")
+    return StateVector(_pair(n), (n, n))
+
+
+def _pair(n: int) -> np.ndarray:
+    """The amplitudes of maximally_entangled(n)."""
     amps = np.zeros(n * n, dtype=complex)
     amps[:: n + 1] = 1.0 / math.sqrt(n)
-    return StateVector(amps, (n, n))
+    return amps
 
 
 # --- program execution -----------------------------------------------------
@@ -344,14 +354,18 @@ class Program:
 def prepare(program: Program, input_state: StateVector) -> StateVector:
     """The input at factor 0, then a maximally entangled pair on each of
     factors (1, 2), (3, 4), ... of program.dims; UnsupportedProblem if the
-    layout is past qcore.MAX_AMPLITUDES."""
-    state = input_state
-    if state.factor_dims != program.dims[:1]:
-        raise DimensionMismatch(f"input dimensions {state.factor_dims} != {program.dims[:1]}")
+    layout is past qcore.MAX_AMPLITUDES. The state is built as one array,
+    of the products qcore.tensor would take (np.kron's, an outer product
+    flattened), and its norm checked once."""
+    dims = input_state.factor_dims
+    if dims != program.dims[:1]:
+        raise DimensionMismatch(f"input dimensions {dims} != {program.dims[:1]}")
     qcore.check_size(math.prod(program.dims), f"register layout {program.dims}")
+    amps = input_state.amplitudes
     for n in program.dims[1::2]:
-        state = qcore.tensor(state, maximally_entangled(n))
-    return state
+        amps, dims = np.multiply.outer(amps, _pair(n)).reshape(-1), dims + (n, n)
+    amps.setflags(write=False)   # the state keeps the product as it is
+    return StateVector(amps, dims)
 
 
 def _check_owned(owners, party: Party, factors: tuple[int, ...]) -> None:
@@ -430,7 +444,7 @@ def run_protocol(program: Program, initial: StateVector) -> Run:
             p = _weights(batch, axis)
             kept_mask = p > qcore.PROB_FLOOR
             lost += prob @ np.where(kept_mask, 0.0, p).sum(axis=1)
-            if lost > qcore.NORM_TOL:
+            if not lost <= qcore.NORM_TOL:   # nan, from a nan row, is at fault too
                 raise NotNormalized(
                     f"measurement {step.message!r} of factor {target} brings the "
                     f"probability pruned below {qcore.PROB_FLOOR} to {lost:.3e}, "

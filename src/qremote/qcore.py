@@ -18,12 +18,31 @@ A stack whose every matrix is a permutation with phases is read off in one
 place too: monomial returns its (cols, phases) form. A layout's size is
 checked in one place, before anything is allocated: check_size refuses one
 past MAX_AMPLITUDES.
+
+Each operator is certified once, where it is made. A certificate records
+each matrix's unitarity defect (the largest entry of |U^dag U - I|) and is
+issued only here (_certify), to a table copied into memory no caller can
+write: an array over immutable bytes, whose WRITEABLE flag numpy refuses to
+set, where a plain read-only array's owner may set it again. It is bound to
+that very array, so a copy, view or reshape of it holds none. The issuers:
+from_monomial checks a permutation-and-phase table on that form, with no
+product (shift_powers, clock_powers, identity, wang's phase gate and the
+monomial representations' polar matrices come from it); checked_unitary
+after one dense check (bqst's U, the group's M and the dense
+representations' polar matrices); fourier_matrix, checked once per size and
+cached (as are the identity and the shift and clock tables up to
+CACHED_ORDER); and gather, along the stack axis of a certified stack. local_unitary
+and certify_coupling read a certified table's defects off its certificate
+and skip the dense check; any other table takes it, with the same class and
+message. The same tables hold the same bytes as before they were certified.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache, partial
 from operator import index
 from typing import Callable
 
@@ -45,6 +64,9 @@ PROB_FLOOR = 1e-12  # measurement branches below this probability are dropped
 # the most amplitudes a layout may hold (1 GiB of complex128): bqst runs up
 # to D = 36, D^5 = 60 466 176, and a partition up to n D^2 = 2^26
 MAX_AMPLITUDES = 2 ** 26
+# shift and clock tables up to this order (512 KiB each) are cached, 16 of
+# each at most: the cache never holds more than 16 MiB
+CACHED_ORDER = 32
 
 
 def check_size(count: int, what: str) -> None:
@@ -316,6 +338,95 @@ def monomial(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return cols, phases
 
 
+# --- certificates ------------------------------------------------------------
+
+# id of a certified table -> (a weak reference to it, the defect of each of its
+# matrices); an entry goes when its table does
+_CERTIFICATES: dict[int, tuple[weakref.ref, np.ndarray]] = {}
+
+
+def _certify(table: np.ndarray, defects) -> np.ndarray:
+    """table, copied into memory no caller can write (an array over
+    immutable bytes: numpy refuses to set its WRITEABLE flag), under a
+    certificate that holds each matrix's defect. The one place a
+    certificate is issued; its callers have checked every defect against
+    NORM_TOL, densely or on the table's exact form."""
+    frozen = np.frombuffer(np.asarray(table, dtype=complex).tobytes(), dtype=complex)
+    frozen = frozen.reshape(table.shape)
+    defects = np.array(defects, dtype=float)
+    defects.setflags(write=False)
+    key = id(frozen)
+    _CERTIFICATES[key] = (weakref.ref(frozen, partial(_revoke, key)), defects)
+    return frozen
+
+
+def _revoke(key: int, ref: weakref.ref) -> None:
+    if _CERTIFICATES.get(key, (None,))[0] is ref:
+        del _CERTIFICATES[key]
+
+
+def _certificate(table) -> np.ndarray | None:
+    """The defects certified for this very array, or None: a copy, a view
+    or a reshape of a certified table is another array and holds none."""
+    entry = _CERTIFICATES.get(id(table))
+    return entry[1] if entry is not None and entry[0]() is table else None
+
+
+def _defects(table: np.ndarray) -> np.ndarray:
+    """Each matrix's defect: read off the table's certificate if it holds
+    one, else computed by unitarity_defect."""
+    certified = _certificate(table)
+    return unitarity_defect(table) if certified is None else certified
+
+
+def checked_unitary(table: np.ndarray) -> np.ndarray | None:
+    """table, a complex matrix or (k, d, d) stack, certified after one
+    dense check (unitarity_defect), or None if a matrix fails it."""
+    defects = unitarity_defect(table)
+    if not (defects <= NORM_TOL).all():   # nan fails too
+        return None
+    return _certify(table, defects)
+
+
+def from_monomial(cols, phases) -> np.ndarray:
+    """The matrices sum_r phases[r] |r><cols[r]| of a monomial form, the
+    inverse of monomial: cols and phases have shape (..., d), one row per
+    matrix, and each phase is written into zeros. The table is certified on
+    that form, with no product, when each row of cols is a permutation of
+    range(d) and each | |phase|^2 - 1 | is at most NORM_TOL: U^dag U is
+    then diagonal with the |phase|^2 on it, so those are its defects.
+    Otherwise it is returned uncertified."""
+    cols, phases = np.asarray(cols), np.asarray(phases, dtype=complex)
+    d = cols.shape[-1]
+    table = np.zeros(cols.shape + (d,), dtype=complex)
+    rows = table.reshape(-1, d)
+    rows[np.arange(len(rows)), cols.reshape(-1)] = phases.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):   # inf or nan is at fault
+        defects = np.abs(phases.real ** 2 + phases.imag ** 2 - 1).max(axis=-1)
+    if (defects <= NORM_TOL).all() and (np.sort(cols, axis=-1) == np.arange(d)).all():
+        return _certify(table, defects)
+    return table
+
+
+def gather(stack: np.ndarray, index) -> np.ndarray:
+    """stack[index] along the stack axis, certified with the defects of the
+    matrices it takes when stack is certified."""
+    certified = _certificate(stack)
+    taken = stack[index]
+    return taken if certified is None else _certify(taken, certified[index])
+
+
+def identity(n: int) -> np.ndarray:
+    """The n x n identity, certified; the last few sizes are cached."""
+    (n,) = dimensions((n,), "identity size")
+    return _identity(n)
+
+
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    return from_monomial(np.arange(n), np.ones(n))
+
+
 def is_unitary(m: np.ndarray) -> bool:
     m = _numeric(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
@@ -330,8 +441,10 @@ def certify_coupling(basis: np.ndarray, unitaries: np.ndarray, label: str) -> No
     is raised unless the dense check |W^dag W - I| <= NORM_TOL (largest
     entry) is sure to pass.
 
-    The work is one unitarity_defect on B and one on the stack of the V_k:
-    delta_B and delta_V are their largest entries of |X^dag X - I|. With
+    The work is one unitarity_defect on B and one on the stack of the V_k,
+    each skipped for a certified table, whose certificate holds its
+    defects: delta_B and delta_V are their largest entries of
+    |X^dag X - I|. With
     ||.|| the operator norm, ||X^dag X - I|| <= d delta for a d x d matrix
     X, so e = d_c delta_B bounds ||B^dag B - I||, which is also
     ||B B^dag - I||, and u = d_t delta_V bounds ||V_k^dag V_k - I|| for
@@ -347,8 +460,8 @@ def certify_coupling(basis: np.ndarray, unitaries: np.ndarray, label: str) -> No
     bound <= NORM_TOL never accepts a coupling the dense check rejects.
     """
     d_c, d_t = len(basis), unitaries.shape[-1]
-    basis_defect = float(unitarity_defect(basis))
-    term_defects = unitarity_defect(unitaries)
+    basis_defect = float(_defects(basis))
+    term_defects = _defects(unitaries)
     e, u = d_c * basis_defect, d_t * float(term_defects.max())
     bound = e + (1 + e) * (u + (1 + u) * e)
     if bound <= NORM_TOL:
@@ -367,8 +480,9 @@ def local_unitary(
     op: np.ndarray, dims: tuple[int, ...], targets, name: Callable[[int], str] | None = None
 ) -> np.ndarray:
     """op, one matrix or a (k, d, d) stack of them, as complex and checked
-    to be unitary on the target factors by one unitarity_defect. NonUnitary
-    names the first matrix at fault: name(i) for matrix i of a stack."""
+    to be unitary on the target factors by one unitarity_defect, or by its
+    certificate if qcore certified this very array. NonUnitary names the
+    first matrix at fault: name(i) for matrix i of a stack."""
     targets = indices(targets, len(dims), "target")
     op = _numeric(op, f"operator on factors {targets}")
     d_op = math.prod(dims[t] for t in targets)
@@ -376,7 +490,7 @@ def local_unitary(
         raise DimensionMismatch(
             f"operator shape {op.shape} does not match target dims product {d_op}"
         )
-    defect = unitarity_defect(op).reshape(-1)
+    defect = _defects(op).reshape(-1)
     bad = np.flatnonzero(~(defect <= NORM_TOL))   # nan is at fault too
     if len(bad):
         i = int(bad[0])
@@ -445,28 +559,49 @@ def schmidt(state: StateVector, cut) -> SchmidtForm:
     )
 
 
-def fourier_matrix(n: int) -> np.ndarray:
-    """Discrete Fourier transform, entries e^{2*pi*i*m*j/n} / sqrt(n)."""
+def fourier_matrix(n: int, inverse: bool = False) -> np.ndarray:
+    """Discrete Fourier transform F, entries e^{2*pi*i*m*j/n} / sqrt(n), or
+    with inverse its adjoint. Certified after one dense check per size and
+    direction; the last few are cached, so a size is checked once."""
     (n,) = dimensions((n,), "fourier_matrix size")
+    return _fourier(n, bool(inverse))
+
+
+@lru_cache(maxsize=16)
+def _fourier(n: int, inverse: bool) -> np.ndarray:
     grid = np.outer(np.arange(n), np.arange(n))
-    return np.exp(2j * np.pi * grid / n) / math.sqrt(n)
+    f = np.exp(2j * np.pi * grid / n) / math.sqrt(n)
+    # the DFT is unitary to rounding, n eps, far inside NORM_TOL at any size
+    return checked_unitary(f.conj().T if inverse else f)
 
 
 def shift_powers(n: int) -> np.ndarray:
-    """The stack X^0 .. X^{n-1} of the permutation X|k> = |k-1 mod n>:
-    entry [i, r, c] is 1 iff c = r + i mod n."""
+    """The certified stack X^0 .. X^{n-1} of the permutation
+    X|k> = |k-1 mod n>: entry [i, r, c] is 1 iff c = r + i mod n. The last
+    few sizes up to CACHED_ORDER are cached."""
     (n,) = dimensions((n,), "shift_powers size")
-    return np.eye(n, dtype=complex)[(np.arange(n)[:, None] + np.arange(n)) % n]
+    return (_shift_powers if n <= CACHED_ORDER else _shift_powers.__wrapped__)(n)
+
+
+@lru_cache(maxsize=16)
+def _shift_powers(n: int) -> np.ndarray:
+    grid = np.arange(n)
+    return from_monomial((grid[:, None] + grid) % n, np.ones((n, n)))
 
 
 def clock_powers(n: int) -> np.ndarray:
-    """The stack Z^0 .. Z^{n-1} of the clock Z|k> = e^{2 pi i k/n}|k>,
-    each diagonal written into zeros, so no -0.0 appears off it."""
+    """The certified stack Z^0 .. Z^{n-1} of the clock
+    Z|k> = e^{2 pi i k/n}|k>, each diagonal written into zeros, so no -0.0
+    appears off it. The last few sizes up to CACHED_ORDER are cached."""
     (n,) = dimensions((n,), "clock_powers size")
+    return (_clock_powers if n <= CACHED_ORDER else _clock_powers.__wrapped__)(n)
+
+
+@lru_cache(maxsize=16)
+def _clock_powers(n: int) -> np.ndarray:
     grid = np.arange(n)
-    out = np.zeros((n, n, n), dtype=complex)
-    out[:, grid, grid] = np.exp(2j * np.pi * np.outer(grid, grid) / n)
-    return out
+    phases = np.exp(2j * np.pi * np.outer(grid, grid) / n)
+    return from_monomial(np.broadcast_to(grid, (n, n)), phases)
 
 
 def factor_overlap(state: StateVector, vec: np.ndarray, factor: int) -> float:

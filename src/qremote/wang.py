@@ -273,8 +273,9 @@ def assemble(p: BlockPartition, phases: Phases) -> np.ndarray:
 
 
 def phase_gate(phases: Phases) -> np.ndarray:
-    """Bob's C = diag(c_0 .. c_{N-1})."""
-    return np.diag(phases.values)
+    """Bob's C = diag(c_0 .. c_{N-1}), certified on its diagonal
+    (qcore.from_monomial): Phases stores each c_i as c/|c|."""
+    return qcore.from_monomial(np.arange(len(phases)), phases.values)
 
 
 def recovery(p: BlockPartition) -> np.ndarray:
@@ -295,7 +296,7 @@ def wang_program(p: BlockPartition, phases: Phases) -> Program:
         steps=(
             # P = sum_i P_i (x) X^i on (A, a): shifts the ancilla by the block
             # index, X^owner[k] on column k of the partition's basis
-            CouplingStep(ALICE, "P", p.basis, shifts[p.owner], 0, 1),
+            CouplingStep(ALICE, "P", p.basis, qcore.gather(shifts, p.owner), 0, 1),
             MeasureStep(ALICE, 1, "l", send_to=BOB),
             ConditionalStep(BOB, "X^l", shifts, (2,), "l"),
             LocalStep(BOB, "C", phase_gate(phases), (2,)),

@@ -71,6 +71,27 @@ MUTANTS = (
     ("closing gate passes a NaN norm", "locc.py",
      "bad = np.flatnonzero(~(np.abs(norms - 1.0) <= qcore.NORM_TOL))",
      "bad = np.flatnonzero(np.abs(norms - 1.0) > qcore.NORM_TOL)"),
+    ("pruning total passes a NaN", "locc.py",
+     "if not lost <= qcore.NORM_TOL:",
+     "if lost > qcore.NORM_TOL:"),
+    ("certificate lookup always passes", "qcore.py",
+     "return unitarity_defect(table) if certified is None else certified",
+     "return np.zeros(table.shape[:-2]) if certified is None else certified"),
+    ("gather certifies an uncertified stack", "qcore.py",
+     "return taken if certified is None else _certify(taken, certified[index])",
+     "return _certify(taken, np.zeros(len(taken)))"),
+    ("fourier_matrix certified without its check", "qcore.py",
+     "return checked_unitary(f.conj().T if inverse else f)",
+     "return _certify(f.conj().T if inverse else f, 0.0)"),
+    ("checked_unitary certifies on a failed check", "qcore.py",
+     "    if not (defects <= NORM_TOL).all():   # nan fails too\n        return None\n",
+     ""),
+    ("from_monomial certifies a non-permutation", "qcore.py",
+     " and (np.sort(cols, axis=-1) == np.arange(d)).all():",
+     ":"),
+    ("bqst builds U diag(e^{i 1e-5}, 1, ..)", "entcost.py",
+     'LocalStep(BOB, "U", u, (2,))',
+     'LocalStep(BOB, "U", u * np.exp(1e-5j * (np.arange(dim) == 0)), (2,))'),
 )
 
 SKIP = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")

@@ -2,8 +2,14 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every expected value is computed by an independent oracle (direct
-matrix application, explicit formulas, or independent rank counts).
+matrix application, explicit formulas, or independent rank counts). Each
+exactness criterion bounds every branch's phase-aligned residual
+||out - e^{i theta} U psi|| by 1e-9 beside its fidelity check: the residual
+is linear in an operator fault, so a 1e-5 rad fault fails it, where the
+fidelity moves by 1e-10 and passes.
 """
+
+EXACT = 1e-9   # the largest residual an exact branch may show
 
 import functools
 import time
@@ -16,6 +22,7 @@ from qremote import entcost, groupform, qcore, wang
 from util import (
     fidelity,
     klein_character_rep,
+    residual,
     random_block_diagonal_unitary,
     random_diag_phases,
     random_state,
@@ -53,6 +60,7 @@ def test_criterion_1_wang_exactness():
         assert len(branches) == n * n
         for branch in branches:
             assert qcore.factor_overlap(branch.state, expected, 0) >= 1 - 1e-9
+            assert residual(branch.output.amplitudes, expected) <= EXACT
     assert time.perf_counter() - started < 10.0
 
 
@@ -93,6 +101,7 @@ def test_criterion_3_group_exactness():
             expected = np.diag(diag) @ psi.amplitudes
             for branch in groupform.run_group_protocol(rep, c, psi):
                 assert qcore.factor_overlap(branch.state, expected, 0) >= 1 - 1e-9
+                assert residual(branch.output.amplitudes, expected) <= EXACT
     # (b) Pauli rep expanding random single-qubit unitaries
     rep = groupform.pauli_rep()
     for _ in range(20):
@@ -104,6 +113,7 @@ def test_criterion_3_group_exactness():
         assert len(branches) == 16
         for branch in branches:
             assert qcore.factor_overlap(branch.state, expected, 0) >= 1 - 1e-9
+            assert residual(branch.output.amplitudes, expected) <= EXACT
     assert time.perf_counter() - started < 10.0
 
 
@@ -147,6 +157,7 @@ def test_criterion_5_cross_protocol_consistency():
         assert wang_branches.keys() == group_branches.keys()
         for key, wb in wang_branches.items():
             assert fidelity(wb.output, group_branches[key].output) >= 1 - 1e-9
+            assert residual(wb.output.amplitudes, group_branches[key].output.amplitudes) <= EXACT
 
 
 @criterion("criterion 6 (rank lower bound with sound certificates)")
@@ -199,6 +210,7 @@ def test_criterion_8_bqst_baseline():
         assert report.ebits == pytest.approx(2 * np.log2(dim))
         for branch in branches:
             assert qcore.factor_overlap(branch.state, expected, 4) >= 1 - 1e-9
+            assert residual(branch.output.amplitudes, expected) <= EXACT
 
 
 @criterion("criterion 9 (three-stage split for arbitrary unitaries)")
@@ -216,3 +228,4 @@ def test_criterion_9_svd_extension():
             expected = u @ psi.amplitudes
             for res in wang.run_svd_remote(prog, psi):
                 assert abs(np.vdot(expected, res.output.amplitudes)) >= 1 - 1e-9
+                assert residual(res.output.amplitudes, expected) <= EXACT

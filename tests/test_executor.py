@@ -377,9 +377,10 @@ def test_bad_conditional_step_raises_in_both_executors(program, error):
 # --- checks counted --------------------------------------------------------------
 
 def test_unitarity_is_checked_once_per_distinct_matrix(monkeypatch):
-    # each conditioned step checks the entries of its table that its rows
-    # reach as one stack, and the coupling is certified from its basis and
-    # its stack of column unitaries
+    # a step skips the dense check of a table qcore certified as it made it
+    # (the shifts, clocks, F, C, I and the group's U(f), and what is
+    # gathered from them); the coupling is still certified from its basis
+    # and its stack of column unitaries
     rng = np.random.default_rng(5)
     dim, n = 6, 4
     program = wang.wang_program(wang.random_partition(dim, n, rng), wang.random_phases(n, rng))
@@ -392,20 +393,32 @@ def test_unitarity_is_checked_once_per_distinct_matrix(monkeypatch):
     checked = recorded_checks(monkeypatch)
     monkeypatch.setattr(qcore, "certify_coupling", certifying)
     locc.run_protocol(program, wang_initial(random_state(dim, rng), n))
-    # the certificate's basis and column stack, then C and F as one matrix
-    # each, X^l and R_m as one stack each, in program order: every check
-    # run_protocol makes, is_unitary included, is listed
+    # the partition's basis V, in the coupling's certificate, then R_m as
+    # one stack: every dense check run_protocol makes, is_unitary included
     shapes = [c.shape for c in checked]
-    assert shapes == [(dim, dim), (dim, n, n), (n, n, n), (n, n), (n, n), (n, dim, dim)]
-    # every payload reaches X^l and R_m, so each table is checked as the
-    # step holds it, not copied for the run
-    tables = [s.unitaries for s in program.steps if isinstance(s, ConditionalStep)]
-    assert checked[2] is tables[0] and checked[5] is tables[1]
+    assert shapes == [(dim, dim), (n, dim, dim)]
+    # every payload reaches R_m, so the table is checked as the step holds
+    # it, not copied for the run
+    assert checked[1] is program.steps[-1].unitaries
     assert certified == ["P"]
-    # one certificate per coupling in the other protocols too
+    # one certificate per coupling in the other protocols too, and no dense
+    # check in their runs: each builder checks only the matrix it is given
+    # or forms for the instance (bqst's U, the group's M), once F of the
+    # size is cached
     rep, c, psi = group_setup("dihedral3", rng)
-    groupform.run_group_protocol(rep, c, psi)
-    entcost.bqst_teleport(qcore.random_unitary(3, rng), random_state(3, rng))
+    u = qcore.random_unitary(3, rng)
+    builds = {
+        "group": (lambda: groupform.group_program(rep, c), psi, [(6, 6)]),
+        "bqst": (lambda: entcost.bqst_program(u), random_state(3, rng), [(3, 3)]),
+    }
+    for build, psi, built in builds.values():
+        build()
+        checked.clear()
+        program = build()
+        assert [c.shape for c in checked] == built
+        checked.clear()
+        locc.run_protocol(program, locc.prepare(program, psi))
+        assert checked == []
     assert certified == ["P", "P", "CX^-1", "CX^-1"]
 
 

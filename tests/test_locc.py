@@ -415,6 +415,25 @@ def test_pruned_mass_beyond_the_tolerance_is_named():
     assert branches[0].probability == pytest.approx(1 - 505 * 0.99e-12, abs=1e-15)
 
 
+def test_a_nan_row_is_not_pruned_silently(monkeypatch):
+    # a nan probability is not above PROB_FLOOR, so its row counts as
+    # pruned and the running total turns nan: that fails the gate at once,
+    # where it would drop the row and keep outcome 1 alone
+    local_unitary = qcore.local_unitary
+
+    def poisoned(op, *args):
+        op = local_unitary(op, *args).copy()
+        op[0, 0] = np.nan
+        return op
+
+    monkeypatch.setattr(qcore, "local_unitary", poisoned)
+    program = Program((ALICE,), (
+        LocalStep(ALICE, "V", np.eye(2), (0,)), MeasureStep(ALICE, 0, "x"),
+    ))
+    with pytest.raises(NotNormalized, match=r"measurement 'x' of factor 0 .* to nan"):
+        locc.run_protocol(program, qcore.StateVector(np.array([0.6, 0.8]), (2,)))
+
+
 def test_the_pruning_measurement_is_named_before_a_later_fault():
     # payload 0, the one outcome kept, reaches a non-unitary entry; the
     # measurement that pruned 3.959e-9 is the earlier fault and is named

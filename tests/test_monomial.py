@@ -171,7 +171,7 @@ def paths(monkeypatch):
 
 def near_monomial_rep():
     # an off-pattern 1e-17 is no exact zero: the dense path certifies it
-    mats = qcore.clock_powers(4)
+    mats = qcore.clock_powers(4).copy()   # the certified table itself cannot be written
     mats[1, 0, 3] = 1e-17
     return groupform.projective_rep(groupform.cyclic(4), mats)
 

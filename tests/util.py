@@ -285,6 +285,16 @@ def fidelity(a, b):
 
 # --- transcript oracle -----------------------------------------------------
 
+def residual(out, expected):
+    """||out - e^{i theta} expected|| with e^{i theta} the phase of
+    <expected|out>: linear in an operator fault, where the fidelity
+    |<expected|out>| moves only with its square."""
+    out, expected = np.reshape(out, -1), np.reshape(expected, -1)
+    overlap = np.vdot(expected, out)
+    phase = overlap / abs(overlap) if overlap else 1.0
+    return float(np.linalg.norm(out - phase * expected))
+
+
 def validate_transcript(steps, owners):
     """Structural audit of a record (a LocalOpEvent per operation, a
     MeasureStep per measurement): locality of every entry, and
